@@ -135,6 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
                 constraints=True)
     p.add_argument("--coloring", help="coloring file (instead of --seed)")
+    p.add_argument("--partial", action="store_true", default=None,
+                   help="judge instances only partly inside the window by their visible part")
     p.add_argument("--y", help="restrict to one y (element literal)")
 
     p = sub.add_parser("largeness", help="syndetic / witness / IP checks and transports")

@@ -62,24 +62,29 @@ def dpll_sat(num_vars: int, clauses: Sequence[tuple]) -> Optional[list]:
                     changed = True
         return trail
 
-    def solve() -> bool:
-        trail = propagate()
+    # one frame [trail of the propagation before it, variable, value] per
+    # decision, True before False; a stack, so no recursion-depth limit
+    frames = []
+    trail = propagate()
+    while True:
         if trail is None:
-            return False
-        var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
-        if var is None:
-            return True
-        for choice in (True, False):
-            assign[var] = choice
-            if solve():
-                return True
-            del assign[var]
-        for v in trail:
-            del assign[v]
-        return False
-
-    if not solve():
-        return None
+            # flip the deepest decision still True, undoing exhausted levels
+            while frames and frames[-1][2] is False:
+                level_trail, var, _ = frames.pop()
+                del assign[var]
+                for v in level_trail:
+                    del assign[v]
+            if not frames:
+                return None
+            frame = frames[-1]
+            frame[2] = assign[frame[1]] = False
+        else:
+            var = next((v for v in range(1, num_vars + 1) if v not in assign), None)
+            if var is None:
+                break
+            assign[var] = True
+            frames.append([trail, var, True])
+        trail = propagate()
     return [v if assign.get(v, True) else -v for v in range(1, num_vars + 1)]
 
 

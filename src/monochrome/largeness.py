@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .prng import stream_below
-from .rings import RingElement, RingKind, Window, exact_divide
+from .rings import RingElement, RingKind, Window, _poly_add, _poly_mul, exact_divide
 
 FS_LENGTH_CAP = 24
 
@@ -102,18 +102,7 @@ def _raw_adder(spec):
     if kind is RingKind.GAUSSIAN:
         return lambda a, b: (a[0] + b[0], a[1] + b[1])
     q = spec.q
-
-    def add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % q
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    return add
+    return lambda a, b: _poly_add(a, b, q)
 
 
 def _raw_multiplier(spec):
@@ -123,20 +112,7 @@ def _raw_multiplier(spec):
     if kind is RingKind.GAUSSIAN:
         return lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
     q = spec.q
-
-    def mul(a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % q
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    return mul
+    return lambda a, b: _poly_mul(a, b, q)
 
 
 def finite_sums(seq: Sequence[RingElement]) -> FSSet:

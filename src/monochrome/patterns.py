@@ -203,27 +203,17 @@ class PatternVerdict(enum.Enum):
     NOT_MONOCHROMATIC = "not-monochromatic"
 
 
-def _verdict(elements: list, index: dict, colors: tuple, require_in_window: bool):
-    """The per-instance verdict shared by every entry point.
-
-    Returns the common color of the elements found in the window,
-    NOT_MONOCHROMATIC at the first color clash, OUT_OF_WINDOW at the first
-    escaping element when require_in_window is set (escaping elements are
-    skipped otherwise), and None when no element is visible.
-    """
-    verdict = None
-    for e in elements:
-        pos = index.get(e)
-        if pos is None:
-            if require_in_window:
-                return PatternVerdict.OUT_OF_WINDOW
-            continue
-        c = colors[pos]
-        if verdict is None:
-            verdict = c
-        elif verdict != c:
-            return PatternVerdict.NOT_MONOCHROMATIC
-    return verdict
+def _common_color(positions: list, colors: tuple) -> Optional[int]:
+    """The one color of the positions in the window (None entries are
+    elements outside it), or None at a color clash or with none visible."""
+    color = None
+    for pos in positions:
+        if pos is not None:
+            if color is None:
+                color = colors[pos]
+            elif colors[pos] != color:
+                return None
+    return color
 
 
 def pattern_color(
@@ -232,12 +222,11 @@ def pattern_color(
     """The color i if the whole instance sits in the window with color i,
     OUT_OF_WINDOW if any element escapes, NOT_MONOCHROMATIC otherwise."""
     index = coloring.window.index
-    elements = pattern_elements(x, y, family).elements
-    verdict = _verdict(elements, index, coloring.colors, True)
-    # a color clash can be seen before an escaping element; escape wins
-    if verdict is PatternVerdict.NOT_MONOCHROMATIC and any(e not in index for e in elements):
+    positions = list(map(index.get, pattern_elements(x, y, family).elements))
+    if None in positions:
         return PatternVerdict.OUT_OF_WINDOW
-    return verdict
+    color = _common_color(positions, coloring.colors)
+    return PatternVerdict.NOT_MONOCHROMATIC if color is None else color
 
 
 class Witness(NamedTuple):
@@ -246,31 +235,35 @@ class Witness(NamedTuple):
     color: int
 
 
-def _admitted_xs(coloring: Coloring, constraints: ScanConstraints) -> list:
-    return [x for x in coloring.window.elements if constraints.admits_x(x)]
-
-
-def _scan_y(
-    coloring: Coloring,
-    y: RingElement,
-    f_values: list,
-    constraints: ScanConstraints,
-    xs: list,
-) -> Iterator[tuple]:
-    """Yield (x, color) for every x in xs (the admitted x, in canonical
-    order) whose instance at (x, y) is monochromatic under the constraints;
-    f_values = [f(y) for f in family]."""
-    index = coloring.window.index
-    colors = coloring.colors
+def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
+               ys=None) -> Iterator[tuple]:
+    """The candidate kernel of witness_scan, abundance_profile and
+    search.build_instance: for each y of ys (default: the admitted y in
+    canonical order) it evaluates f(y) once and yields (y, x, elements,
+    positions) for the admitted x in canonical order, dropping degenerate
+    instances unless allowed.  With require_in_window, x runs only over
+    window.product_run(y) and instances leaving the window are dropped;
+    otherwise x runs over the whole window and an element outside it has
+    position None."""
+    index = window.index
+    elements = window.elements
+    skip = {index[x] for x in constraints.exclude_x if x in index}
     require_in_window = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
-    for x in xs:
-        elements = _instance_elements(x, y, f_values)
-        if forbid_degenerate and len(elements) == 1:
-            continue
-        verdict = _verdict(elements, index, colors, require_in_window)
-        if isinstance(verdict, int):
-            yield x, verdict
+    if ys is None:
+        ys = (y for y in elements if constraints.admits_y(y))
+    for y in ys:
+        f_values = _f_values(family, y)
+        lo, hi = window.product_run(y) if require_in_window else (0, len(elements))
+        run = [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]
+        for x in run:
+            inst = _instance_elements(x, y, f_values)
+            if forbid_degenerate and len(inst) == 1:
+                continue
+            positions = list(map(index.get, inst))
+            if require_in_window and None in positions:
+                continue
+            yield y, x, inst, positions
 
 
 def witness_scan(
@@ -282,9 +275,13 @@ def witness_scan(
     """All (x, y) pairs whose instance is monochromatic, in (y, x) canonical
     order; stops after `limit` witnesses if given.
 
-    With require_in_window=False, elements falling outside the window are
-    ignored and monochromaticity is judged on the visible part (instances
-    with no visible element are skipped).
+    By default the whole instance must lie in the window, so only the x
+    in Window.product_run(y) are examined (Z {1..N}: x <= N//y; signed Z:
+    |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y); GF(q)[x]: deg x < d - deg y;
+    y = 0: all).  With require_in_window=False, elements falling outside
+    the window are ignored and monochromaticity is judged on the visible
+    part (instances with no visible element are skipped); that examines
+    every pair, O(|W|^2).
     """
     window = coloring.window
     spec = window.spec
@@ -294,16 +291,16 @@ def witness_scan(
         constraints = ScanConstraints.defaults_for(spec)
     if limit is not None and limit <= 0:
         return
-    xs = _admitted_xs(coloring, constraints)
+    colors = coloring.colors
     emitted = 0
-    for y in window.elements:
-        if not constraints.admits_y(y):
+    for y, x, _, positions in _instances(window, family, constraints):
+        color = _common_color(positions, colors)
+        if color is None:
             continue
-        for x, color in _scan_y(coloring, y, _f_values(family, y), constraints, xs):
-            yield Witness(x, y, color)
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+        yield Witness(x, y, color)
+        emitted += 1
+        if limit is not None and emitted >= limit:
+            return
 
 
 def abundance_profile(
@@ -327,9 +324,10 @@ def abundance_profile(
     if not constraints.admits_y(y):
         raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
     profile: dict = {i: set() for i in range(1, coloring.r + 1)}
-    xs = _admitted_xs(coloring, constraints)
-    for x, color in _scan_y(coloring, y, _f_values(family, y), constraints, xs):
-        profile[color].add(x)
+    for _, x, _, positions in _instances(coloring.window, family, constraints, (y,)):
+        color = _common_color(positions, coloring.colors)
+        if color is not None:
+            profile[color].add(x)
     return profile
 
 

@@ -22,7 +22,13 @@ A :class:`Window` is a canonically ordered finite slice of a ring:
 
 The fixed order pins down element indices, which keeps colorings, CNF
 variable numbering and scan order reproducible across runs and
-implementations.
+implementations.  It also makes the x with x*y in the window a run of
+positions, :meth:`Window.product_run` (a superset where inexact): the
+prefix ``x <= N // y`` of ``Z {1..N}``, the middle ``|x| <= N // |y|``
+of signed ``Z``, the norm prefix ``N(x) <= 2B^2 // N(y)`` of ``Zi``, the
+first ``q^(d - deg y)`` elements of ``GF(q)[x]``, and for ``y = 0`` the
+whole window.  Scans that need whole configurations visit only these
+runs: about ``|W| log |W|`` pairs over ``Z`` instead of ``|W|^2``.
 
 Spec strings accepted by :func:`parse_ring_spec`: ``Z``, ``Zi``,
 ``GF(q)[x]`` with q a decimal prime.  Window parameter strings accepted
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -348,6 +355,27 @@ class Window:
 
     def position(self, e: RingElement) -> int:
         return self.index[e]
+
+    def product_run(self, y: RingElement) -> tuple:
+        """Positions ``(lo, hi)`` of the window slice holding every x with
+        x*y in the window, by the per-ring rule in the module docstring;
+        y may lie outside the window."""
+        size = self.params.size
+        v = y.val
+        kind = self.spec.kind
+        if kind is RingKind.INTEGERS:
+            k = size // abs(v) if v else size
+            return (size - k, size + k + 1) if self.params.signed else (0, k)
+        if kind is RingKind.GAUSSIAN:
+            norm = v[0] * v[0] + v[1] * v[1]
+            if not norm:
+                return 0, len(self.elements)
+            # sort keys are (norm, re, im); none of norm limit exceeds (limit, B, B)
+            limit = 2 * size * size // norm
+            return 0, bisect_right(self.elements, (limit, size, size), key=RingElement.sort_key)
+        if not v:
+            return 0, len(self.elements)
+        return 0, self.spec.q ** max(size - len(v) + 1, 0)
 
 
 def _enumerate_elements(spec: RingSpec, params: WindowParams):

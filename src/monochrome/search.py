@@ -17,12 +17,12 @@ the Forced/AvoidanceFound boundary into a least-window-size threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
 from .colorings import Coloring
-from .patterns import PolyFamily, ScanConstraints, pattern_elements
+from .patterns import PatternInstance, PolyFamily, ScanConstraints, _instances
 from .rings import (
     RingKind,
     Window,
@@ -35,7 +35,10 @@ from .rings import (
 class AvoidanceInstance:
     """A window, a color count and the deduplicated candidate list: every
     pattern instance fully inside the window that passes the constraints,
-    in canonical scan order (y outer, x inner), one per element set."""
+    in canonical scan order (y outer, x inner), one per element set.  As
+    candidates lie inside the window, x runs only over Window.product_run(y)
+    (Z {1..N}: x <= N//y; signed Z: |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y);
+    GF(q)[x]: deg x < d - deg y; y = 0: all), even in partial mode."""
 
     __slots__ = ("window", "r", "family", "constraints", "candidates", "index_sets")
 
@@ -69,35 +72,17 @@ def build_instance(window: Window, r: int, family: PolyFamily,
         raise ValueError("window and family from different rings")
     if constraints is None:
         constraints = ScanConstraints.defaults_for(window.spec)
-    index = window.index
     seen = set()
     candidates = []
     index_sets = []
-    for y in window.elements:
-        if not constraints.admits_y(y):
+    whole = replace(constraints, require_in_window=True)
+    for y, x, elements, positions in _instances(window, family, whole):
+        key = frozenset(positions)
+        if key in seen:
             continue
-        for x in window.elements:
-            if not constraints.admits_x(x):
-                continue
-            inst = pattern_elements(x, y, family)
-            if constraints.forbid_degenerate and inst.degenerate:
-                continue
-            positions = []
-            inside = True
-            for e in inst.elements:
-                pos = index.get(e)
-                if pos is None:
-                    inside = False
-                    break
-                positions.append(pos)
-            if not inside:
-                continue
-            key = frozenset(positions)
-            if key in seen:
-                continue
-            seen.add(key)
-            candidates.append(inst)
-            index_sets.append(tuple(sorted(key)))
+        seen.add(key)
+        candidates.append(PatternInstance(x, y, tuple(elements)))
+        index_sets.append(tuple(sorted(key)))
     return AvoidanceInstance(window, r, family, constraints,
                              tuple(candidates), tuple(index_sets))
 

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from monochrome import (
+    ScanConstraints,
     WindowParams,
+    abundance_profile,
     enumerate_window,
     format_element,
     hj_number_exhaustive,
@@ -123,6 +125,23 @@ def test_abundance_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "y,color,count"
     assert len(lines) == 3
+
+
+def test_abundance_partial_flag(capsys):
+    code, report = run_json(
+        capsys,
+        "abundance", "--ring", "Z", "--window", "N=30", "--colors", "2",
+        "--seed", "3", "--F", "t", "--y", "5", "--partial",
+    )
+    assert code == 0
+    w = enumerate_window(Z, WindowParams(30))
+    partial = ScanConstraints(frozenset({Z.zero, Z.one}), frozenset({Z.zero}),
+                              require_in_window=False)
+    profile = abundance_profile(random_coloring(w, 2, 3), parse_family(Z, "t"),
+                                Z.integer(5), partial)
+    rows = report["payload"]["rows"]
+    assert rows == [{"y": "5", "color": c, "count": len(profile[c])} for c in (1, 2)]
+    assert sum(row["count"] for row in rows) == 23  # the x values of the partial scan
 
 
 # ---------------------------------------------------------------------------

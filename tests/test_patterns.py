@@ -428,3 +428,118 @@ def test_char_collapse_in_small_characteristic():
     # over GF(2), 2t^2 + t = t
     fam = parse_family(GF2, "2t^2+t")
     assert format_family(fam) == "t"
+
+
+# ---------------------------------------------------------------------------
+# The product-bounded kernel against a full-window (x, y) loop
+
+
+def full_window_loop(window, colors, family, constraints):
+    """From scratch, with no product bound: every admitted (x, y) of the
+    window in (y, x) order.  Returns the witnesses (x, y, color) and the
+    instances lying fully inside the window as (x, y, elements, positions)."""
+    spec = window.spec
+    position = {e: k for k, e in enumerate(window.elements)}
+    witnesses, inside = [], []
+    for y in window.elements:
+        if y in constraints.exclude_y:
+            continue
+        f_vals = []
+        for f in family.polys:
+            acc = spec.zero
+            for degree, coeff in f.terms:
+                p = y
+                for _ in range(degree - 1):
+                    p = p * y
+                acc = acc + coeff * p
+            f_vals.append(acc)
+        for x in window.elements:
+            if x in constraints.exclude_x:
+                continue
+            elems = [x * y]
+            for fv in f_vals:
+                if x + fv not in elems:
+                    elems.append(x + fv)
+            if constraints.forbid_degenerate and len(elems) == 1:
+                continue
+            positions = [position.get(e) for e in elems]
+            visible = [p for p in positions if p is not None]
+            if len(visible) == len(elems):
+                inside.append((x, y, tuple(elems), positions))
+            elif constraints.require_in_window:
+                continue
+            if visible and len({colors[p] for p in visible}) == 1:
+                witnesses.append((x, y, colors[visible[0]]))
+    return witnesses, inside
+
+
+KERNEL_RINGS = [
+    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2")),
+    (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t")),
+    (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t")),
+    (GF2, WindowParams(5), ("0;t", "t^2+t")),
+    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t")),
+]
+
+
+def kernel_cases(spec, window, seed):
+    """Named constraint sets: the fixed modes, then seeded random ones.
+    An empty exclude_y admits y = 0 and 1, y = -1 in signed Z, the units
+    +-i in Zi and the constants in GF(3)[x]."""
+    defaults = ScanConstraints.defaults_for(spec)
+    every_third = frozenset(window.elements[1::3])
+    cases = {
+        "defaults": defaults,
+        "open_y": ScanConstraints(frozenset(), defaults.exclude_x),
+        "exclude_x": ScanConstraints(defaults.exclude_y, every_third),
+        "degenerate": ScanConstraints(defaults.exclude_y, frozenset(), forbid_degenerate=False),
+        "partial": ScanConstraints(defaults.exclude_y, defaults.exclude_x, require_in_window=False),
+        "partial_open": ScanConstraints(frozenset(), frozenset(), False, False),
+    }
+    rng = random.Random(seed)
+    for k in range(4):
+        cases[f"random{k}"] = ScanConstraints(
+            frozenset(e for e in window.elements if rng.random() < 0.2),
+            frozenset(e for e in window.elements if rng.random() < 0.2),
+            require_in_window=rng.random() < 0.6,
+            forbid_degenerate=rng.random() < 0.6,
+        )
+    return cases
+
+
+@pytest.mark.parametrize("ring_case", range(len(KERNEL_RINGS)))
+def test_kernel_matches_full_window_loop(ring_case):
+    from monochrome import build_instance
+
+    spec, params, family_texts = KERNEL_RINGS[ring_case]
+    window = enumerate_window(spec, params)
+    rng = random.Random(100 + ring_case)
+    for name, constraints in kernel_cases(spec, window, ring_case).items():
+        family = parse_family(spec, rng.choice(family_texts))
+        r = rng.choice((2, 3))
+        coloring = random_coloring(window, r, rng.randrange(10**6))
+        label = f"{spec} {name} {format_family(family)} r={r}"
+        want, inside = full_window_loop(window, coloring.colors, family, constraints)
+
+        got = [(w.x, w.y, w.color) for w in witness_scan(coloring, family, constraints)]
+        assert got == want, label
+
+        grouped = {}
+        for x, y, c in want:
+            grouped.setdefault(y, {i: set() for i in range(1, r + 1)})[c].add(x)
+        empty = {i: set() for i in range(1, r + 1)}
+        for y in window.elements:
+            if constraints.admits_y(y):
+                prof = abundance_profile(coloring, family, y, constraints)
+                assert prof == grouped.get(y, empty), f"{label} y={format_element(y)}"
+
+        seen, cands, index_sets = set(), [], []
+        for x, y, elems, positions in inside:
+            key = frozenset(positions)
+            if key not in seen:
+                seen.add(key)
+                cands.append((x, y, elems))
+                index_sets.append(tuple(sorted(key)))
+        inst = build_instance(window, r, family, constraints)
+        assert [(c.x, c.y, c.elements) for c in inst.candidates] == cands, label
+        assert list(inst.index_sets) == index_sets, label

@@ -1,8 +1,10 @@
 """Avoidance-coloring search, CNF export/decode, least-window thresholds,
 and the reference DPLL used for cross-checking."""
 
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -90,6 +92,26 @@ def test_dpll_agrees_with_truth_tables():
         assert (model is not None) == brute
         if model is not None:
             assert model_satisfies(model, clauses)
+
+
+def test_dpll_decisions_beyond_the_recursion_limit():
+    # Z {1..300}, r=2, every y excluded: no candidates, 600 variables, and
+    # one decision per element (its first color; propagation rules out the
+    # second), so 300 decisions against a recursion limit of 200
+    w = zwindow(300)
+    inst = build_instance(w, 2, LINEAR, ScanConstraints(frozenset(w.elements), frozenset()))
+    assert inst.candidates == ()
+    doc = cnf_export(inst)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        model = dpll_sat(doc.num_vars, doc.clauses)
+        checked = dual_engine_check(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert model == [v if v % 2 else -v for v in range(1, 601)]
+    assert cnf_model_decode(model, inst).colors == (1,) * 300
+    assert checked["agree"] is True and checked["cnf_sat"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +242,26 @@ def test_cnf_exact_bytes_at_three():
         "-5 -6 0\n"
         "-3 -5 0\n"
         "-4 -6 0\n"
+    )
+
+
+def test_cnf_exact_bytes_at_the_thresholds():
+    # DIMACS text of the least forced windows, frozen from the full-window
+    # (x, y) loop that the product-bounded kernel replaced
+    linear = to_dimacs(cnf_export(build_instance(zwindow(8), 2, LINEAR)))
+    assert linear == (
+        "".join(f"c map {k + 1} {k}\n" for k in range(8))
+        + "p cnf 16 30\n"
+        + "".join(f"{2 * k + 1} {2 * k + 2} 0\n" for k in range(8))
+        + "".join(f"-{2 * k + 1} -{2 * k + 2} 0\n" for k in range(8))
+        + "-3 -5 0\n-4 -6 0\n-9 -11 0\n-10 -12 0\n-11 -15 0\n-12 -16 0\n"
+        "-5 -7 0\n-6 -8 0\n-7 -9 0\n-8 -10 0\n-11 -13 0\n-12 -14 0\n"
+        "-13 -15 0\n-14 -16 0\n"
+    )
+    triple = to_dimacs(cnf_export(build_instance(zwindow(15), 2, TRIPLE))).encode()
+    assert len(triple) == 1161
+    assert hashlib.sha256(triple).hexdigest() == (
+        "9c3aeed8248f636b6d834f354c5407a4ebe1fa4b5bc1fcde26c52ea4a809509a"
     )
 
 
