@@ -6,9 +6,10 @@ JSON (default), flat text, or CSV.  Exit codes: 0 for a positive
 outcome, 1 for definite negative outcomes (nothing found, refuted,
 timeout, pool exhausted), 2 for usage, parse and input errors.
 
-A config file of `key = value` lines (keys mirror the long flag names)
-can supply any flag; explicit flags win.  The environment variable
-MONOCHROME_BUDGET provides a global default for --budget / --work-cap.
+A config file of `key = value` lines (keys mirror the long flag names,
+values get the flags' type and choice checks) can supply any flag;
+explicit flags win.  The environment variable MONOCHROME_BUDGET
+provides a global default for --budget / --work-cap.
 """
 
 from __future__ import annotations
@@ -80,13 +81,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # Parser
 
-_INT_KEYS = {
-    "colors", "seed", "budget", "maxN", "alphabet", "n", "depth", "trials",
-    "samples", "len", "length", "limit", "jobs", "work_cap",
-}
-_BOOL_KEYS = {"allow_degenerate", "partial", "crosscheck", "validate"}
-
-
 def _add_common(p, *, ring=False, window=False, colors=False, family=False,
                 seed=False, budget=False, constraints=False, output=True):
     if ring:
@@ -111,8 +105,6 @@ def _add_common(p, *, ring=False, window=False, colors=False, family=False,
         p.add_argument("--format", choices=("json", "text", "csv"), help="report format")
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
     p.add_argument("--config", help="file of key = value lines mirroring these flags")
-    p.add_argument("--jobs", type=int,
-                   help="reserved concurrency knob; execution is single-process")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -252,31 +244,47 @@ def _load_config(path: str) -> dict:
     return entries
 
 
-def _convert(key: str, value: str):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise CliError(f"config key {key}: expected an integer, got {value!r}") from None
-    if key in _BOOL_KEYS:
+def _leaf_actions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """dest -> Action of the (sub)parser that parsed args."""
+    for dest in ("cmd", "sub"):
+        name = getattr(args, dest, None)
+        if name is not None:
+            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            parser = subparsers.choices[name]
+    return {a.dest: a for a in parser._actions}
+
+
+def _convert(action: argparse.Action, value: str):
+    """A config value typed and checked like the flag with the same dest."""
+    key = action.dest
+    if action.nargs == 0:  # store_true flag
         low = value.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise CliError(f"config key {key}: expected a boolean, got {value!r}")
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except ValueError:
+            raise CliError(f"config key {key}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise CliError(f"config key {key}: invalid choice {value!r} (choose from {choices})")
     return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Fill unset options from the config file, then the environment."""
-    allowed = {k for k in vars(args) if k not in ("cmd", "sub", "config", "inputs")}
     if getattr(args, "config", None):
+        allowed = {k for k in vars(args) if k not in ("cmd", "sub", "config", "inputs")}
+        actions = _leaf_actions(parser, args)
         for key, value in _load_config(args.config).items():
             if key not in allowed:
                 raise CliError(f"unknown config key {key!r}")
             if getattr(args, key) is None:
-                setattr(args, key, _convert(key, value))
+                setattr(args, key, _convert(actions[key], value))
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         for dest in ("budget", "work_cap"):
@@ -789,7 +797,7 @@ def dispatch(argv) -> int:
         return 2
     try:
         if args.cmd != "report":
-            _apply_config(args)
+            _apply_config(parser, args)
         return _HANDLERS[args.cmd](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

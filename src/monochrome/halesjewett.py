@@ -273,14 +273,19 @@ def phj_translate(a: PhjPoint, gamma: WildcardSet, xs: Sequence[int]) -> PhjPoin
     for x in xs:
         if not 1 <= x <= a.q:
             raise ValueError(f"letter {x} out of range 1..{a.q}")
+    return PhjPoint(a.n, a.q, _translate_layers(a.layers, a.n, gamma, xs))
+
+
+def _translate_layers(layers: tuple, n: int, gamma: WildcardSet, values: tuple) -> tuple:
+    """The layers with every gamma^j entry of level j set to values[j-1]."""
     coords = sorted(gamma.gamma)
-    layers = []
-    for j, layer in enumerate(a.layers, start=1):
+    out = []
+    for j, layer in enumerate(layers, start=1):
         new = list(layer)
         for idx in itertools.product(coords, repeat=j):
-            new[flat_index(idx, a.n)] = xs[j - 1]
-        layers.append(tuple(new))
-    return PhjPoint(a.n, a.q, tuple(layers))
+            new[flat_index(idx, n)] = values[j - 1]
+        out.append(tuple(new))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +402,7 @@ def sigma_translate(u: SigmaPoint, gamma: WildcardSet, coeffs: Sequence[RingElem
     for c in coeffs:
         if not isinstance(c, RingElement) or c.spec != u.spec:
             raise ValueError("coefficients must be ring elements of the stated ring")
-    coords = sorted(gamma.gamma)
-    layers = []
-    for j, layer in enumerate(u.layers, start=1):
-        new = list(layer)
-        for idx in itertools.product(coords, repeat=j):
-            new[flat_index(idx, u.n)] = coeffs[j - 1]
-        layers.append(tuple(new))
-    return SigmaPoint(u.spec, u.n, tuple(layers))
+    return SigmaPoint(u.spec, u.n, _translate_layers(u.layers, u.n, gamma, coeffs))
 
 
 class SigmaCheck(NamedTuple):

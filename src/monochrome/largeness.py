@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .prng import stream_below
-from .rings import RingElement, RingKind, Window, _poly_add, _poly_mul, exact_divide
+from .rings import RingElement, Window, exact_divide
 
 FS_LENGTH_CAP = 24
 
@@ -76,8 +76,8 @@ class FSSet:
     sums: frozenset
 
 
-def _raw_combine(seq: Sequence[RingElement], combine):
-    """All nonempty-subset folds of seq's raw values (deduplicated)."""
+def _ring_of(seq: tuple):
+    """The common ring of a nonempty sequence within the length cap."""
     if not seq:
         raise ValueError("sequence must be nonempty")
     if len(seq) > FS_LENGTH_CAP:
@@ -86,49 +86,29 @@ def _raw_combine(seq: Sequence[RingElement], combine):
     for e in seq:
         if e.spec != spec:
             raise ValueError("mixed rings in sequence")
-    acc = {}
+    return spec
+
+
+def _subset_folds(seq, op) -> set:
+    """Raw values of all nonempty-subset folds of seq under the raw op."""
+    acc = set()
     for e in seq:
         v = e.val
-        for prev in list(acc):
-            acc.setdefault(combine(prev, v), None)
-        acc.setdefault(v, None)
-    return spec, acc.keys()
-
-
-def _raw_adder(spec):
-    kind = spec.kind
-    if kind is RingKind.INTEGERS:
-        return lambda a, b: a + b
-    if kind is RingKind.GAUSSIAN:
-        return lambda a, b: (a[0] + b[0], a[1] + b[1])
-    q = spec.q
-    return lambda a, b: _poly_add(a, b, q)
-
-
-def _raw_multiplier(spec):
-    kind = spec.kind
-    if kind is RingKind.INTEGERS:
-        return lambda a, b: a * b
-    if kind is RingKind.GAUSSIAN:
-        return lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-    q = spec.q
-    return lambda a, b: _poly_mul(a, b, q)
+        acc |= {op(prev, v) for prev in acc}
+        acc.add(v)
+    return acc
 
 
 def finite_sums(seq: Sequence[RingElement]) -> FSSet:
     seq = tuple(seq)
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    spec, raw = _raw_combine(seq, _raw_adder(seq[0].spec))
-    return FSSet(seq, frozenset(RingElement(spec, v) for v in raw))
+    spec = _ring_of(seq)
+    return FSSet(seq, frozenset(RingElement(spec, v) for v in _subset_folds(seq, spec.add)))
 
 
 def finite_products(seq: Sequence[RingElement]) -> frozenset:
     seq = tuple(seq)
-    if not seq:
-        raise ValueError("sequence must be nonempty")
-    spec, raw = _raw_combine(seq, _raw_multiplier(seq[0].spec))
-    return frozenset(RingElement(spec, v) for v in raw)
+    spec = _ring_of(seq)
+    return frozenset(RingElement(spec, v) for v in _subset_folds(seq, spec.mul))
 
 
 def ipstar_refute(
@@ -150,20 +130,13 @@ def ipstar_refute(
     if seq_len > FS_LENGTH_CAP:
         raise ValueError(f"sequence length {seq_len} exceeds the enumeration cap {FS_LENGTH_CAP}")
     raw_target = {e.val for e in target}
-    add = _raw_adder(window.spec)
     size = len(window)
     for s in range(samples):
         seq = tuple(
             window.elements[stream_below(seed, s * seq_len + p, size)]
             for p in range(seq_len)
         )
-        sums = {}
-        for e in seq:
-            v = e.val
-            for prev in list(sums):
-                sums.setdefault(add(prev, v), None)
-            sums.setdefault(v, None)
-        if not any(v in raw_target for v in sums):
+        if raw_target.isdisjoint(_subset_folds(seq, window.spec.add)):
             return seq
     return None
 

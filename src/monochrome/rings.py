@@ -10,7 +10,11 @@ Supported rings and element representations:
   with no trailing zeros (``()`` is the zero polynomial).
 
 Each element has exactly one canonical representation, so structural
-equality is ring equality and elements are usable as dict keys.
+equality is ring equality and elements are usable as dict keys.  No
+other module knows these representations: the per-spec raw ops
+``RingSpec.add``, ``neg`` and ``mul`` (one table, ``_raw_ops``) are the
+one place that does arithmetic on them, and ``RingElement``'s operators
+and the subset folds of ``largeness`` delegate to them.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -39,6 +43,7 @@ by :func:`parse_window_params`: ``N=<int>`` (optionally ``N=<int>,signed``),
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -112,6 +117,30 @@ class RingSpec:
     def one(self) -> "RingElement":
         return self.from_int(1)
 
+    # Raw-value arithmetic, chosen once per spec by _raw_ops; RingElement's
+    # operators and the subset folds of largeness run on these.
+    add = cached_property(lambda self: _raw_ops(self)[0])
+    neg = cached_property(lambda self: _raw_ops(self)[1])
+    mul = cached_property(lambda self: _raw_ops(self)[2])
+
+
+def _raw_ops(spec: RingSpec) -> tuple:
+    """(add, neg, mul) on raw values of the spec's ring."""
+    if spec.kind is RingKind.INTEGERS:
+        return operator.add, operator.neg, operator.mul
+    if spec.kind is RingKind.GAUSSIAN:
+        return (
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            lambda a: (-a[0], -a[1]),
+            lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
+        )
+    q = spec.q
+    return (
+        lambda a, b: _poly_add(a, b, q),
+        lambda a: tuple((-c) % q for c in a),
+        lambda a, b: _poly_mul(a, b, q),
+    )
+
 
 def _poly_normalize(coeffs, q: int) -> tuple:
     out = [c % q for c in coeffs]
@@ -140,38 +169,17 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        kind = self.spec.kind
-        if kind is RingKind.INTEGERS:
-            return RingElement(self.spec, self.val + other.val)
-        if kind is RingKind.GAUSSIAN:
-            a, b = self.val
-            c, d = other.val
-            return RingElement(self.spec, (a + c, b + d))
-        return RingElement(self.spec, _poly_add(self.val, other.val, self.spec.q))
+        return RingElement(self.spec, self.spec.add(self.val, other.val))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        kind = self.spec.kind
-        if kind is RingKind.INTEGERS:
-            return RingElement(self.spec, -self.val)
-        if kind is RingKind.GAUSSIAN:
-            a, b = self.val
-            return RingElement(self.spec, (-a, -b))
-        q = self.spec.q
-        return RingElement(self.spec, tuple((-c) % q for c in self.val))
+        return RingElement(self.spec, self.spec.neg(self.val))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        kind = self.spec.kind
-        if kind is RingKind.INTEGERS:
-            return RingElement(self.spec, self.val * other.val)
-        if kind is RingKind.GAUSSIAN:
-            a, b = self.val
-            c, d = other.val
-            return RingElement(self.spec, (a * c - b * d, a * d + b * c))
-        return RingElement(self.spec, _poly_mul(self.val, other.val, self.spec.q))
+        return RingElement(self.spec, self.spec.mul(self.val, other.val))
 
     def __pow__(self, exponent: int) -> "RingElement":
         if not isinstance(exponent, int) or exponent < 0:

@@ -488,12 +488,26 @@ def test_flags_override_config(capsys, tmp_path):
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("ring = Z\nbanana = 3\n")
-    code, _ = run(
-        capsys, "scan", "--config", str(cfg), "--window", "N=5",
-        "--colors", "2", "--F", "t",
-    )
-    assert code == 2
+    for key in ("banana", "jobs"):
+        cfg.write_text(f"ring = Z\n{key} = 3\n")
+        code, _ = run(
+            capsys, "scan", "--config", str(cfg), "--window", "N=5",
+            "--colors", "2", "--F", "t",
+        )
+        assert code == 2, key
+
+
+def test_config_values_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    good = {"ring": "Z", "window": "N=10", "colors": "2", "F": "t"}
+    for key, value in (("format", "xml"), ("colors", "two"), ("allow-degenerate", "maybe")):
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: value}.items()))
+        assert run(capsys, "scan", "--config", str(cfg))[0] == 2, key
+    good.update({"format": "text", "allow-degenerate": "yes"})
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in good.items()))
+    code, out = run(capsys, "scan", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("# scan\n")
 
 
 def test_config_missing_file(capsys):
@@ -511,6 +525,8 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "largeness")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+    assert run(capsys, "scan", "--ring", "Z", "--window", "N=10", "--colors", "2",
+               "--seed", "1", "--F", "t", "--jobs", "4")[0] == 2
 
 
 def test_text_format(capsys):
@@ -522,12 +538,3 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("# hj\n")
     assert "status: found" in out
-
-
-def test_jobs_flag_accepted(capsys):
-    code, report = run_json(
-        capsys,
-        "scan", "--ring", "Z", "--window", "N=10", "--colors", "2",
-        "--seed", "1", "--F", "t", "--jobs", "4",
-    )
-    assert code == 0

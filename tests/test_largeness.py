@@ -1,6 +1,7 @@
 """Coverage witnesses, finite sums/products, IP*-refutation sampling, transport."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from monochrome import (
     divide_set,
     division_transport,
     enumerate_window,
+    exact_divide,
     finite_products,
     finite_sums,
     ipstar_refute,
@@ -236,28 +238,35 @@ def test_ipstar_finds_even_counterexample_for_odds():
 
 
 def test_ipstar_counterexample_is_draw_rule_output():
-    w100 = enumerate_window(Z, WindowParams(100))
-    odds = frozenset(e for e in w100.elements if e.val % 2 == 1)
-    seq = ipstar_refute(odds, w100, 3, 20, 5)
-    assert seq is not None
-    # locate the sample index and replay the documented draw rule
-    replayed = None
-    for s in range(20):
-        cand = tuple(
-            w100.elements[stream_below(5, s * 3 + p, len(w100))] for p in range(3)
-        )
-        if cand == seq:
-            replayed = s
-            break
-    assert replayed is not None
-    # and the refutation is genuine: no subset sum is odd
-    sums = subset_folds(list(seq), lambda a, b: a + b)
-    assert not (sums & odds)
+    # sums of multiples of m stay multiples, so a sample drawn from m*R
+    # refutes the complement of m*R; m = 2 over Z, 1+i over Zi, x over GF(2)[x]
+    cases = [
+        (enumerate_window(Z, WindowParams(100)), Z.integer(2), 3, 20, (5,)),
+        (enumerate_window(ZI, WindowParams(2)), ZI.gaussian(1, 1), 2, 30, (0, 1, 2)),
+        (enumerate_window(GF2, WindowParams(4)), GF2.poly((0, 1)), 3, 40, (0, 1, 2)),
+    ]
+    for window, m, seq_len, samples, seeds in cases:
+        outside = frozenset(e for e in window.elements if exact_divide(e, m) is None)
+        for seed in seeds:
+            seq = ipstar_refute(outside, window, seq_len, samples, seed)
+            # replay the documented draw rule: seq is the first sample whose
+            # subset sums all miss the target
+            draws = [
+                tuple(window.elements[stream_below(seed, s * seq_len + p, len(window))]
+                      for p in range(seq_len))
+                for s in range(samples)
+            ]
+            assert seq in draws
+            first = draws.index(seq)
+            assert not (subset_folds(list(seq), operator.add) & outside)
+            assert all(subset_folds(list(d), operator.add) & outside for d in draws[:first])
+            assert all(exact_divide(e, m) is not None for e in seq)
 
 
 def test_ipstar_full_window_never_refuted():
-    w = enumerate_window(Z, WindowParams(40))
-    assert ipstar_refute(frozenset(w.elements), w, 2, 30, 3) is None
+    for spec, size in ((Z, 40), (ZI, 2), (GF2, 4)):
+        w = enumerate_window(spec, WindowParams(size))
+        assert ipstar_refute(frozenset(w.elements), w, 2, 30, 3) is None
 
 
 def test_ipstar_multiples_with_bounded_draws():

@@ -115,6 +115,72 @@ def test_ring_axioms_random_triples():
             assert a + (-a) == spec.zero
 
 
+def _strip(coeffs) -> tuple:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_raw_ops(spec):
+    """From-scratch (add, neg, mul) on raw values, independent of rings.py."""
+    if spec.kind is RingKind.INTEGERS:
+        return (lambda a, b: a + b), (lambda a: -a), (lambda a, b: a * b)
+    if spec.kind is RingKind.GAUSSIAN:
+        def gmul(u, v):
+            (a, b), (c, d) = u, v  # (a+bi)(c+di) = (ac-bd) + (ad+bc)i
+            return (a * c - b * d, a * d + b * c)
+        return (lambda u, v: (u[0] + v[0], u[1] + v[1])), (lambda u: (-u[0], -u[1])), gmul
+    q = spec.q
+
+    def padd(a, b):
+        n = max(len(a), len(b))
+        a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+        return _strip((x + y) % q for x, y in zip(a, b))
+
+    def pmul(a, b):
+        conv = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        return _strip(c % q for c in conv)
+
+    return padd, (lambda a: _strip((-c) % q for c in a)), pmul
+
+
+def rand_raw(spec, rng):
+    """A raw value; zero about one time in six, polynomial lengths 0..5."""
+    if rng.randrange(6) == 0:
+        return spec.zero.val
+    if spec.kind is RingKind.INTEGERS:
+        return rng.randint(-10**6, 10**6)
+    if spec.kind is RingKind.GAUSSIAN:
+        return (rng.randint(-999, 999), rng.randint(-999, 999))
+    return _strip(rng.randrange(spec.q) for _ in range(rng.randint(0, 5)))
+
+
+def test_raw_ops_match_reference():
+    rng = random.Random(4242)
+    for spec in ALL_SPECS:
+        ref_add, ref_neg, ref_mul = reference_raw_ops(spec)
+        assert spec.add is spec.add and spec.neg is spec.neg and spec.mul is spec.mul  # cached
+        pairs = [(spec.zero.val, spec.zero.val), (spec.zero.val, spec.one.val)]
+        pairs += [(rand_raw(spec, rng), rand_raw(spec, rng)) for _ in range(500)]
+        if spec.kind is RingKind.POLY:
+            pairs += [((1,), (0, 0, 1)), ((1, 1, 1, 1), (spec.q - 1,)), ((0, 1), ())]
+            assert any(len(a) != len(b) and a and b for a, b in pairs)
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                assert spec.add(x, y) == ref_add(x, y)
+                assert spec.mul(x, y) == ref_mul(x, y)
+                assert spec.neg(x) == ref_neg(x)
+                ex, ey = RingElement(spec, x), RingElement(spec, y)
+                assert (ex + ey).val == ref_add(x, y)
+                assert (ex * ey).val == ref_mul(x, y)
+                assert (-ex).val == ref_neg(x)
+                assert (ex - ey).val == ref_add(x, ref_neg(y))
+
+
 def test_ring_arith_dispatch_matches_operators():
     rng = random.Random(7)
     for spec in ALL_SPECS:
