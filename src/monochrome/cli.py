@@ -4,12 +4,16 @@ Every subcommand is a thin shell over one library entry point and emits
 a report with the fixed shape {command, timestamp, status, payload} as
 JSON (default), flat text, or CSV.  Exit codes: 0 for a positive
 outcome, 1 for definite negative outcomes (nothing found, refuted,
-timeout, pool exhausted), 2 for usage, parse and input errors.
+timeout, work cap exceeded, pool exhausted), 2 for usage, parse and
+input errors, 3 for internal errors (a tripped guard or a recursion
+overflow: a bug in the package, not in the input).
 
 A config file of `key = value` lines (keys mirror the long flag names,
-values get the flags' type and choice checks) can supply any flag;
-explicit flags win.  The environment variable MONOCHROME_BUDGET
-provides a global default for --budget / --work-cap.
+values get the flags' type and choice checks) can supply any flag,
+required ones included (they are checked once the config and the
+environment are applied); explicit flags win.  The environment
+variable MONOCHROME_BUDGET provides a global default for --budget /
+--work-cap.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .colorings import (
     random_coloring,
     store_coloring,
 )
+from .errors import InternalError
 from .halesjewett import WorkCapExceeded, hj_number_exhaustive, sigma_trials
 from .largeness import (
     PSWitness,
@@ -107,8 +112,46 @@ def _add_common(p, *, ring=False, window=False, colors=False, family=False,
     p.add_argument("--config", help="file of key = value lines mirroring these flags")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Required options may come from a config file, so parsing leaves
+    them unchecked and check_required checks them once the config is
+    applied; usage and help still show them as required."""
+
+    def __init__(self, *args, **kwargs):
+        self.deferred = []
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.required and action.option_strings:
+            action.required = False
+            self.deferred.append(action)
+        return action
+
+    def check_required(self, args: argparse.Namespace) -> None:
+        """argparse's own "required" error for options still unset."""
+        missing = ["/".join(a.option_strings) for a in self.deferred if getattr(args, a.dest) is None]
+        if missing:
+            self.error("the following arguments are required: " + ", ".join(missing))
+
+    def _shown_required(self, render):
+        for a in self.deferred:
+            a.required = True
+        try:
+            return render()
+        finally:
+            for a in self.deferred:
+                a.required = False
+
+    def format_usage(self) -> str:
+        return self._shown_required(super().format_usage)
+
+    def format_help(self) -> str:
+        return self._shown_required(super().format_help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monochrome",
         description="verification and search for monochromatic product/shift "
                     "configurations over finite ring windows",
@@ -167,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--maxN", dest="maxN", type=int, required=True)
-    p.add_argument("--work-cap", type=int, help="refuse runs estimated above this")
+    p.add_argument("--work-cap", type=int,
+                   help="stop a side's search after this many cell assignments (default 10^8)")
 
     p = sub.add_parser("sigma", help="randomized exact checks of the embedding identity")
     _add_common(p, ring=True, window=True, family=True, seed=True)
@@ -244,14 +288,14 @@ def _load_config(path: str) -> dict:
     return entries
 
 
-def _leaf_actions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
-    """dest -> Action of the (sub)parser that parsed args."""
+def _leaf_parser(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.ArgumentParser:
+    """The (sub)parser that parsed args."""
     for dest in ("cmd", "sub"):
         name = getattr(args, dest, None)
         if name is not None:
             subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
             parser = subparsers.choices[name]
-    return {a.dest: a for a in parser._actions}
+    return parser
 
 
 def _convert(action: argparse.Action, value: str):
@@ -279,7 +323,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     """Fill unset options from the config file, then the environment."""
     if getattr(args, "config", None):
         allowed = {k for k in vars(args) if k not in ("cmd", "sub", "config", "inputs")}
-        actions = _leaf_actions(parser, args)
+        actions = {a.dest: a for a in _leaf_parser(parser, args)._actions}
         for key, value in _load_config(args.config).items():
             if key not in allowed:
                 raise CliError(f"unknown config key {key!r}")
@@ -785,23 +829,26 @@ _HANDLERS = {
 
 def dispatch(argv) -> int:
     """Parse argv, run the subcommand and return the exit code (0 ok,
-    1 negative outcome, 2 usage/input error)."""
+    1 negative outcome, 2 usage/input error, 3 internal error)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cmd is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        if args.cmd != "report":
+            _apply_config(parser, args)
+        _leaf_parser(parser, args).check_required(args)
+        return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.cmd is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        if args.cmd != "report":
-            _apply_config(parser, args)
-        return _HANDLERS[args.cmd](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, RecursionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ColoringFormatError, ZeroDivisionError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ DEFAULT_WORK_CAP = 10**8
 
 
 class WorkCapExceeded(RuntimeError):
-    """Estimated enumeration work above the configured cap."""
+    """The search made more cell assignments than the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,13 @@ def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = Non
     Walks the coloring space as a base-r counter over the t^n cells,
     pruning a prefix as soon as some fully-colored line goes
     monochromatic; exhaustion therefore covers all r^(t^n) colorings.
+    Every color given to a cell counts one unit of work; passing
+    work_cap (default DEFAULT_WORK_CAP) raises WorkCapExceeded.
     """
     if r < 1 or t < 1 or n < 1:
         raise ValueError("colors, alphabet size and length must be >= 1")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     cells = t**n
-    estimate = cells * r**cells
-    if estimate > cap:
-        raise WorkCapExceeded(
-            f"estimated work {estimate} for t^n={cells}, r={r} exceeds cap {cap}"
-        )
     # lines_at[k]: lines whose largest cell index is k — exactly the ones
     # that become fully colored when cell k is assigned.
     lines_at = [[] for _ in range(cells)]
@@ -153,6 +150,7 @@ def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = Non
 
     k = 0
     colors[0] = 1
+    work = 0
     while True:
         if colors[k] > r:
             colors[k] = 0
@@ -161,6 +159,12 @@ def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = Non
                 return None
             colors[k] += 1
             continue
+        work += 1
+        if work > cap:
+            raise WorkCapExceeded(
+                f"search for t^n={cells}, r={r} passed the work cap {cap} "
+                f"after {work} cell assignments"
+            )
         if ok(k):
             if k == cells - 1:
                 return tuple(colors)

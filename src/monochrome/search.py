@@ -3,16 +3,21 @@ pattern instance non-monochromatic?
 
 The backtracker assigns colors only to elements that occur in at least
 one candidate (anything else is unconstrained and gets color 1 in a
-found coloring), most-constrained element first, and skips a color as
-soon as it would complete a monochromatic candidate.  Exhausting the
-space is reported as Forced, a completed assignment as AvoidanceFound,
-and hitting the node budget as Timeout — a first-class outcome, never a
-silent truncation.
+found coloring).  It decides the most-constrained element first, least
+color first, and propagates: once a candidate has one uncolored member
+and all the others share a color, that color leaves the member's
+domain, and a member left with one color takes it at once.  Exhausting
+the space is reported as Forced, a completed assignment as
+AvoidanceFound, and hitting the node budget as Timeout — a first-class
+outcome, never a silent truncation.
 
 The same instance exports to DIMACS CNF (satisfiable exactly when an
-avoidance coloring exists) for external solvers, with a model decoder
-that rebuilds and validates the coloring.  Over Z, moreira_number turns
-the Forced/AvoidanceFound boundary into a least-window-size threshold.
+avoidance coloring exists) for external solvers and for the separate
+DPLL engine in dpll.py, with a model decoder that rebuilds and validates
+the coloring.  The two engines share no search code, so agreement
+between them (dual_engine_check) is a real cross-check.  Over Z,
+moreira_number turns the Forced/AvoidanceFound boundary into a
+least-window-size threshold.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .colorings import Coloring
+from .errors import InternalError
 from .patterns import PatternInstance, PolyFamily, ScanConstraints, _instances
 from .rings import (
     RingKind,
@@ -110,8 +116,21 @@ def _is_avoiding(colors: Sequence[int], index_sets) -> bool:
 
 
 def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -> AvoidanceResult:
-    """Search for an avoidance coloring; each color assignment costs one
-    node against the budget (None = unlimited)."""
+    """Search for an avoidance coloring.
+
+    Slots are the candidates' elements in the static order (-weight,
+    index); a decision gives the first undecided slot its least open
+    color.  Each slot keeps a bitmask of open colors and each candidate
+    an open count and per-color counts, so its shared color (none, c or
+    mixed) reads off directly.  When a candidate is left with one open
+    slot and every other member colored c, c leaves that slot's domain;
+    an empty domain is a conflict, and a singleton domain is assigned at
+    once (cascading).  The pruning is sound and the decision order is
+    fixed, so the result is the lexicographically first avoider, as
+    without propagation.  Each decision costs one node against the
+    budget (None = unlimited); propagated assignments are free.
+    backtracks counts dead ends: conflicts and slots whose colors ran out.
+    """
     window, r = inst.window, inst.r
     members = sorted({i for idxs in inst.index_sets for i in idxs})
     weight = dict.fromkeys(members, 0)
@@ -121,10 +140,12 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
     order = sorted(members, key=lambda i: (-weight[i], i))
     slot_of = {i: k for k, i in enumerate(order)}
     cands = [tuple(slot_of[i] for i in idxs) for idxs in inst.index_sets]
+    # per slot: (candidate, its slots, the index of its color-0 counter)
+    stride = r + 1
     member_cands = [[] for _ in order]
     for ci, c in enumerate(cands):
         for s in c:
-            member_cands[s].append(ci)
+            member_cands[s].append((ci, c, ci * stride))
 
     total = len(order)
     if total == 0:
@@ -132,44 +153,104 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
         return AvoidanceResult(AvoidanceStatus.FOUND, coloring)
 
     colors = [0] * total
+    domain = [(1 << stride) - 2] * total  # bit c set: color c still open
+    open_count = [len(c) for c in cands]
+    counts = [0] * (len(cands) * stride)  # counts[ci*stride + c]: members of ci colored c
+    trail = []  # slots in assignment order
+    removed = []  # (slot, bit) domain removals in order
+    for c in cands:
+        if len(c) == 1:
+            domain[c[0]] = 0  # a one-element candidate is monochromatic under every coloring
+
+    def assign(slot: int, color: int) -> bool:
+        """Color slot and propagate; False on a conflict."""
+        ok = True
+        pending = [(slot, color)]
+        while pending and ok:
+            s, c = pending.pop()
+            if colors[s]:
+                continue
+            colors[s] = c
+            trail.append(s)
+            bit = 1 << c
+            for ci, slots, base in member_cands[s]:
+                o = open_count[ci] - 1
+                open_count[ci] = o
+                m = counts[base + c] + 1
+                counts[base + c] = m
+                if o == 1 and m == len(slots) - 1 and ok:
+                    for t in slots:
+                        if not colors[t]:
+                            break
+                    d = domain[t]
+                    if d & bit:
+                        d ^= bit
+                        domain[t] = d
+                        removed.append((t, bit))
+                        if not d:
+                            ok = False
+                        elif not d & (d - 1):
+                            pending.append((t, d.bit_length() - 1))
+        return ok
+
+    def undo(trail_len: int, removed_len: int) -> None:
+        while len(trail) > trail_len:
+            s = trail.pop()
+            c = colors[s]
+            colors[s] = 0
+            for ci, _, base in member_cands[s]:
+                open_count[ci] += 1
+                counts[base + c] -= 1
+        while len(removed) > removed_len:
+            t, bit = removed.pop()
+            domain[t] |= bit
+
     nodes = 0
     backtracks = 0
+    forced = AvoidanceResult(AvoidanceStatus.FORCED, None, 0, 1)
+    for s in range(total):
+        d = domain[s]
+        if not d:
+            return forced
+        if not d & (d - 1) and not colors[s] and not assign(s, d.bit_length() - 1):
+            return forced
 
-    def blocked(slot: int, c: int) -> bool:
-        # would assigning c complete a monochromatic candidate?
-        for ci in member_cands[slot]:
-            if all(colors[s] == c for s in cands[ci] if s != slot):
-                return True
-        return False
-
+    frames = []  # (slot, color, trail length, removed length) per decision
     k = 0
-    trial = [0] * total
+    tried = 0  # the color last decided at slot k; 0 when k is fresh
     while True:
-        c = trial[k] + 1
-        while c <= r and blocked(k, c):
-            c += 1
-        if c > r:
-            trial[k] = 0
-            colors[k] = 0
-            k -= 1
+        if not tried:
+            while k < total and colors[k]:
+                k += 1
+            if k == total:
+                break
+        d = domain[k] >> (tried + 1) << (tried + 1)
+        if not d:
             backtracks += 1
-            if k < 0:
+            if not frames:
                 return AvoidanceResult(AvoidanceStatus.FORCED, None, nodes, backtracks)
+            k, tried, trail_len, removed_len = frames.pop()
+            undo(trail_len, removed_len)
             continue
         if budget is not None and nodes >= budget:
             return AvoidanceResult(AvoidanceStatus.TIMEOUT, None, nodes, backtracks)
         nodes += 1
-        trial[k] = c
-        colors[k] = c
-        if k == total - 1:
-            full = [1] * len(window)
-            for i, slot in slot_of.items():
-                full[i] = colors[slot]
-            if not _is_avoiding(full, inst.index_sets):
-                raise RuntimeError("backtracker guard tripped: completed coloring not avoiding")
-            coloring = Coloring(window, r, tuple(full))
-            return AvoidanceResult(AvoidanceStatus.FOUND, coloring, nodes, backtracks)
-        k += 1
+        tried = (d & -d).bit_length() - 1
+        trail_len, removed_len = len(trail), len(removed)
+        if assign(k, tried):
+            frames.append((k, tried, trail_len, removed_len))
+            tried = 0
+        else:
+            backtracks += 1
+            undo(trail_len, removed_len)
+
+    full = [1] * len(window)
+    for i, slot in slot_of.items():
+        full[i] = colors[slot]
+    if not _is_avoiding(full, inst.index_sets):
+        raise InternalError("backtracker guard tripped: completed coloring not avoiding")
+    coloring = Coloring(window, r, tuple(full))
+    return AvoidanceResult(AvoidanceStatus.FOUND, coloring, nodes, backtracks)
 
 
 @dataclass(frozen=True)

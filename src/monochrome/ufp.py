@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .errors import InternalError
 from .rings import RingElement, Window, exact_divide
 
 LENGTH_CAP = 24
@@ -175,10 +176,10 @@ def extend_ufp(seq: UfpSequence, pool: Sequence[RingElement]) -> UfpSequence:
             continue
         child = seq.extended(x)
         if has_ufp(child) is not None:
-            raise RuntimeError("extension guard tripped: UFP lost after an admissible pick")
+            raise InternalError("extension guard tripped: UFP lost after an admissible pick")
         child_fp = child.fp_set()
         if zero in child_fp or one in child_fp:
-            raise RuntimeError("extension guard tripped: product set touches {0, 1}")
+            raise InternalError("extension guard tripped: product set touches {0, 1}")
         return child
     raise PoolExhaustedError("every pool element is excluded or trivial")
 

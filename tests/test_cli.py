@@ -278,6 +278,17 @@ def test_hj_work_cap(capsys):
     assert report["status"] == "work_cap_exceeded"
 
 
+def test_hj_default_cap_searches_the_3_cube(capsys):
+    # the cap counts cell assignments made, not the r^(t^n) worst case
+    code, report = run_json(capsys, "hj", "--colors", "2", "--alphabet", "3", "--maxN", "3")
+    assert code == 1
+    assert report["status"] == "not_found_within" and report["payload"]["N"] == 3
+    code, capped = run_json(capsys, "hj", "--colors", "2", "--alphabet", "3", "--maxN", "3",
+                            "--work-cap", str(10**10))
+    assert code == 1
+    assert report["payload"] == capped["payload"]
+
+
 def test_sigma_all_ok(capsys):
     code, report = run_json(
         capsys,
@@ -389,6 +400,41 @@ def test_cnf_decode_invalid_model(capsys, tmp_path):
         "--F", "t", "--model", str(model),
     )
     assert code == 2
+
+
+def test_cnf_decode_monochromatic_model_is_an_input_error(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("v 1 -2 3 -4 5 -6 0\n")  # one color everywhere: {2, 3} monochromatic
+    code, _ = run(
+        capsys,
+        "cnf", "decode", "--ring", "Z", "--window", "N=3", "--colors", "2",
+        "--F", "t", "--model", str(model),
+    )
+    assert code == 2
+
+
+def test_tripped_guard_exits_three(capsys, monkeypatch):
+    import monochrome.search
+
+    monkeypatch.setattr(monochrome.search, "_is_avoiding", lambda colors, index_sets: False)
+    code = dispatch(["search", "avoid", "--ring", "Z", "--window", "N=7", "--colors", "2",
+                     "--F", "t"])
+    assert code == 3
+    assert "internal error: backtracker guard tripped" in capsys.readouterr().err
+
+
+def test_recursion_error_exits_three(capsys, monkeypatch):
+    import monochrome.cli
+
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(monochrome.cli, "avoidance_backtrack", overflow)
+    code, _ = run(
+        capsys,
+        "search", "avoid", "--ring", "Z", "--window", "N=7", "--colors", "2", "--F", "t",
+    )
+    assert code == 3
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +554,25 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
     code, out = run(capsys, "scan", "--config", str(cfg))
     assert code == 0
     assert out.startswith("# scan\n")
+
+
+def test_config_supplies_required_flags(capsys, tmp_path):
+    cfg = tmp_path / "hj.cfg"
+    cfg.write_text("colors = 2\nalphabet = 2\nmaxN = 3\n")
+    code, report = run_json(capsys, "hj", "--config", str(cfg))
+    assert code == 0
+    assert report["payload"]["N"] == 2
+    code, report = run_json(capsys, "hj", "--config", str(cfg), "--maxN", "1")
+    assert code == 1 and report["payload"]["N"] == 1  # the flag still wins
+
+
+def test_missing_required_flag_exits_two(capsys, tmp_path):
+    assert dispatch(["hj", "--colors", "2", "--alphabet", "2"]) == 2
+    assert "the following arguments are required: --maxN" in capsys.readouterr().err
+    cfg = tmp_path / "hj.cfg"
+    cfg.write_text("colors = 2\n")
+    assert dispatch(["hj", "--config", str(cfg)]) == 2
+    assert "the following arguments are required: --alphabet, --maxN" in capsys.readouterr().err
 
 
 def test_config_missing_file(capsys):

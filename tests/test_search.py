@@ -1,6 +1,7 @@
 """Avoidance-coloring search, CNF export/decode, least-window thresholds,
 and the reference DPLL used for cross-checking."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -29,6 +30,7 @@ from monochrome import (
     witness_scan,
 )
 from monochrome.dpll import dpll_sat, model_satisfies
+from _reference_engines import reference_backtrack, reference_dpll
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -92,6 +94,15 @@ def test_dpll_agrees_with_truth_tables():
         assert (model is not None) == brute
         if model is not None:
             assert model_satisfies(model, clauses)
+
+
+def test_dpll_guard_raises_internal_error(monkeypatch):
+    import monochrome.dpll
+    from monochrome import InternalError
+
+    monkeypatch.setattr(monochrome.dpll, "model_satisfies", lambda model, clauses: False)
+    with pytest.raises(InternalError, match="dpll guard tripped"):
+        dpll_sat(2, [(1, 2)])
 
 
 def test_dpll_decisions_beyond_the_recursion_limit():
@@ -404,3 +415,114 @@ def test_threshold_requires_integer_ring():
         moreira_number(2, parse_family(ZI, "t"), 5)
     with pytest.raises(ValueError):
         moreira_number(2, LINEAR, 0)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the engines before propagation
+# (tests/_reference_engines.py: the plain backtracker and the rescanning DPLL)
+
+DIFF_FAMILIES = ("t", "0;t", "t^2", "2t", "0;3t", "t^3", "t;t^2")
+DEGENERATE = ScanConstraints(
+    exclude_y=frozenset({Z.zero, Z.one}),
+    exclude_x=frozenset({Z.zero}),
+    forbid_degenerate=False,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _diff_instances() -> tuple:
+    """Z {1..N}, N <= 30, r = 1..3, seven families, with and without
+    one-element candidates: ((family, N, r, degenerate?), instance) pairs."""
+    out = []
+    for fam_text in DIFF_FAMILIES:
+        fam = parse_family(Z, fam_text)
+        for n in range(1, 31):
+            w = zwindow(n)
+            for constraints in (None, DEGENERATE):
+                for r in (1, 2, 3):
+                    out.append(((fam_text, n, r, constraints is not None),
+                                build_instance(w, r, fam, constraints)))
+    return tuple(out)
+
+
+# the plain backtracker needs ~3e6 nodes for t^3, r=3, N=30 with one-element
+# candidates (forced at the root with propagation); beyond this cap a
+# reference run counts as timed out and only the budgeted sweep compares
+REFERENCE_CAP = 20_000
+
+
+def test_backtracker_matches_the_plain_backtracker():
+    compared = 0
+    for label, inst in _diff_instances():
+        ref = reference_backtrack(inst, REFERENCE_CAP)
+        new = avoidance_backtrack(inst)
+        if ref.status is AvoidanceStatus.TIMEOUT:
+            assert new.status is not AvoidanceStatus.TIMEOUT, label
+            continue
+        assert (new.status, new.coloring) == (ref.status, ref.coloring), label
+        assert new.nodes <= ref.nodes, label
+        compared += 1
+    assert compared >= 1240
+
+
+def test_budgeted_backtracker_matches_the_plain_backtracker():
+    for label, inst in _diff_instances():
+        unlimited = avoidance_backtrack(inst)
+        for budget in range(21):
+            ref = reference_backtrack(inst, budget)
+            new = avoidance_backtrack(inst, budget)
+            assert new.nodes <= budget, (label, budget)
+            if ref.status is not AvoidanceStatus.TIMEOUT:
+                assert (new.status, new.coloring) == (ref.status, ref.coloring), (label, budget)
+                assert new.nodes <= ref.nodes, (label, budget)
+            elif new.status is not AvoidanceStatus.TIMEOUT:
+                assert (new.status, new.coloring) == (unlimited.status, unlimited.coloring), (label, budget)
+
+
+def test_dpll_matches_the_rescanning_dpll_on_instance_cnfs():
+    for label, inst in _diff_instances():
+        doc = cnf_export(inst)
+        assert dpll_sat(doc.num_vars, doc.clauses) == reference_dpll(doc.num_vars, doc.clauses), label
+
+
+def test_dpll_matches_the_rescanning_dpll_on_random_cnfs():
+    # duplicate literals, tautologies, unit and empty clauses included
+    rng = random.Random(606)
+    sat = 0
+    for k in range(400):
+        nv = rng.randint(1, 14)
+        clauses = []
+        for _ in range(rng.randint(0, 45)):
+            width = rng.choice((0, 1, 2, 2, 3, 3, 3, 4)) if k % 10 == 0 else rng.randint(1, 4)
+            clauses.append(tuple(rng.choice((-1, 1)) * rng.randint(1, nv) for _ in range(width)))
+        model = dpll_sat(nv, clauses)
+        assert model == reference_dpll(nv, clauses), (nv, clauses)
+        if model is not None:
+            sat += 1
+            assert model_satisfies(model, clauses)
+    assert 50 < sat < 350  # both outcomes well represented
+
+
+def test_propagation_cuts_the_forced_search():
+    # t;t^2 at N=80 took 219,154 nodes without propagation
+    res = avoidance_backtrack(build_instance(zwindow(80), 2, parse_family(Z, "t;t^2")))
+    assert res.status is AvoidanceStatus.FORCED
+    assert res.nodes == 70
+
+
+def test_one_element_candidate_forces_at_the_root():
+    res = avoidance_backtrack(build_instance(zwindow(4), 2, LINEAR, DEGENERATE), budget=0)
+    assert res.status is AvoidanceStatus.FORCED and res.nodes == 0
+
+
+@pytest.mark.parametrize("fam_text, threshold", [("t;t^2", 80), ("0;t^2", 88)])
+def test_thresholds_beyond_the_plain_backtracker(fam_text, threshold):
+    # frozen: both engines agree on each side of the boundary
+    fam = parse_family(Z, fam_text)
+    res = moreira_number(2, fam, 128)
+    assert res.status == "found" and res.n == threshold
+    below = dual_engine_check(build_instance(zwindow(threshold - 1), 2, fam))
+    at = dual_engine_check(build_instance(zwindow(threshold), 2, fam))
+    assert below["backtrack"] == "avoidance_found" and below["cnf_sat"] is True
+    assert at["backtrack"] == "forced" and at["cnf_sat"] is False
+    assert below["agree"] is True and at["agree"] is True
