@@ -366,6 +366,26 @@ def _colors(args) -> int:
     return args.colors
 
 
+def _problem(args) -> tuple:
+    """(spec, window, r, family, constraints) from the flags, read in
+    this order, so the first missing flag is the one reported."""
+    spec = _spec(args)
+    window = _window(args, spec)
+    r = _colors(args)
+    family = _family(args, spec)
+    return spec, window, r, family, _constraints(args, spec, window)
+
+
+def _header(spec, window, r, family) -> dict:
+    """The payload fields that name the problem."""
+    return {
+        "ring": format_ring_spec(spec),
+        "window": format_window_params(spec, window.params),
+        "colors": r,
+        "family": format_family(family),
+    }
+
+
 def _constraints(args, spec, window) -> ScanConstraints:
     base = ScanConstraints.defaults_for(spec)
     exclude_y = base.exclude_y
@@ -455,7 +475,11 @@ def _emit(args, command: str, status: str, payload: dict, *, to_stdout=False) ->
         text = _render_text(report)
     else:
         text = _render_csv(report)
-    dest = None if to_stdout else getattr(args, "output", None)
+    _write(None if to_stdout else getattr(args, "output", None), text)
+
+
+def _write(dest, text: str) -> None:
+    """Write text to the file dest, or to stdout when dest is empty."""
     if dest:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -468,35 +492,20 @@ def _emit(args, command: str, status: str, payload: dict, *, to_stdout=False) ->
 
 
 def _cmd_scan(args) -> int:
-    spec = _spec(args)
-    window = _window(args, spec)
-    r = _colors(args)
-    family = _family(args, spec)
-    constraints = _constraints(args, spec, window)
+    spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
     witnesses = [
         {"x": format_element(w.x), "y": format_element(w.y), "color": w.color}
         for w in witness_scan(coloring, family, constraints, limit=args.limit)
     ]
-    payload = {
-        "ring": format_ring_spec(spec),
-        "window": format_window_params(spec, window.params),
-        "colors": r,
-        "family": format_family(family),
-        "seed": args.seed,
-        "count": len(witnesses),
-        "witnesses": witnesses,
-    }
+    payload = {**_header(spec, window, r, family), "seed": args.seed,
+               "count": len(witnesses), "witnesses": witnesses}
     _emit(args, "scan", "ok", payload)
     return 0
 
 
 def _cmd_abundance(args) -> int:
-    spec = _spec(args)
-    window = _window(args, spec)
-    r = _colors(args)
-    family = _family(args, spec)
-    constraints = _constraints(args, spec, window)
+    spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
     if args.y is not None:
         ys = [parse_element(spec, args.y)]
@@ -508,13 +517,7 @@ def _cmd_abundance(args) -> int:
         for c in range(1, r + 1):
             rows.append({"y": format_element(y), "color": c,
                          "count": len(profile.get(c, ()))})
-    payload = {
-        "ring": format_ring_spec(spec),
-        "window": format_window_params(spec, window.params),
-        "colors": r,
-        "family": format_family(family),
-        "rows": rows,
-    }
+    payload = {**_header(spec, window, r, family), "rows": rows}
     _emit(args, "abundance", "ok", payload)
     return 0
 
@@ -638,18 +641,11 @@ def _cmd_search(args) -> int:
     if args.sub is None:
         raise CliError("search needs a mode: avoid or moreira")
     if args.sub == "avoid":
-        spec = _spec(args)
-        window = _window(args, spec)
-        r = _colors(args)
-        family = _family(args, spec)
-        constraints = _constraints(args, spec, window)
+        spec, window, r, family, constraints = _problem(args)
         inst = build_instance(window, r, family, constraints)
         res = avoidance_backtrack(inst, args.budget)
         payload = {
-            "ring": format_ring_spec(spec),
-            "window": format_window_params(spec, window.params),
-            "colors": r,
-            "family": format_family(family),
+            **_header(spec, window, r, family),
             "candidates": len(inst.candidates),
             "status": res.status.value,
             "nodes": res.nodes,
@@ -694,18 +690,12 @@ def _cmd_search(args) -> int:
 def _cmd_cnf(args) -> int:
     if args.sub is None:
         raise CliError("cnf needs a direction: export or decode")
-    spec = _spec(args)
-    window = _window(args, spec)
-    r = _colors(args)
-    family = _family(args, spec)
-    constraints = _constraints(args, spec, window)
+    spec, window, r, family, constraints = _problem(args)
     inst = build_instance(window, r, family, constraints)
     if args.sub == "export":
         doc = cnf_export(inst)
-        text = to_dimacs(doc)
+        _write(args.output, to_dimacs(doc))
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
             payload = {
                 "path": args.output,
                 "vars": doc.num_vars,
@@ -713,8 +703,6 @@ def _cmd_cnf(args) -> int:
                 "candidates": len(inst.candidates),
             }
             _emit(args, "cnf export", "ok", payload, to_stdout=True)
-        else:
-            sys.stdout.write(text)
         return 0
     if args.sub == "decode":
         if args.model == "-":
@@ -805,12 +793,7 @@ def _cmd_report(args) -> int:
             path, data["command"], data["timestamp"], data["status"],
             *[_plain(payload[k]) if k in payload else "" for k in keys],
         ])
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, buf.getvalue())
     return 0
 
 

@@ -110,8 +110,7 @@ def word_index(w: Word) -> int:
 
 
 def _line_cells(t: int, n: int):
-    """Every line as a tuple of cell indices, plus each line's last cell
-    in assignment order (for incremental checking)."""
+    """Every line of [t]^n as a tuple of cell indices."""
     lines = []
     for vw in variable_words(t, n):
         cells = tuple(word_index(substitute(vw, a)) for a in range(1, t + 1))
@@ -326,7 +325,7 @@ def coefficient_alphabet(family: PolyFamily, d: Optional[int] = None) -> tuple:
     """The coefficients of the family's polynomials in degrees 1..d,
     zero-padded per polynomial up to d, deduplicated and canonically
     sorted.  d defaults to the family's top degree."""
-    top = max(f.degree for f in family.polys)
+    top = family.max_degree
     if d is None:
         d = top
     if d < top:
@@ -430,7 +429,7 @@ def verify_sigma_line_identity(family: PolyFamily, y_assign: dict, gamma: Wildca
         raise ValueError("family and layered point from different rings")
     n, d = u.n, u.d
     gamma.check_range(n)
-    if max(f.degree for f in family.polys) > d:
+    if family.max_degree > d:
         raise ValueError("layered point too shallow for the family's top degree")
     _require_multiplicative(y_assign, n, d)
 
@@ -468,8 +467,7 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
         raise ValueError("pool window and family from different rings")
     if n < 1:
         raise ValueError("side must be >= 1")
-    top = max(f.degree for f in family.polys)
-    d = top if depth is None else depth
+    d = family.max_degree if depth is None else depth
     alphabet = coefficient_alphabet(family, d)
     size = len(pool.elements)
     counter = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
-from .rings import RingElement, RingSpec, Window, format_element, parse_element
+from .rings import RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element
 
 __all__ = [
     "ZeroConstPoly",
@@ -69,7 +69,7 @@ class ZeroConstPoly:
         return (self.degree, tuple(padded))
 
     def __repr__(self) -> str:
-        return f"<poly {format_poly(self)} over {self.spec.kind.value}>"
+        return f"<poly {format_poly(self)} over {format_ring_spec(self.spec)}>"
 
 
 def zero_const_poly(spec: RingSpec, coeffs: dict) -> ZeroConstPoly:

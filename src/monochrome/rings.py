@@ -11,10 +11,10 @@ Supported rings and element representations:
 
 Each element has exactly one canonical representation, so structural
 equality is ring equality and elements are usable as dict keys.  No
-other module knows these representations: the per-spec raw ops
-``RingSpec.add``, ``neg`` and ``mul`` (one table, ``_raw_ops``) are the
-one place that does arithmetic on them, and ``RingElement``'s operators
-and the subset folds of ``largeness`` delegate to them.
+other module knows these representations: one class per ring kind
+(``_Integers``, ``_Gaussian``, ``_Poly``, held by ``RingSpec.ring``)
+holds each raw format, and ``RingElement``'s operators and the subset
+folds of ``largeness`` run on the spec's raw ``add``, ``neg`` and ``mul``.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -82,6 +82,11 @@ class RingSpec:
         elif self.q is not None:
             raise ValueError(f"modulus q is only meaningful for GF(q)[x], got q={self.q} for {self.kind.value}")
 
+    @cached_property
+    def ring(self) -> "_Ring":
+        """The raw-format table of this spec's ring kind, bound to q."""
+        return _RINGS[self.kind](self.q)
+
     # -- element constructors ------------------------------------------
 
     def integer(self, n: int) -> "RingElement":
@@ -97,15 +102,11 @@ class RingSpec:
     def poly(self, coeffs) -> "RingElement":
         if self.kind is not RingKind.POLY:
             raise ValueError("poly() is only for GF(q)[x]")
-        return RingElement(self, _poly_normalize(coeffs, self.q))
+        return RingElement(self, self.ring.normalize(coeffs))
 
     def from_int(self, n: int) -> "RingElement":
         """Canonical image of the integer n (n times the ring's 1)."""
-        if self.kind is RingKind.INTEGERS:
-            return RingElement(self, n)
-        if self.kind is RingKind.GAUSSIAN:
-            return RingElement(self, (n, 0))
-        return RingElement(self, _poly_normalize((n,), self.q))
+        return RingElement(self, self.ring.from_int(n))
 
     # Cached per spec: elements are immutable, and the scan, the exclusion
     # sets and the oracles compare against these for every y.
@@ -117,36 +118,237 @@ class RingSpec:
     def one(self) -> "RingElement":
         return self.from_int(1)
 
-    # Raw-value arithmetic, chosen once per spec by _raw_ops; RingElement's
+    # Raw-value arithmetic of the spec's ring, looked up once; RingElement's
     # operators and the subset folds of largeness run on these.
-    add = cached_property(lambda self: _raw_ops(self)[0])
-    neg = cached_property(lambda self: _raw_ops(self)[1])
-    mul = cached_property(lambda self: _raw_ops(self)[2])
+    add = cached_property(lambda self: self.ring.add)
+    neg = cached_property(lambda self: self.ring.neg)
+    mul = cached_property(lambda self: self.ring.mul)
 
 
-def _raw_ops(spec: RingSpec) -> tuple:
-    """(add, neg, mul) on raw values of the spec's ring."""
-    if spec.kind is RingKind.INTEGERS:
-        return operator.add, operator.neg, operator.mul
-    if spec.kind is RingKind.GAUSSIAN:
-        return (
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            lambda a: (-a[0], -a[1]),
-            lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]),
-        )
-    q = spec.q
-    return (
-        lambda a, b: _poly_add(a, b, q),
-        lambda a: tuple((-c) % q for c in a),
-        lambda a, b: _poly_mul(a, b, q),
-    )
+class _Ring:
+    """The raw format of one ring kind: ``add``/``neg``/``mul``,
+    ``from_int``, ``key`` (canonical order), ``divide`` (exact quotient by
+    a nonzero divisor, or None), ``values`` (a window's values in order),
+    ``run`` (the product run of a nonzero y), ``text``/``parse``
+    (literals), ``name``, the window size key and least size, and whether
+    the ``signed`` window flag applies."""
+
+    signed = False
+
+    def __init__(self, q: Optional[int] = None):
+        self.q = q
+
+    def check_signed(self, signed: bool) -> None:
+        if signed and not self.signed:
+            raise ValueError("the signed flag only applies to windows of Z")
 
 
-def _poly_normalize(coeffs, q: int) -> tuple:
-    out = [c % q for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+class _Integers(_Ring):
+    name, size_key, least, signed = "Z", "N", 1, True
+    add, neg, mul = staticmethod(operator.add), staticmethod(operator.neg), staticmethod(operator.mul)
+
+    def from_int(self, n: int) -> int:
+        return n
+
+    key = from_int
+
+    def divide(self, a: int, b: int) -> Optional[int]:
+        quo, rem = divmod(a, b)
+        return quo if rem == 0 else None
+
+    def values(self, size: int, signed: bool):
+        return range(-size if signed else 1, size + 1)
+
+    def run(self, v: int, window: "Window") -> tuple:
+        size = window.params.size
+        k = size // abs(v)
+        return (size - k, size + k + 1) if window.params.signed else (0, k)
+
+    text = staticmethod(str)
+
+    def parse(self, text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"bad integer literal {text!r}") from None
+
+
+class _Gaussian(_Ring):
+    name, size_key, least = "Zi", "B", 0
+    add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    neg = staticmethod(lambda a: (-a[0], -a[1]))
+    mul = staticmethod(lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+
+    def from_int(self, n: int) -> tuple:
+        return (n, 0)
+
+    def key(self, v: tuple) -> tuple:
+        a, b = v
+        return (a * a + b * b, a, b)
+
+    def divide(self, a: tuple, b: tuple) -> Optional[tuple]:
+        (ar, ai), (br, bi) = a, b
+        norm = br * br + bi * bi
+        num_re = ar * br + ai * bi
+        num_im = ai * br - ar * bi
+        if num_re % norm or num_im % norm:
+            return None
+        return (num_re // norm, num_im // norm)
+
+    def values(self, size: int, signed: bool) -> list:
+        side = range(-size, size + 1)
+        return sorted(((a, b) for a in side for b in side), key=self.key)
+
+    def run(self, v: tuple, window: "Window") -> tuple:
+        size = window.params.size
+        # sort keys are (norm, re, im); none of norm limit exceeds (limit, B, B)
+        limit = 2 * size * size // (v[0] * v[0] + v[1] * v[1])
+        return 0, bisect_right(window.elements, (limit, size, size), key=RingElement.sort_key)
+
+    def text(self, v: tuple) -> str:
+        a, b = v
+        if b == 0:
+            return str(a)
+        imag = f"{b}i"
+        if a == 0:
+            return imag
+        return f"{a}+{b}i" if b > 0 else f"{a}-{-b}i"
+
+    def parse(self, text: str) -> tuple:
+        try:
+            if "i" not in text:
+                return (int(text), 0)
+            if not text.endswith("i"):
+                raise ValueError
+            body = text[:-1]
+            # split real and imaginary parts at the last sign not in front position
+            for k in range(len(body) - 1, 0, -1):
+                if body[k] in "+-":
+                    re_raw, im_raw = body[:k], body[k:]
+                    break
+            else:
+                re_raw, im_raw = "", body
+            re_part = int(re_raw) if re_raw else 0
+            if im_raw in ("", "+"):
+                im_part = 1
+            elif im_raw == "-":
+                im_part = -1
+            else:
+                im_part = int(im_raw)
+            return (re_part, im_part)
+        except ValueError:
+            raise ValueError(f"bad Gaussian integer literal {text!r}") from None
+
+
+class _Poly(_Ring):
+    size_key, least = "d", 1
+    term = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
+
+    def __init__(self, q: int):
+        super().__init__(q)
+        self.name = f"GF({q})[x]"
+
+    def normalize(self, coeffs) -> tuple:
+        out = [c % self.q for c in coeffs]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    def add(self, a: tuple, b: tuple) -> tuple:
+        q = self.q
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % q
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    def neg(self, a: tuple) -> tuple:
+        q = self.q
+        return tuple((-c) % q for c in a)
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        if not a or not b:
+            return ()
+        q = self.q
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] = (out[i + j] + ca * cb) % q
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    def from_int(self, n: int) -> tuple:
+        return self.normalize((n,))
+
+    def key(self, v: tuple) -> int:
+        # base-q value; consistent with (degree, coefficient vector) order
+        k = 0
+        for c in reversed(v):
+            k = k * self.q + c
+        return k
+
+    def divide(self, a: tuple, b: tuple) -> Optional[tuple]:
+        q = self.q
+        rem = list(a)
+        quo = [0] * max(len(a) - len(b) + 1, 0)
+        inv_lead = pow(b[-1], -1, q)
+        for k in range(len(rem) - len(b), -1, -1):
+            coeff = (rem[k + len(b) - 1] * inv_lead) % q
+            if coeff:
+                quo[k] = coeff
+                for j, cb in enumerate(b):
+                    rem[k + j] = (rem[k + j] - coeff * cb) % q
+        return None if any(rem) else self.normalize(quo)
+
+    def values(self, size: int, signed: bool) -> list:
+        q = self.q
+        out = []
+        for v in range(q**size):
+            coeffs = []
+            while v:
+                coeffs.append(v % q)
+                v //= q
+            out.append(tuple(coeffs))
+        return out
+
+    def run(self, v: tuple, window: "Window") -> tuple:
+        return 0, self.q ** max(window.params.size - len(v) + 1, 0)
+
+    def text(self, v: tuple) -> str:
+        if not v:
+            return "0"
+        terms = []
+        for deg in range(len(v) - 1, -1, -1):
+            c = v[deg]
+            if c == 0:
+                continue
+            if deg == 0:
+                terms.append(str(c))
+            else:
+                var = "x" if deg == 1 else f"x^{deg}"
+                terms.append(var if c == 1 else f"{c}{var}")
+        return "+".join(terms)
+
+    def parse(self, text: str) -> tuple:
+        coeffs: dict = {}
+        for raw in text.split("+"):
+            m = self.term.match(raw)
+            if not m or m.group(1) is None and not m.group(2):
+                raise ValueError(f"bad {self.name} literal {text!r}")
+            c_raw, has_x, deg_raw = m.groups()
+            coeff = int(c_raw) if c_raw is not None else 1
+            deg = 0 if not has_x else (int(deg_raw) if deg_raw is not None else 1)
+            coeffs[deg] = coeffs.get(deg, 0) + coeff
+        top = max(coeffs) if coeffs else 0
+        return self.normalize(coeffs.get(k, 0) for k in range(top + 1))
+
+
+_RINGS = {RingKind.INTEGERS: _Integers, RingKind.GAUSSIAN: _Gaussian, RingKind.POLY: _Poly}
 
 
 class RingElement:
@@ -216,58 +418,7 @@ class RingElement:
 
     def sort_key(self):
         """Key realizing the ring's canonical enumeration order."""
-        kind = self.spec.kind
-        if kind is RingKind.INTEGERS:
-            return self.val
-        if kind is RingKind.GAUSSIAN:
-            a, b = self.val
-            return (a * a + b * b, a, b)
-        # base-q value; consistent with (degree, coefficient vector) order
-        v = 0
-        for c in reversed(self.val):
-            v = v * self.spec.q + c
-        return v
-
-
-def _poly_add(a: tuple, b: tuple, q: int) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % q
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mul(a: tuple, b: tuple, q: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % q
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_divmod(a: tuple, b: tuple, q: int) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, q)
-    for k in range(len(rem) - len(b), -1, -1):
-        coeff = (rem[k + len(b) - 1] * inv_lead) % q
-        if coeff:
-            quo[k] = coeff
-            for j, cb in enumerate(b):
-                rem[k + j] = (rem[k + j] - coeff * cb) % q
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quo), tuple(rem)
+        return self.spec.ring.key(self.val)
 
 
 def ring_arith(op: str, a: RingElement, b: Optional[RingElement] = None) -> RingElement:
@@ -294,21 +445,8 @@ def exact_divide(a: RingElement, b: RingElement) -> Optional[RingElement]:
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("exact_divide by ring zero")
-    kind = a.spec.kind
-    if kind is RingKind.INTEGERS:
-        quo, rem = divmod(a.val, b.val)
-        return RingElement(a.spec, quo) if rem == 0 else None
-    if kind is RingKind.GAUSSIAN:
-        ar, ai = a.val
-        br, bi = b.val
-        norm = br * br + bi * bi
-        num_re = ar * br + ai * bi
-        num_im = ai * br - ar * bi
-        if num_re % norm or num_im % norm:
-            return None
-        return RingElement(a.spec, (num_re // norm, num_im // norm))
-    quo, rem = _poly_divmod(a.val, b.val, a.spec.q)
-    return RingElement(a.spec, _poly_normalize(quo, a.spec.q)) if not rem else None
+    quo = a.spec.ring.divide(a.val, b.val)
+    return None if quo is None else RingElement(a.spec, quo)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +472,13 @@ class Window:
     __slots__ = ("spec", "params", "elements", "index")
 
     def __init__(self, spec: RingSpec, params: WindowParams):
+        ring = spec.ring
+        ring.check_signed(params.signed)
+        if params.size < ring.least:
+            raise ValueError(f"window of {spec.kind.value} needs {ring.size_key} >= {ring.least}, got {params.size}")
         self.spec = spec
         self.params = params
-        self.elements: tuple = tuple(_enumerate_elements(spec, params))
+        self.elements: tuple = tuple([RingElement(spec, v) for v in ring.values(params.size, params.signed)])
         self.index: dict = {e: k for k, e in enumerate(self.elements)}
 
     def __len__(self) -> int:
@@ -368,56 +510,9 @@ class Window:
         """Positions ``(lo, hi)`` of the window slice holding every x with
         x*y in the window, by the per-ring rule in the module docstring;
         y may lie outside the window."""
-        size = self.params.size
-        v = y.val
-        kind = self.spec.kind
-        if kind is RingKind.INTEGERS:
-            k = size // abs(v) if v else size
-            return (size - k, size + k + 1) if self.params.signed else (0, k)
-        if kind is RingKind.GAUSSIAN:
-            norm = v[0] * v[0] + v[1] * v[1]
-            if not norm:
-                return 0, len(self.elements)
-            # sort keys are (norm, re, im); none of norm limit exceeds (limit, B, B)
-            limit = 2 * size * size // norm
-            return 0, bisect_right(self.elements, (limit, size, size), key=RingElement.sort_key)
-        if not v:
+        if y.is_zero():
             return 0, len(self.elements)
-        return 0, self.spec.q ** max(size - len(v) + 1, 0)
-
-
-def _enumerate_elements(spec: RingSpec, params: WindowParams):
-    kind = spec.kind
-    size = params.size
-    if params.signed and kind is not RingKind.INTEGERS:
-        raise ValueError("the signed flag only applies to windows of Z")
-    if kind is RingKind.INTEGERS:
-        if size < 1:
-            raise ValueError(f"window of Z needs N >= 1, got {size}")
-        lo = -size if params.signed else 1
-        return [RingElement(spec, n) for n in range(lo, size + 1)]
-    if kind is RingKind.GAUSSIAN:
-        if size < 0:
-            raise ValueError(f"window of Zi needs B >= 0, got {size}")
-        box = [
-            (a, b)
-            for a in range(-size, size + 1)
-            for b in range(-size, size + 1)
-        ]
-        box.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p[0], p[1]))
-        return [RingElement(spec, p) for p in box]
-    if size < 1:
-        raise ValueError(f"window of GF(q)[x] needs d >= 1, got {size}")
-    q = spec.q
-    out = []
-    for v in range(q**size):
-        coeffs = []
-        w = v
-        while w:
-            coeffs.append(w % q)
-            w //= q
-        out.append(RingElement(spec, tuple(coeffs)))
-    return out
+        return self.spec.ring.run(y.val, self)
 
 
 def enumerate_window(spec: RingSpec, params: WindowParams) -> Window:
@@ -445,9 +540,7 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 def format_ring_spec(spec: RingSpec) -> str:
-    if spec.kind is RingKind.POLY:
-        return f"GF({spec.q})[x]"
-    return spec.kind.value
+    return spec.ring.name
 
 
 def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
@@ -459,55 +552,27 @@ def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
     elif len(parts) != 1:
         raise ValueError(f"bad window parameter string {text!r}")
     key, _, raw = parts[0].partition("=")
-    expected = {RingKind.INTEGERS: "N", RingKind.GAUSSIAN: "B", RingKind.POLY: "d"}[spec.kind]
-    if key != expected:
+    ring = spec.ring
+    if key != ring.size_key:
         raise ValueError(
-            f"window parameter for {format_ring_spec(spec)} must be {expected}=<int>, got {text!r}"
+            f"window parameter for {ring.name} must be {ring.size_key}=<int>, got {text!r}"
         )
     try:
         size = int(raw)
     except ValueError:
         raise ValueError(f"bad window size in {text!r}") from None
-    if signed and spec.kind is not RingKind.INTEGERS:
-        raise ValueError("the signed flag only applies to windows of Z")
+    ring.check_signed(signed)
     return WindowParams(size, signed)
 
 
 def format_window_params(spec: RingSpec, params: WindowParams) -> str:
-    key = {RingKind.INTEGERS: "N", RingKind.GAUSSIAN: "B", RingKind.POLY: "d"}[spec.kind]
     suffix = ",signed" if params.signed else ""
-    return f"{key}={params.size}{suffix}"
+    return f"{spec.ring.size_key}={params.size}{suffix}"
 
 
 def format_element(e: RingElement) -> str:
     """Canonical literal: Z decimal, Zi like 3+2i / -1i, GF like x^2+2x+1."""
-    kind = e.spec.kind
-    if kind is RingKind.INTEGERS:
-        return str(e.val)
-    if kind is RingKind.GAUSSIAN:
-        a, b = e.val
-        if b == 0:
-            return str(a)
-        imag = f"{b}i"
-        if a == 0:
-            return imag
-        return f"{a}+{b}i" if b > 0 else f"{a}-{-b}i"
-    if not e.val:
-        return "0"
-    terms = []
-    for deg in range(len(e.val) - 1, -1, -1):
-        c = e.val[deg]
-        if c == 0:
-            continue
-        if deg == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if deg == 1 else f"x^{deg}"
-            terms.append(var if c == 1 else f"{c}{var}")
-    return "+".join(terms)
-
-
-_POLY_TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
+    return e.spec.ring.text(e.val)
 
 
 def parse_element(spec: RingSpec, text: str) -> RingElement:
@@ -515,58 +580,7 @@ def parse_element(spec: RingSpec, text: str) -> RingElement:
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty element literal")
-    kind = spec.kind
-    if kind is RingKind.INTEGERS:
-        try:
-            return RingElement(spec, int(text))
-        except ValueError:
-            raise ValueError(f"bad integer literal {text!r}") from None
-    if kind is RingKind.GAUSSIAN:
-        return _parse_gaussian(spec, text)
-    return _parse_gf_poly(spec, text)
-
-
-def _parse_gaussian(spec: RingSpec, text: str) -> RingElement:
-    try:
-        if "i" not in text:
-            return RingElement(spec, (int(text), 0))
-        if not text.endswith("i"):
-            raise ValueError
-        body = text[:-1]
-        # split real and imaginary parts at the last sign not in front position
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-":
-                re_raw, im_raw = body[:k], body[k:]
-                break
-        else:
-            re_raw, im_raw = "", body
-        re_part = int(re_raw) if re_raw else 0
-        if im_raw in ("", "+"):
-            im_part = 1
-        elif im_raw == "-":
-            im_part = -1
-        else:
-            im_part = int(im_raw)
-        return RingElement(spec, (re_part, im_part))
-    except ValueError:
-        raise ValueError(f"bad Gaussian integer literal {text!r}") from None
-
-
-def _parse_gf_poly(spec: RingSpec, text: str) -> RingElement:
-    coeffs: dict = {}
-    for raw in text.split("+"):
-        m = _POLY_TERM_RE.match(raw)
-        if not m or raw == "":
-            raise ValueError(f"bad GF({spec.q})[x] literal {text!r}")
-        c_raw, has_x, deg_raw = m.groups()
-        if c_raw is None and not has_x:
-            raise ValueError(f"bad GF({spec.q})[x] literal {text!r}")
-        coeff = int(c_raw) if c_raw is not None else 1
-        deg = 0 if not has_x else (int(deg_raw) if deg_raw is not None else 1)
-        coeffs[deg] = coeffs.get(deg, 0) + coeff
-    top = max(coeffs) if coeffs else 0
-    vec = [coeffs.get(k, 0) for k in range(top + 1)]
-    return spec.poly(vec)
+    return RingElement(spec, spec.ring.parse(text))
 
 
 # -- element-set literals for the CLI ---------------------------------------

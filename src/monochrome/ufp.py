@@ -111,8 +111,6 @@ def has_ufp(seq: Union[UfpSequence, Sequence[RingElement]]) -> Optional[UfpViola
     first colliding pair (h earlier than k in bitmask subset order)."""
     if not isinstance(seq, UfpSequence):
         seq = UfpSequence(seq)
-    if len(seq) > LENGTH_CAP:
-        raise ValueError(f"sequence length {len(seq)} exceeds the enumeration cap {LENGTH_CAP}")
     fp = seq.fp_map()
     first = {}
     for idx in _subset_counter_order(len(seq)):

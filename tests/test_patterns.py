@@ -401,6 +401,8 @@ def test_poly_literal_round_trips():
         f = parse_poly(spec, text)
         assert format_poly(f) == text
         assert parse_poly(spec, format_poly(f)).terms == f.terms
+    assert repr(parse_family(GF3, "t^2+2t").polys[0]) == "<poly t^2+2t over GF(3)[x]>"
+    assert repr(parse_poly(ZI, "(1+2i)t^3")) == "<poly (1+2i)t^3 over Zi>"
 
 
 def test_poly_literal_rejects_constant_terms():

@@ -1,9 +1,12 @@
 """Ring arithmetic, exact division, canonical windows, literal round-trips."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import monochrome
 from monochrome import (
     RingElement,
     RingKind,
@@ -64,6 +67,8 @@ def test_poly_spec_requires_prime_modulus():
 def test_modulus_rejected_outside_poly_ring():
     with pytest.raises(ValueError):
         RingSpec(RingKind.INTEGERS, 2)
+    with pytest.raises(ValueError):
+        RingSpec(RingKind.GAUSSIAN, 3)
 
 
 def test_constructors_guard_their_ring():
@@ -337,6 +342,9 @@ def test_index_inverts_position():
         for k, e in enumerate(w.elements):
             assert w.position(e) == k
             assert e in w
+        keys = [e.sort_key() for e in w.elements]
+        assert keys == sorted(keys)
+        assert w.product_run(spec.zero) == (0, len(w))
 
 
 def test_window_identity_is_spec_and_params():
@@ -360,6 +368,9 @@ def test_invalid_window_params():
         enumerate_window(ZI, WindowParams(-1))
     with pytest.raises(ValueError):
         enumerate_window(GF2, WindowParams(0))
+    for spec in (ZI, GF2):
+        with pytest.raises(ValueError):
+            enumerate_window(spec, WindowParams(2, signed=True))
 
 
 def test_window_param_strings_round_trip():
@@ -375,6 +386,10 @@ def test_window_param_key_must_match_ring():
         parse_window_params(ZI, "N=3")
     with pytest.raises(ValueError):
         parse_window_params(GF2, "N=3")
+    with pytest.raises(ValueError):
+        parse_window_params(ZI, "B=2,signed")
+    with pytest.raises(ValueError):
+        parse_window_params(GF2, "d=3,signed")
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +424,9 @@ def test_bad_element_literals():
         parse_element(Z, "two")
     with pytest.raises(ValueError):
         parse_element(GF2, "y+1")
+    for text in ("1+2", "2j"):
+        with pytest.raises(ValueError):
+            parse_element(ZI, text)
 
 
 def test_element_set_literals():
@@ -435,3 +453,27 @@ def test_element_set_preset_poly_ring():
 def test_repr_is_readable():
     assert "Z" in repr(Z.integer(3))
     assert isinstance(repr(enumerate_window(Z, WindowParams(3))), str)
+
+
+def test_ring_kind_stays_in_rings():
+    """Each ring kind's behaviour lives in rings.py: elsewhere RingKind is
+    named only by the package re-export and search's Z-only threshold
+    guard, and no module reads a spec's ``.kind.value``."""
+    found = set()
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "RingKind"
+                    or isinstance(child, ast.alias) and child.name == "RingKind"
+                    or isinstance(child, ast.Attribute) and child.attr == "RingKind"):
+                found.add((module, where))
+            if (isinstance(child, ast.Attribute) and child.attr == "value"
+                    and isinstance(child.value, ast.Attribute) and child.value.attr == "kind"):
+                found.add((module, where, ".kind.value"))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            visit(child, module, inner)
+
+    for path in sorted(pathlib.Path(monochrome.__file__).parent.glob("*.py")):
+        if path.name != "rings.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert found <= {("__init__.py", None), ("search.py", None), ("search.py", "moreira_number")}
