@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--maxN", dest="maxN", type=int, required=True)
     p.add_argument("--work-cap", type=int,
-                   help="stop a side's search after this many cell assignments (default 10^8)")
+                   help="stop a side's search after this many decisions (default 10^8)")
 
     p = sub.add_parser("sigma", help="randomized exact checks of the embedding identity")
     _add_common(p, ring=True, window=True, family=True, seed=True)

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from .patterns import PolyFamily, ZeroConstPoly, eval_poly
 from .prng import stream_below
 from .rings import RingElement, RingSpec
+from .search import AvoidanceStatus, _avoid
 
 WILDCARD = 0
 
@@ -34,7 +35,7 @@ DEFAULT_WORK_CAP = 10**8
 
 
 class WorkCapExceeded(RuntimeError):
-    """The search made more cell assignments than the configured cap."""
+    """The search needed more decisions than the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -122,55 +123,21 @@ def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = Non
     """An r-coloring of [t]^n (flat tuple, colors 1..r) in which no line
     is monochromatic, or None when every coloring contains one.
 
-    Walks the coloring space as a base-r counter over the t^n cells,
-    pruning a prefix as soon as some fully-colored line goes
-    monochromatic; exhaustion therefore covers all r^(t^n) colorings.
-    Every color given to a cell counts one unit of work; passing
-    work_cap (default DEFAULT_WORK_CAP) raises WorkCapExceeded.
+    Runs the avoidance search of search.py with the lines as index sets
+    and the cells in canonical order 0..t^n-1, so a found coloring is the
+    lexicographically first avoider.  Every decision (a color tried at a
+    cell; colors forced by propagation are free) counts one unit of
+    work; passing work_cap (default DEFAULT_WORK_CAP) raises
+    WorkCapExceeded, and a negative work_cap raises ValueError.
     """
     if r < 1 or t < 1 or n < 1:
         raise ValueError("colors, alphabet size and length must be >= 1")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     cells = t**n
-    # lines_at[k]: lines whose largest cell index is k — exactly the ones
-    # that become fully colored when cell k is assigned.
-    lines_at = [[] for _ in range(cells)]
-    for line in _line_cells(t, n):
-        lines_at[max(line)].append(line)
-
-    colors = [0] * cells
-
-    def ok(k: int) -> bool:
-        c = colors[k]
-        for line in lines_at[k]:
-            if all(colors[p] == c for p in line):
-                return False
-        return True
-
-    k = 0
-    colors[0] = 1
-    work = 0
-    while True:
-        if colors[k] > r:
-            colors[k] = 0
-            k -= 1
-            if k < 0:
-                return None
-            colors[k] += 1
-            continue
-        work += 1
-        if work > cap:
-            raise WorkCapExceeded(
-                f"search for t^n={cells}, r={r} passed the work cap {cap} "
-                f"after {work} cell assignments"
-            )
-        if ok(k):
-            if k == cells - 1:
-                return tuple(colors)
-            k += 1
-            colors[k] = 1
-        else:
-            colors[k] += 1
+    status, colors, _, _ = _avoid(_line_cells(t, n), range(cells), cells, r, cap)
+    if status is AvoidanceStatus.TIMEOUT:
+        raise WorkCapExceeded(f"search for t^n={cells}, r={r} needs more than {cap} decisions")
+    return colors
 
 
 @dataclass(frozen=True)

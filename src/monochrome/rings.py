@@ -125,6 +125,18 @@ class RingSpec:
     mul = cached_property(lambda self: self.ring.mul)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """An optionally signed run of ASCII digits, the only integer form a
+    literal takes in any ring (int() alone also takes ``1_000`` and
+    non-ASCII digits)."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"bad decimal {text!r}")
+    return int(text)
+
+
 class _Ring:
     """The raw format of one ring kind: ``add``/``neg``/``mul``,
     ``from_int``, ``key`` (canonical order), ``divide`` (exact quotient by
@@ -168,7 +180,7 @@ class _Integers(_Ring):
 
     def parse(self, text: str) -> int:
         try:
-            return int(text)
+            return _decimal(text)
         except ValueError:
             raise ValueError(f"bad integer literal {text!r}") from None
 
@@ -217,7 +229,7 @@ class _Gaussian(_Ring):
     def parse(self, text: str) -> tuple:
         try:
             if "i" not in text:
-                return (int(text), 0)
+                return (_decimal(text), 0)
             if not text.endswith("i"):
                 raise ValueError
             body = text[:-1]
@@ -228,13 +240,13 @@ class _Gaussian(_Ring):
                     break
             else:
                 re_raw, im_raw = "", body
-            re_part = int(re_raw) if re_raw else 0
+            re_part = _decimal(re_raw) if re_raw else 0
             if im_raw in ("", "+"):
                 im_part = 1
             elif im_raw == "-":
                 im_part = -1
             else:
-                im_part = int(im_raw)
+                im_part = _decimal(im_raw)
             return (re_part, im_part)
         except ValueError:
             raise ValueError(f"bad Gaussian integer literal {text!r}") from None
@@ -242,7 +254,7 @@ class _Gaussian(_Ring):
 
 class _Poly(_Ring):
     size_key, least = "d", 1
-    term = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
+    term = re.compile(r"^([0-9]+)?(?:(x)(?:\^([0-9]+))?)?$")
 
     def __init__(self, q: int):
         super().__init__(q)

@@ -9,7 +9,9 @@ and all the others share a color, that color leaves the member's
 domain, and a member left with one color takes it at once.  Exhausting
 the space is reported as Forced, a completed assignment as
 AvoidanceFound, and hitting the node budget as Timeout — a first-class
-outcome, never a silent truncation.
+outcome, never a silent truncation.  The search runs over plain index
+sets (_avoid), so halesjewett.find_avoiding_coloring runs the same core
+with the lines of a cube [t]^n in cell order.
 
 The same instance exports to DIMACS CNF (satisfiable exactly when an
 avoidance coloring exists) for external solvers and for the separate
@@ -22,6 +24,7 @@ least-window-size threshold.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
@@ -119,27 +122,42 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
     """Search for an avoidance coloring.
 
     Slots are the candidates' elements in the static order (-weight,
-    index); a decision gives the first undecided slot its least open
-    color.  Each slot keeps a bitmask of open colors and each candidate
+    index), where weight counts the candidates an element lies in; the
+    search itself is _avoid.  Each decision costs one node against the
+    budget (None = unlimited, negative = ValueError); propagated
+    assignments are free.
+    """
+    weight = Counter(i for idxs in inst.index_sets for i in idxs)
+    order = sorted(weight, key=lambda i: (-weight[i], i))
+    status, colors, nodes, backtracks = _avoid(inst.index_sets, order, len(inst.window),
+                                               inst.r, budget)
+    coloring = None if colors is None else Coloring(inst.window, inst.r, colors)
+    return AvoidanceResult(status, coloring, nodes, backtracks)
+
+
+def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple:
+    """(status, colors, nodes, backtracks) of the search for an r-coloring
+    of positions 0..size-1 that leaves no index set monochromatic; colors
+    is the flat tuple (colors 1..r, positions in no index set colored 1)
+    when status is FOUND, else None.
+
+    order lists every position that lies in some index set, in decision
+    order; a decision gives the first undecided slot its least open
+    color.  Each slot keeps a bitmask of open colors and each index set
     an open count and per-color counts, so its shared color (none, c or
-    mixed) reads off directly.  When a candidate is left with one open
-    slot and every other member colored c, c leaves that slot's domain;
-    an empty domain is a conflict, and a singleton domain is assigned at
-    once (cascading).  The pruning is sound and the decision order is
-    fixed, so the result is the lexicographically first avoider, as
-    without propagation.  Each decision costs one node against the
+    mixed) reads off directly.  When a set is left with one open slot and
+    every other member colored c, c leaves that slot's domain; an empty
+    domain is a conflict, and a singleton domain is assigned at once
+    (cascading).  The pruning is sound and the decision order is fixed,
+    so the result is the lexicographically first avoider in that order,
+    as without propagation.  Each decision costs one node against the
     budget (None = unlimited); propagated assignments are free.
     backtracks counts dead ends: conflicts and slots whose colors ran out.
     """
-    window, r = inst.window, inst.r
-    members = sorted({i for idxs in inst.index_sets for i in idxs})
-    weight = dict.fromkeys(members, 0)
-    for idxs in inst.index_sets:
-        for i in idxs:
-            weight[i] += 1
-    order = sorted(members, key=lambda i: (-weight[i], i))
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     slot_of = {i: k for k, i in enumerate(order)}
-    cands = [tuple(slot_of[i] for i in idxs) for idxs in inst.index_sets]
+    cands = [tuple(slot_of[i] for i in idxs) for idxs in index_sets]
     # per slot: (candidate, its slots, the index of its color-0 counter)
     stride = r + 1
     member_cands = [[] for _ in order]
@@ -149,8 +167,7 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
 
     total = len(order)
     if total == 0:
-        coloring = Coloring(window, r, (1,) * len(window))
-        return AvoidanceResult(AvoidanceStatus.FOUND, coloring)
+        return AvoidanceStatus.FOUND, (1,) * size, 0, 0
 
     colors = [0] * total
     domain = [(1 << stride) - 2] * total  # bit c set: color c still open
@@ -207,7 +224,7 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
 
     nodes = 0
     backtracks = 0
-    forced = AvoidanceResult(AvoidanceStatus.FORCED, None, 0, 1)
+    forced = (AvoidanceStatus.FORCED, None, 0, 1)
     for s in range(total):
         d = domain[s]
         if not d:
@@ -228,12 +245,12 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
         if not d:
             backtracks += 1
             if not frames:
-                return AvoidanceResult(AvoidanceStatus.FORCED, None, nodes, backtracks)
+                return AvoidanceStatus.FORCED, None, nodes, backtracks
             k, tried, trail_len, removed_len = frames.pop()
             undo(trail_len, removed_len)
             continue
         if budget is not None and nodes >= budget:
-            return AvoidanceResult(AvoidanceStatus.TIMEOUT, None, nodes, backtracks)
+            return AvoidanceStatus.TIMEOUT, None, nodes, backtracks
         nodes += 1
         tried = (d & -d).bit_length() - 1
         trail_len, removed_len = len(trail), len(removed)
@@ -244,13 +261,12 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
             backtracks += 1
             undo(trail_len, removed_len)
 
-    full = [1] * len(window)
+    full = [1] * size
     for i, slot in slot_of.items():
         full[i] = colors[slot]
-    if not _is_avoiding(full, inst.index_sets):
+    if not _is_avoiding(full, index_sets):
         raise InternalError("backtracker guard tripped: completed coloring not avoiding")
-    coloring = Coloring(window, r, tuple(full))
-    return AvoidanceResult(AvoidanceStatus.FOUND, coloring, nodes, backtracks)
+    return AvoidanceStatus.FOUND, tuple(full), nodes, backtracks
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalError
+from .largeness import FS_LENGTH_CAP
 from .rings import RingElement, Window, exact_divide
-
-LENGTH_CAP = 24
 
 GROW_CAP = 20
 
@@ -65,9 +64,9 @@ class UfpSequence:
     def fp_map(self) -> dict:
         """index set -> product, over all 2^len - 1 nonempty subsets."""
         if self._fp is None:
-            if len(self.elements) > LENGTH_CAP:
+            if len(self.elements) > FS_LENGTH_CAP:
                 raise ValueError(
-                    f"sequence length {len(self.elements)} exceeds the enumeration cap {LENGTH_CAP}"
+                    f"sequence length {len(self.elements)} exceeds the enumeration cap {FS_LENGTH_CAP}"
                 )
             fp = {}
             for pos, e in enumerate(self.elements, start=1):
@@ -83,7 +82,7 @@ class UfpSequence:
     def extended(self, y: RingElement) -> "UfpSequence":
         """The sequence with y appended; reuses this cache when built."""
         child = UfpSequence(self.elements + (y,))
-        if self._fp is not None and len(child.elements) <= LENGTH_CAP:
+        if self._fp is not None and len(child.elements) <= FS_LENGTH_CAP:
             pos = len(child.elements)
             fp = dict(self._fp)
             for idx, prod in self._fp.items():

@@ -1,7 +1,8 @@
 """The search engines as they were before propagation, kept verbatim as
 differential oracles for the tests: the plain backtracker (most
-constrained slot first, ascending colors, no propagation) and the
-rescanning DPLL (unit propagation by full-clause rescans).  Only tests
+constrained slot first, ascending colors, no propagation), the
+rescanning DPLL (unit propagation by full-clause rescans) and the
+Hales-Jewett cube search (a base-r counter over the cells).  Only tests
 import this module; the package never does."""
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from monochrome.colorings import Coloring
+from monochrome.halesjewett import DEFAULT_WORK_CAP, WorkCapExceeded, _line_cells
 from monochrome.search import AvoidanceResult, AvoidanceStatus, _is_avoiding
 
 
@@ -150,3 +152,58 @@ def reference_dpll(num_vars: int, clauses: Sequence[tuple]) -> Optional[list]:
             frames.append([trail, var, True])
         trail = propagate()
     return [v if assign.get(v, True) else -v for v in range(1, num_vars + 1)]
+
+
+def reference_find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> Optional[tuple]:
+    """An r-coloring of [t]^n (flat tuple, colors 1..r) in which no line
+    is monochromatic, or None when every coloring contains one.
+
+    Walks the coloring space as a base-r counter over the t^n cells,
+    pruning a prefix as soon as some fully-colored line goes
+    monochromatic; exhaustion therefore covers all r^(t^n) colorings.
+    Every color given to a cell counts one unit of work; passing
+    work_cap (default DEFAULT_WORK_CAP) raises WorkCapExceeded.
+    """
+    if r < 1 or t < 1 or n < 1:
+        raise ValueError("colors, alphabet size and length must be >= 1")
+    cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
+    cells = t**n
+    # lines_at[k]: lines whose largest cell index is k — exactly the ones
+    # that become fully colored when cell k is assigned.
+    lines_at = [[] for _ in range(cells)]
+    for line in _line_cells(t, n):
+        lines_at[max(line)].append(line)
+
+    colors = [0] * cells
+
+    def ok(k: int) -> bool:
+        c = colors[k]
+        for line in lines_at[k]:
+            if all(colors[p] == c for p in line):
+                return False
+        return True
+
+    k = 0
+    colors[0] = 1
+    work = 0
+    while True:
+        if colors[k] > r:
+            colors[k] = 0
+            k -= 1
+            if k < 0:
+                return None
+            colors[k] += 1
+            continue
+        work += 1
+        if work > cap:
+            raise WorkCapExceeded(
+                f"search for t^n={cells}, r={r} passed the work cap {cap} "
+                f"after {work} cell assignments"
+            )
+        if ok(k):
+            if k == cells - 1:
+                return tuple(colors)
+            k += 1
+            colors[k] = 1
+        else:
+            colors[k] += 1

@@ -272,14 +272,14 @@ def test_hj_not_found_reports_avoider(capsys):
 def test_hj_work_cap(capsys):
     code, report = run_json(
         capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "3",
-        "--work-cap", "10",
+        "--work-cap", "1",
     )
     assert code == 1
     assert report["status"] == "work_cap_exceeded"
 
 
 def test_hj_default_cap_searches_the_3_cube(capsys):
-    # the cap counts cell assignments made, not the r^(t^n) worst case
+    # the cap counts decisions made, not the r^(t^n) worst case
     code, report = run_json(capsys, "hj", "--colors", "2", "--alphabet", "3", "--maxN", "3")
     assert code == 1
     assert report["status"] == "not_found_within" and report["payload"]["N"] == 3
@@ -336,6 +336,24 @@ def test_search_avoid_budget_timeout(capsys, monkeypatch):
     )
     assert code == 1
     assert report["status"] == "timeout"
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("search", "avoid", "--ring", "Z", "--window", "N=6", "--colors", "2", "--F", "t",
+      "--budget", "-3"), None),
+    (("hj", "--colors", "2", "--alphabet", "2", "--maxN", "3", "--work-cap", "-1"), None),
+    (("search", "moreira", "--colors", "2", "--F", "t", "--maxN", "20", "--budget", "-1"), None),
+    (("search", "avoid", "--ring", "Z", "--window", "N=6", "--colors", "2", "--F", "t"), "-1"),
+    (("hj", "--colors", "2", "--alphabet", "2", "--maxN", "3"), "-1"),
+    (("search", "moreira", "--colors", "2", "--F", "t", "--maxN", "20"), "-1"),
+], ids=["avoid", "hj", "moreira", "avoid-env", "hj-env", "moreira-env"])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MONOCHROME_BUDGET", env)
+    code = dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "budget must be >= 0" in captured.err
 
 
 def test_search_moreira_crosscheck(capsys):

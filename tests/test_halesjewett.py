@@ -35,6 +35,7 @@ from monochrome import (
     enumerate_window,
     WindowParams,
 )
+from _reference_engines import reference_find_avoiding_coloring
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -161,9 +162,45 @@ def test_avoiding_colorings_verify_against_oracle():
 
 def test_work_cap_guard():
     with pytest.raises(WorkCapExceeded):
-        hj_number_exhaustive(2, 2, 3, work_cap=10)
+        hj_number_exhaustive(2, 2, 3, work_cap=1)
     res = hj_number_exhaustive(2, 2, 3, work_cap=10**7)
     assert res.n == 2
+
+
+def test_negative_work_cap_rejected():
+    for call in (lambda: find_avoiding_coloring(2, 2, 1, work_cap=-1),
+                 lambda: hj_number_exhaustive(2, 2, 3, work_cap=-1)):
+        with pytest.raises(ValueError):
+            call()
+    # a cap of 0 stays valid: [1]^1 is forced without a decision, [2]^1 needs one
+    assert find_avoiding_coloring(2, 1, 1, work_cap=0) is None
+    with pytest.raises(WorkCapExceeded):
+        find_avoiding_coloring(2, 2, 1, work_cap=0)
+
+
+# r >= 2 with t >= 3 and n >= 4 is left out: there the reference passes
+# 10^6 assignments (about 2 s each); every other case up to n = 5 finishes
+REFERENCE_CASES = [(r, t, n) for r in (1, 2, 3) for t in (1, 2, 3, 4) for n in range(1, 6)
+                   if not (r >= 2 and t >= 3 and n >= 4)]
+
+
+def test_cube_search_matches_the_reference_counter():
+    assert {(2, 3, 3), (3, 3, 3), (2, 4, 3), (1, 4, 5), (3, 1, 5)} <= set(REFERENCE_CASES)
+    for r, t, n in REFERENCE_CASES:
+        ref = reference_find_avoiding_coloring(r, t, n, work_cap=10**6)
+        assert find_avoiding_coloring(r, t, n) == ref, (r, t, n)
+
+
+def test_cube_search_matches_the_brute_force_oracle():
+    # the oracle walks colorings in lexicographic order, so its avoider is
+    # the lexicographically first one, which the search must return too
+    cases = [(r, t, n) for r in (1, 2, 3) for t in (1, 2, 3, 4) for n in (1, 2, 3)
+             if r ** (t**n) <= 2**12]
+    assert len(cases) == 28
+    for r, t, n in cases:
+        forced, avoider = mono_line_in_every_coloring(t, n, r)
+        assert find_avoiding_coloring(r, t, n) == avoider, (r, t, n)
+        assert forced == (avoider is None)
 
 
 def test_input_validation():

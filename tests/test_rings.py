@@ -427,6 +427,12 @@ def test_bad_element_literals():
     for text in ("1+2", "2j"):
         with pytest.raises(ValueError):
             parse_element(ZI, text)
+    # ASCII digits only, in every ring: no underscores, no other scripts' digits
+    for spec, text in ((Z, "1_000"), (Z, "\uff11\uff12"), (Z, "\u0663"), (ZI, "1_000"),
+                       (ZI, "\uff11\uff12"), (ZI, "2+\u0661i"), (GF2, "1_0"),
+                       (GF3, "\uff11x"), (GF3, "x^\u0662")):
+        with pytest.raises(ValueError):
+            parse_element(spec, text)
 
 
 def test_element_set_literals():

@@ -196,6 +196,15 @@ def test_zero_budget_times_out():
     assert res.coloring is None
 
 
+def test_negative_budget_rejected():
+    # also where no decision is needed: {1} has no candidate
+    for n in (1, 4):
+        with pytest.raises(ValueError):
+            avoidance_backtrack(build_instance(zwindow(n), 2, LINEAR), budget=-1)
+    with pytest.raises(ValueError):
+        moreira_number(2, LINEAR, 30, budget=-1)
+
+
 def test_empty_instance_single_color_found():
     res = avoidance_backtrack(build_instance(zwindow(1), 1, LINEAR))
     assert res.status is AvoidanceStatus.FOUND

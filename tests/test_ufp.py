@@ -6,6 +6,7 @@ import random
 import pytest
 
 from monochrome import (
+    FS_LENGTH_CAP,
     GROW_CAP,
     PoolExhaustedError,
     UfpSequence,
@@ -19,7 +20,6 @@ from monochrome import (
     has_ufp,
     parse_ring_spec,
 )
-from monochrome.ufp import LENGTH_CAP
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -101,7 +101,7 @@ def test_extended_reuses_parent_products():
 
 
 def test_length_cap_enforced():
-    long = UfpSequence(zints(*range(2, 2 + LENGTH_CAP + 1)))
+    long = UfpSequence(zints(*range(2, 2 + FS_LENGTH_CAP + 1)))
     with pytest.raises(ValueError):
         has_ufp(long)
 
