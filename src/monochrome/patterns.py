@@ -149,22 +149,25 @@ class PatternInstance:
 def pattern_elements(x: RingElement, y: RingElement, family: PolyFamily) -> PatternInstance:
     if x.spec != y.spec or x.spec != family.spec:
         raise ValueError("x, y and family must come from the same ring")
-    return PatternInstance(x, y, tuple(_instance_elements(x, y, _f_values(family, y))))
+    spec = x.spec
+    vals = _raw_instance(x.val, y.val, _f_values(family, y), spec.add, spec.mul)
+    return PatternInstance(x, y, tuple(RingElement(spec, v) for v in vals))
 
 
 def _f_values(family: PolyFamily, y: RingElement) -> list:
-    """[f(y) for f in family], evaluated once per y."""
-    return [eval_poly(f, y) for f in family]
+    """The raw values of [f(y) for f in family], evaluated once per y."""
+    return [eval_poly(f, y).val for f in family]
 
 
-def _instance_elements(x: RingElement, y: RingElement, f_values: list) -> list:
-    """[x*y] ++ [x + f(y) ...] deduplicated keeping first occurrence."""
-    elements = [x * y]
-    for fy in f_values:
-        e = x + fy
-        if e not in elements:
-            elements.append(e)
-    return elements
+def _raw_instance(xv, yv, f_values: list, add, mul) -> list:
+    """The raw values of [x*y] ++ [x + f(y) ...] deduplicated keeping first
+    occurrence, from the raw x, y and f(y) and the ring's raw add and mul."""
+    vals = [mul(xv, yv)]
+    for fv in f_values:
+        v = add(xv, fv)
+        if v not in vals:
+            vals.append(v)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -239,31 +242,36 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
                ys=None) -> Iterator[tuple]:
     """The candidate kernel of witness_scan, abundance_profile and
     search.build_instance: for each y of ys (default: the admitted y in
-    canonical order) it evaluates f(y) once and yields (y, x, elements,
-    positions) for the admitted x in canonical order, dropping degenerate
-    instances unless allowed.  With require_in_window, x runs only over
+    canonical order) it evaluates f(y) once and yields (y, x, positions)
+    for the admitted x in canonical order, dropping degenerate instances
+    unless allowed.  Each instance is computed on raw values by
+    _raw_instance, so no element is built per pair; positions follow the
+    instance's element order.  With require_in_window, x runs only over
     window.product_run(y) and instances leaving the window are dropped;
     otherwise x runs over the whole window and an element outside it has
     position None."""
     index = window.index
     elements = window.elements
+    position = window.raw_index
+    add, mul = window.spec.add, window.spec.mul
     skip = {index[x] for x in constraints.exclude_x if x in index}
     require_in_window = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
     if ys is None:
         ys = (y for y in elements if constraints.admits_y(y))
     for y in ys:
+        yv = y.val
         f_values = _f_values(family, y)
         lo, hi = window.product_run(y) if require_in_window else (0, len(elements))
         run = [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]
         for x in run:
-            inst = _instance_elements(x, y, f_values)
-            if forbid_degenerate and len(inst) == 1:
+            vals = _raw_instance(x.val, yv, f_values, add, mul)
+            if forbid_degenerate and len(vals) == 1:
                 continue
-            positions = list(map(index.get, inst))
+            positions = list(map(position.get, vals))
             if require_in_window and None in positions:
                 continue
-            yield y, x, inst, positions
+            yield y, x, positions
 
 
 def witness_scan(
@@ -293,7 +301,7 @@ def witness_scan(
         return
     colors = coloring.colors
     emitted = 0
-    for y, x, _, positions in _instances(window, family, constraints):
+    for y, x, positions in _instances(window, family, constraints):
         color = _common_color(positions, colors)
         if color is None:
             continue
@@ -324,7 +332,7 @@ def abundance_profile(
     if not constraints.admits_y(y):
         raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
     profile: dict = {i: set() for i in range(1, coloring.r + 1)}
-    for _, x, _, positions in _instances(coloring.window, family, constraints, (y,)):
+    for _, x, positions in _instances(coloring.window, family, constraints, (y,)):
         color = _common_color(positions, coloring.colors)
         if color is not None:
             profile[color].add(x)
@@ -335,7 +343,7 @@ def abundance_profile(
 # Polynomial literals over the formal variable t
 # ---------------------------------------------------------------------------
 
-_T_TERM_RE = re.compile(r"^(?:\((?P<paren>[^()]*)\)|(?P<bare>[^t()]*))(?:(?P<t>t)(?:\^(?P<deg>\d+))?)?$")
+_T_TERM_RE = re.compile(r"^(?:\((?P<paren>[^()]*)\)|(?P<bare>[^t()]*))(?:(?P<t>t)(?:\^(?P<deg>[0-9]+))?)?$")
 
 
 def parse_poly(spec: RingSpec, text: str) -> ZeroConstPoly:

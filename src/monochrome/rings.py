@@ -13,8 +13,9 @@ Each element has exactly one canonical representation, so structural
 equality is ring equality and elements are usable as dict keys.  No
 other module knows these representations: one class per ring kind
 (``_Integers``, ``_Gaussian``, ``_Poly``, held by ``RingSpec.ring``)
-holds each raw format, and ``RingElement``'s operators and the subset
-folds of ``largeness`` run on the spec's raw ``add``, ``neg`` and ``mul``.
+holds each raw format.  ``RingElement``'s operators, the subset folds of
+``largeness`` and the candidate kernel of ``patterns`` run on the spec's
+raw ``add``, ``neg`` and ``mul``, treating raw values as opaque.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -119,7 +120,7 @@ class RingSpec:
         return self.from_int(1)
 
     # Raw-value arithmetic of the spec's ring, looked up once; RingElement's
-    # operators and the subset folds of largeness run on these.
+    # operators, largeness's subset folds and the scan kernel run on these.
     add = cached_property(lambda self: self.ring.add)
     neg = cached_property(lambda self: self.ring.neg)
     mul = cached_property(lambda self: self.ring.mul)
@@ -187,6 +188,7 @@ class _Integers(_Ring):
 
 class _Gaussian(_Ring):
     name, size_key, least = "Zi", "B", 0
+    terms = re.compile(r"([+-]?[^+-]+)([+-][^+-]+)?")
     add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
     neg = staticmethod(lambda a: (-a[0], -a[1]))
     mul = staticmethod(lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
@@ -227,27 +229,19 @@ class _Gaussian(_Ring):
         return f"{a}+{b}i" if b > 0 else f"{a}-{-b}i"
 
     def parse(self, text: str) -> tuple:
+        # a real and an imaginary term, each optional, in either order
+        m = self.terms.fullmatch(text)
         try:
-            if "i" not in text:
-                return (_decimal(text), 0)
-            if not text.endswith("i"):
+            if not m:
                 raise ValueError
-            body = text[:-1]
-            # split real and imaginary parts at the last sign not in front position
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-":
-                    re_raw, im_raw = body[:k], body[k:]
-                    break
-            else:
-                re_raw, im_raw = "", body
-            re_part = _decimal(re_raw) if re_raw else 0
-            if im_raw in ("", "+"):
-                im_part = 1
-            elif im_raw == "-":
-                im_part = -1
-            else:
-                im_part = _decimal(im_raw)
-            return (re_part, im_part)
+            parts: dict = {}
+            for term in filter(None, m.groups()):
+                imag = term.endswith("i")
+                coeff = term[:-1] if imag else term
+                if imag in parts:
+                    raise ValueError
+                parts[imag] = int(coeff + "1") if coeff in ("", "+", "-") else _decimal(coeff)
+            return (parts.get(False, 0), parts.get(True, 0))
         except ValueError:
             raise ValueError(f"bad Gaussian integer literal {text!r}") from None
 
@@ -478,10 +472,11 @@ class Window:
     """A canonically ordered finite slice of a ring with O(1) position lookup.
 
     Identity (equality, hashing) is (spec, params); the element list is
-    derived deterministically from those.
+    derived deterministically from those.  ``index`` maps elements and
+    ``raw_index`` their raw values to positions.
     """
 
-    __slots__ = ("spec", "params", "elements", "index")
+    __slots__ = ("spec", "params", "elements", "index", "raw_index")
 
     def __init__(self, spec: RingSpec, params: WindowParams):
         ring = spec.ring
@@ -490,8 +485,10 @@ class Window:
             raise ValueError(f"window of {spec.kind.value} needs {ring.size_key} >= {ring.least}, got {params.size}")
         self.spec = spec
         self.params = params
-        self.elements: tuple = tuple([RingElement(spec, v) for v in ring.values(params.size, params.signed)])
+        values = ring.values(params.size, params.signed)
+        self.elements: tuple = tuple([RingElement(spec, v) for v in values])
         self.index: dict = {e: k for k, e in enumerate(self.elements)}
+        self.raw_index: dict = {v: k for k, v in enumerate(values)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -536,7 +533,7 @@ def enumerate_window(spec: RingSpec, params: WindowParams) -> Window:
 # Spec / parameter / element literals
 # ---------------------------------------------------------------------------
 
-_GF_RE = re.compile(r"^GF\((\d+)\)\[x\]$")
+_GF_RE = re.compile(r"^GF\(([0-9]+)\)\[x\]$")
 
 
 def parse_ring_spec(text: str) -> RingSpec:
@@ -570,7 +567,7 @@ def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
             f"window parameter for {ring.name} must be {ring.size_key}=<int>, got {text!r}"
         )
     try:
-        size = int(raw)
+        size = _decimal(raw.strip())
     except ValueError:
         raise ValueError(f"bad window size in {text!r}") from None
     ring.check_signed(signed)

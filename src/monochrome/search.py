@@ -85,12 +85,13 @@ def build_instance(window: Window, r: int, family: PolyFamily,
     candidates = []
     index_sets = []
     whole = replace(constraints, require_in_window=True)
-    for y, x, elements, positions in _instances(window, family, whole):
+    elements = window.elements
+    for y, x, positions in _instances(window, family, whole):
         key = frozenset(positions)
         if key in seen:
             continue
         seen.add(key)
-        candidates.append(PatternInstance(x, y, tuple(elements)))
+        candidates.append(PatternInstance(x, y, tuple([elements[p] for p in positions])))
         index_sets.append(tuple(sorted(key)))
     return AvoidanceInstance(window, r, family, constraints,
                              tuple(candidates), tuple(index_sets))

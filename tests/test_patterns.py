@@ -7,6 +7,7 @@ import pytest
 from monochrome import (
     Coloring,
     PatternVerdict,
+    RingElement,
     ScanConstraints,
     WindowParams,
     abundance_profile,
@@ -16,6 +17,7 @@ from monochrome import (
     format_family,
     format_poly,
     make_family,
+    parse_element,
     parse_family,
     parse_poly,
     parse_ring_spec,
@@ -412,6 +414,10 @@ def test_poly_literal_rejects_constant_terms():
         parse_poly(Z, "3")
     with pytest.raises(ValueError):
         parse_poly(Z, "")
+    # degrees are ASCII digits only
+    for text in ("t^\u0662", "t^\uff12", "t^1_0"):
+        with pytest.raises(ValueError):
+            parse_family(Z, text)
 
 
 def test_family_literal_round_trip():
@@ -436,14 +442,15 @@ def test_char_collapse_in_small_characteristic():
 # The product-bounded kernel against a full-window (x, y) loop
 
 
-def full_window_loop(window, colors, family, constraints):
+def full_window_loop(window, colors, family, constraints, ys=None):
     """From scratch, with no product bound: every admitted (x, y) of the
-    window in (y, x) order.  Returns the witnesses (x, y, color) and the
-    instances lying fully inside the window as (x, y, elements, positions)."""
+    window in (y, x) order, y running over ys (default: the window).
+    Returns the witnesses (x, y, color) and the instances lying fully
+    inside the window as (x, y, elements, positions)."""
     spec = window.spec
     position = {e: k for k, e in enumerate(window.elements)}
     witnesses, inside = [], []
-    for y in window.elements:
+    for y in window.elements if ys is None else ys:
         if y in constraints.exclude_y:
             continue
         f_vals = []
@@ -475,12 +482,13 @@ def full_window_loop(window, colors, family, constraints):
     return witnesses, inside
 
 
+# ring, window, families, a y outside the window (N+1, B+1, degree d)
 KERNEL_RINGS = [
-    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2")),
-    (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t")),
-    (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t")),
-    (GF2, WindowParams(5), ("0;t", "t^2+t")),
-    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t")),
+    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2"), "41"),
+    (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t"), "16"),
+    (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t"), "4"),
+    (GF2, WindowParams(5), ("0;t", "t^2+t"), "x^5+x"),
+    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t"), "2x^3+1"),
 ]
 
 
@@ -509,12 +517,34 @@ def kernel_cases(spec, window, seed):
     return cases
 
 
+def profile_by_pattern_color(coloring, family, y, constraints):
+    """abundance_profile at y rebuilt x by x from pattern_color; in partial
+    mode an instance leaving the window is judged on its visible part."""
+    window, colors = coloring.window, coloring.colors
+    profile = {i: set() for i in range(1, coloring.r + 1)}
+    for x in window.elements:
+        if not constraints.admits_x(x):
+            continue
+        inst = pattern_elements(x, y, family)
+        if constraints.forbid_degenerate and inst.degenerate:
+            continue
+        color = pattern_color(coloring, x, y, family)
+        if color is PatternVerdict.OUT_OF_WINDOW and not constraints.require_in_window:
+            visible = {colors[window.position(e)] for e in inst.elements if e in window}
+            color = visible.pop() if len(visible) == 1 else None
+        if isinstance(color, int):
+            profile[color].add(x)
+    return profile
+
+
 @pytest.mark.parametrize("ring_case", range(len(KERNEL_RINGS)))
 def test_kernel_matches_full_window_loop(ring_case):
     from monochrome import build_instance
 
-    spec, params, family_texts = KERNEL_RINGS[ring_case]
+    spec, params, family_texts, outside = KERNEL_RINGS[ring_case]
     window = enumerate_window(spec, params)
+    y_out = parse_element(spec, outside)
+    assert y_out not in window
     rng = random.Random(100 + ring_case)
     for name, constraints in kernel_cases(spec, window, ring_case).items():
         family = parse_family(spec, rng.choice(family_texts))
@@ -535,6 +565,15 @@ def test_kernel_matches_full_window_loop(ring_case):
                 prof = abundance_profile(coloring, family, y, constraints)
                 assert prof == grouped.get(y, empty), f"{label} y={format_element(y)}"
 
+        # a y no window position holds: the kernel takes its raw value and
+        # product run all the same
+        prof = abundance_profile(coloring, family, y_out, constraints)
+        assert prof == profile_by_pattern_color(coloring, family, y_out, constraints), label
+        want_out = {i: set() for i in range(1, r + 1)}
+        for x, _, c in full_window_loop(window, coloring.colors, family, constraints, (y_out,))[0]:
+            want_out[c].add(x)
+        assert prof == want_out, label
+
         seen, cands, index_sets = set(), [], []
         for x, y, elems, positions in inside:
             key = frozenset(positions)
@@ -545,3 +584,30 @@ def test_kernel_matches_full_window_loop(ring_case):
         inst = build_instance(window, r, family, constraints)
         assert [(c.x, c.y, c.elements) for c in inst.candidates] == cands, label
         assert list(inst.index_sets) == index_sets, label
+
+
+def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
+    """witness_scan computes instances on raw values: the RingElements it
+    builds are f(y)'s (eval_poly builds 4 for f = t), per admitted y, and
+    none per examined (x, y) pair."""
+    built = [0]
+    init = RingElement.__init__
+
+    def counting_init(self, spec, val):
+        built[0] += 1
+        init(self, spec, val)
+
+    for spec, params in ((Z, WindowParams(300)), (GF2, WindowParams(6))):
+        window = enumerate_window(spec, params)
+        family = parse_family(spec, "0;t")
+        coloring = random_coloring(window, 2, 11)
+        constraints = ScanConstraints.defaults_for(spec)
+        ys = [y for y in window.elements if constraints.admits_y(y)]
+        pairs = sum(hi - lo for lo, hi in map(window.product_run, ys))
+        monkeypatch.setattr(RingElement, "__init__", counting_init)
+        built[0] = 0
+        witnesses = list(witness_scan(coloring, family))
+        monkeypatch.undo()
+        bound = 4 * len(ys) + len(witnesses)
+        assert bound < 2 * pairs  # two elements per pair would break it
+        assert built[0] <= bound, (spec, built[0], pairs)

@@ -81,8 +81,10 @@ def test_constructors_guard_their_ring():
 
 
 def test_unknown_ring_literal_rejected():
-    with pytest.raises(ValueError):
-        parse_ring_spec("Q")
+    # the modulus too is ASCII digits only
+    for text in ("Q", "GF(\uff13)[x]", "GF(\u0663)[x]"):
+        with pytest.raises(ValueError):
+            parse_ring_spec(text)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,10 @@ def test_window_param_key_must_match_ring():
         parse_window_params(ZI, "B=2,signed")
     with pytest.raises(ValueError):
         parse_window_params(GF2, "d=3,signed")
+    # the size too is ASCII digits only
+    for text in ("N=\uff11_\uff12", "N=1_2", "N=\u0663"):
+        with pytest.raises(ValueError):
+            parse_window_params(Z, text)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +416,11 @@ def test_gaussian_literal_forms():
     assert parse_element(ZI, "i") == ZI.gaussian(0, 1)
     assert parse_element(ZI, "4") == ZI.gaussian(4, 0)
     assert format_element(ZI.gaussian(0, 0)) == "0"
+    # the imaginary part may come first; the canonical form puts it last
+    for text, want in (("i+1", (1, 1)), ("3i+2", (2, 3)), ("-i+2", (2, -1)), ("-2i-3", (-3, -2))):
+        e = parse_element(ZI, text)
+        assert e == ZI.gaussian(*want)
+        assert format_element(e) == format_element(ZI.gaussian(*want))
 
 
 def test_poly_literal_forms():
@@ -424,7 +435,7 @@ def test_bad_element_literals():
         parse_element(Z, "two")
     with pytest.raises(ValueError):
         parse_element(GF2, "y+1")
-    for text in ("1+2", "2j"):
+    for text in ("1+2", "2j", "i+i", "1+2i+3", "1+-2i", "-"):
         with pytest.raises(ValueError):
             parse_element(ZI, text)
     # ASCII digits only, in every ring: no underscores, no other scripts' digits
