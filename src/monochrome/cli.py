@@ -58,6 +58,7 @@ from .rings import (
     format_element,
     format_ring_spec,
     format_window_params,
+    integer,
     parse_element,
     parse_element_set,
     parse_ring_spec,
@@ -93,13 +94,13 @@ def _add_common(p, *, ring=False, window=False, colors=False, family=False,
     if window:
         p.add_argument("--window", help="window params: N=50[,signed] / B=3 / d=4")
     if colors:
-        p.add_argument("--colors", type=int, help="number of colors r")
+        p.add_argument("--colors", type=integer, help="number of colors r")
     if family:
         p.add_argument("--F", dest="F", help='family literal, e.g. "t" or "0; t" or "2t^2+t"')
     if seed:
-        p.add_argument("--seed", type=int, help="stream seed (default 0)")
+        p.add_argument("--seed", type=integer, help="stream seed (default 0)")
     if budget:
-        p.add_argument("--budget", type=int,
+        p.add_argument("--budget", type=integer,
                        help=f"node budget (default: ${BUDGET_ENV} or unlimited)")
     if constraints:
         p.add_argument("--exclude-y", help="element set never used as y (default {0,1})")
@@ -164,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", help="coloring file (instead of --seed)")
     p.add_argument("--partial", action="store_true", default=None,
                    help="judge instances only partly inside the window by their visible part")
-    p.add_argument("--limit", type=int, help="stop after this many witnesses")
+    p.add_argument("--limit", type=integer, help="stop after this many witnesses")
 
     p = sub.add_parser("abundance", help="per-y color profile of admissible x values")
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
@@ -193,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target", required=True)
     q.add_argument("--target-window",
                    help="window params for parsing --target (default: --window)")
-    q.add_argument("--len", type=int, required=True, help="sequence length")
-    q.add_argument("--samples", type=int, required=True)
+    q.add_argument("--len", type=integer, required=True, help="sequence length")
+    q.add_argument("--samples", type=integer, required=True)
 
     q = lsub.add_parser("transport", help="dilate or divide a witness exactly")
     _add_common(q, ring=True, window=True)
@@ -207,17 +208,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hj", help="exhaustive cube-coloring search for forced lines")
     _add_common(p)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--maxN", dest="maxN", type=int, required=True)
-    p.add_argument("--work-cap", type=int,
+    p.add_argument("--colors", type=integer, required=True)
+    p.add_argument("--alphabet", type=integer, required=True)
+    p.add_argument("--maxN", dest="maxN", type=integer, required=True)
+    p.add_argument("--work-cap", type=integer,
                    help="stop a side's search after this many decisions (default 10^8)")
 
     p = sub.add_parser("sigma", help="randomized exact checks of the embedding identity")
     _add_common(p, ring=True, window=True, family=True, seed=True)
-    p.add_argument("--n", type=int, help="side of the layered space (default 2)")
-    p.add_argument("--depth", type=int, help="levels d (default: family top degree)")
-    p.add_argument("--trials", type=int, help="default 100")
+    p.add_argument("--n", type=integer, help="side of the layered space (default 2)")
+    p.add_argument("--depth", type=integer, help="levels d (default: family top degree)")
+    p.add_argument("--trials", type=integer, help="default 100")
 
     p = sub.add_parser("search", help="avoidance colorings and least-window thresholds")
     ssub = p.add_subparsers(dest="sub", metavar="mode")
@@ -229,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = ssub.add_parser("moreira", help="least N over Z at which avoidance becomes impossible")
     _add_common(q, colors=True, family=True, budget=True)
-    q.add_argument("--maxN", dest="maxN", type=int, required=True)
+    q.add_argument("--maxN", dest="maxN", type=integer, required=True)
     q.add_argument("--crosscheck", action="store_true", default=None,
                    help="confirm the boundary with the reference CNF engine")
 
@@ -258,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = usub.add_parser("grow", help="extend a sequence over a window pool")
     _add_common(q, ring=True, window=True)
     q.add_argument("--start", required=True, help="first element (literal)")
-    q.add_argument("--length", type=int, required=True, help="target length")
+    q.add_argument("--length", type=integer, required=True, help="target length")
 
     p = sub.add_parser("report", help="merge report JSON files into one CSV table")
     p.add_argument("inputs", nargs="+", help="report JSON files")
@@ -334,7 +335,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         for dest in ("budget", "work_cap"):
             if dest in vars(args) and getattr(args, dest) is None:
                 try:
-                    setattr(args, dest, int(env))
+                    setattr(args, dest, integer(env))
                 except ValueError:
                     raise CliError(f"${BUDGET_ENV} must be an integer, got {env!r}") from None
 
@@ -344,7 +345,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _spec(args):
-    return parse_ring_spec(args.ring or "Z")
+    return parse_ring_spec(getattr(args, "ring", None) or "Z")
 
 
 def _window(args, spec, attr="window"):

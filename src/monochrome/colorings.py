@@ -30,6 +30,8 @@ from .rings import (
     enumerate_window,
     format_ring_spec,
     format_window_params,
+    integer,
+    integers,
     parse_ring_spec,
     parse_window_params,
 )
@@ -108,12 +110,12 @@ def loads_coloring(text: str) -> Coloring:
         raise ColoringFormatError("truncated coloring file")
     spec = _header(lines[0], "ring", parse_ring_spec)
     params = _header(lines[1], "window", lambda s: parse_window_params(spec, s))
-    r = _header(lines[2], "colors", int)
+    r = _header(lines[2], "colors", integer)
     if r < 1:
         raise ColoringFormatError(f"color count must be >= 1, got {r}")
     window = enumerate_window(spec, params)
     try:
-        values = [int(tok) for tok in " ".join(lines[3:]).split()]
+        values = integers(" ".join(lines[3:]))
     except ValueError as exc:
         raise ColoringFormatError(f"bad color entry: {exc}") from None
     if len(values) != len(window):

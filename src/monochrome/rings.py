@@ -11,11 +11,12 @@ Supported rings and element representations:
 
 Each element has exactly one canonical representation, so structural
 equality is ring equality and elements are usable as dict keys.  No
-other module knows these representations: one class per ring kind
-(``_Integers``, ``_Gaussian``, ``_Poly``, held by ``RingSpec.ring``)
-holds each raw format.  ``RingElement``'s operators, the subset folds of
-``largeness`` and the candidate kernel of ``patterns`` run on the spec's
-raw ``add``, ``neg`` and ``mul``, treating raw values as opaque.
+other module knows these representations: each ring's spec is an
+instance of one :class:`RingSpec` subclass per ring kind (``_Integers``,
+``_Gaussian``, ``_Poly``), which holds that raw format.
+``RingElement``'s operators, the subset folds of ``largeness`` and the
+candidate kernel of ``patterns`` run on the spec's raw ``add``, ``neg``
+and ``mul``, treating raw values as opaque.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -43,19 +44,12 @@ by :func:`parse_window_params`: ``N=<int>`` (optionally ``N=<int>,signed``),
 
 from __future__ import annotations
 
-import enum
 import operator
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
-
-
-class RingKind(enum.Enum):
-    INTEGERS = "Z"
-    GAUSSIAN = "Zi"
-    POLY = "GF(q)[x]"
 
 
 def _is_prime(n: int) -> bool:
@@ -67,63 +61,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """Identifies one of the three supported rings (q only for GF(q)[x])."""
-
-    kind: RingKind
-    q: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind is RingKind.POLY:
-            if self.q is None or not _is_prime(self.q):
-                raise ValueError(f"GF(q)[x] needs a prime modulus, got q={self.q}")
-        elif self.q is not None:
-            raise ValueError(f"modulus q is only meaningful for GF(q)[x], got q={self.q} for {self.kind.value}")
-
-    @cached_property
-    def ring(self) -> "_Ring":
-        """The raw-format table of this spec's ring kind, bound to q."""
-        return _RINGS[self.kind](self.q)
-
-    # -- element constructors ------------------------------------------
-
-    def integer(self, n: int) -> "RingElement":
-        if self.kind is not RingKind.INTEGERS:
-            raise ValueError("integer() is only for Z; use from_int() for the canonical embedding")
-        return RingElement(self, n)
-
-    def gaussian(self, re_part: int, im_part: int) -> "RingElement":
-        if self.kind is not RingKind.GAUSSIAN:
-            raise ValueError("gaussian() is only for Zi")
-        return RingElement(self, (re_part, im_part))
-
-    def poly(self, coeffs) -> "RingElement":
-        if self.kind is not RingKind.POLY:
-            raise ValueError("poly() is only for GF(q)[x]")
-        return RingElement(self, self.ring.normalize(coeffs))
-
-    def from_int(self, n: int) -> "RingElement":
-        """Canonical image of the integer n (n times the ring's 1)."""
-        return RingElement(self, self.ring.from_int(n))
-
-    # Cached per spec: elements are immutable, and the scan, the exclusion
-    # sets and the oracles compare against these for every y.
-    @cached_property
-    def zero(self) -> "RingElement":
-        return self.from_int(0)
-
-    @cached_property
-    def one(self) -> "RingElement":
-        return self.from_int(1)
-
-    # Raw-value arithmetic of the spec's ring, looked up once; RingElement's
-    # operators, largeness's subset folds and the scan kernel run on these.
-    add = cached_property(lambda self: self.ring.add)
-    neg = cached_property(lambda self: self.ring.neg)
-    mul = cached_property(lambda self: self.ring.mul)
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -138,32 +75,81 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-class _Ring:
-    """The raw format of one ring kind: ``add``/``neg``/``mul``,
-    ``from_int``, ``key`` (canonical order), ``divide`` (exact quotient by
+def integer(text: str) -> int:
+    """_decimal between ASCII whitespace: an integer from a flag, the environment or a file."""
+    return _decimal(text.strip(" \t\n\r\f\v"))
+
+
+def integers(text: str) -> list:
+    """The whitespace-separated decimals of a text, each as _decimal takes
+    it; the common all-ASCII case is checked once, not per token."""
+    if text.isascii() and "_" not in text:
+        return [int(tok) for tok in text.split()]
+    return [_decimal(tok) for tok in text.split()]
+
+
+class RingSpec:
+    """One supported ring and its raw format, one subclass per ring kind
+    (specs are equal when of the same class and q): ``add``/``neg``/``mul``,
+    ``raw_int``, ``key`` (canonical order), ``divide`` (exact quotient by
     a nonzero divisor, or None), ``values`` (a window's values in order),
     ``run`` (the product run of a nonzero y), ``text``/``parse``
     (literals), ``name``, the window size key and least size, and whether
     the ``signed`` window flag applies."""
 
+    q: Optional[int] = None
     signed = False
 
-    def __init__(self, q: Optional[int] = None):
-        self.q = q
+    def __init__(self):
+        # RingElement's operators, largeness's subset folds and the scan
+        # kernel look these up per operation: bind them once per spec
+        self.add, self.neg, self.mul = self.add, self.neg, self.mul
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.q == self.q
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.q))
+
+    def __repr__(self) -> str:
+        return f"<RingSpec {self.name}>"
 
     def check_signed(self, signed: bool) -> None:
         if signed and not self.signed:
             raise ValueError("the signed flag only applies to windows of Z")
 
+    # -- element constructors ------------------------------------------
 
-class _Integers(_Ring):
+    def integer(self, n: int) -> "RingElement":
+        raise ValueError("integer() is only for Z; use from_int() for the canonical embedding")
+
+    def gaussian(self, re_part: int, im_part: int) -> "RingElement":
+        raise ValueError("gaussian() is only for Zi")
+
+    def poly(self, coeffs) -> "RingElement":
+        raise ValueError("poly() is only for GF(q)[x]")
+
+    def from_int(self, n: int) -> "RingElement":
+        """Canonical image of the integer n (n times the ring's 1)."""
+        return RingElement(self, self.raw_int(n))
+
+    # Cached per spec: elements are immutable, and the scan, the exclusion
+    # sets and the oracles compare against these for every y.
+    zero = cached_property(lambda self: self.from_int(0))
+    one = cached_property(lambda self: self.from_int(1))
+
+
+class _Integers(RingSpec):
     name, size_key, least, signed = "Z", "N", 1, True
     add, neg, mul = staticmethod(operator.add), staticmethod(operator.neg), staticmethod(operator.mul)
 
-    def from_int(self, n: int) -> int:
+    def integer(self, n: int) -> "RingElement":
+        return RingElement(self, n)
+
+    def raw_int(self, n: int) -> int:
         return n
 
-    key = from_int
+    key = raw_int
 
     def divide(self, a: int, b: int) -> Optional[int]:
         quo, rem = divmod(a, b)
@@ -186,14 +172,17 @@ class _Integers(_Ring):
             raise ValueError(f"bad integer literal {text!r}") from None
 
 
-class _Gaussian(_Ring):
+class _Gaussian(RingSpec):
     name, size_key, least = "Zi", "B", 0
     terms = re.compile(r"([+-]?[^+-]+)([+-][^+-]+)?")
     add = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
     neg = staticmethod(lambda a: (-a[0], -a[1]))
     mul = staticmethod(lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
 
-    def from_int(self, n: int) -> tuple:
+    def gaussian(self, re_part: int, im_part: int) -> "RingElement":
+        return RingElement(self, (re_part, im_part))
+
+    def raw_int(self, n: int) -> tuple:
         return (n, 0)
 
     def key(self, v: tuple) -> tuple:
@@ -246,13 +235,19 @@ class _Gaussian(_Ring):
             raise ValueError(f"bad Gaussian integer literal {text!r}") from None
 
 
-class _Poly(_Ring):
+class _Poly(RingSpec):
     size_key, least = "d", 1
     term = re.compile(r"^([0-9]+)?(?:(x)(?:\^([0-9]+))?)?$")
 
     def __init__(self, q: int):
-        super().__init__(q)
+        if not _is_prime(q):
+            raise ValueError(f"GF(q)[x] needs a prime modulus, got q={q}")
+        self.q = q
         self.name = f"GF({q})[x]"
+        super().__init__()
+
+    def poly(self, coeffs) -> "RingElement":
+        return RingElement(self, self.normalize(coeffs))
 
     def normalize(self, coeffs) -> tuple:
         out = [c % self.q for c in coeffs]
@@ -288,7 +283,7 @@ class _Poly(_Ring):
             out.pop()
         return tuple(out)
 
-    def from_int(self, n: int) -> tuple:
+    def raw_int(self, n: int) -> tuple:
         return self.normalize((n,))
 
     def key(self, v: tuple) -> int:
@@ -353,8 +348,6 @@ class _Poly(_Ring):
         top = max(coeffs) if coeffs else 0
         return self.normalize(coeffs.get(k, 0) for k in range(top + 1))
 
-
-_RINGS = {RingKind.INTEGERS: _Integers, RingKind.GAUSSIAN: _Gaussian, RingKind.POLY: _Poly}
 
 
 class RingElement:
@@ -424,7 +417,7 @@ class RingElement:
 
     def sort_key(self):
         """Key realizing the ring's canonical enumeration order."""
-        return self.spec.ring.key(self.val)
+        return self.spec.key(self.val)
 
 
 def ring_arith(op: str, a: RingElement, b: Optional[RingElement] = None) -> RingElement:
@@ -451,7 +444,7 @@ def exact_divide(a: RingElement, b: RingElement) -> Optional[RingElement]:
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("exact_divide by ring zero")
-    quo = a.spec.ring.divide(a.val, b.val)
+    quo = a.spec.divide(a.val, b.val)
     return None if quo is None else RingElement(a.spec, quo)
 
 
@@ -479,13 +472,12 @@ class Window:
     __slots__ = ("spec", "params", "elements", "index", "raw_index")
 
     def __init__(self, spec: RingSpec, params: WindowParams):
-        ring = spec.ring
-        ring.check_signed(params.signed)
-        if params.size < ring.least:
-            raise ValueError(f"window of {spec.kind.value} needs {ring.size_key} >= {ring.least}, got {params.size}")
+        spec.check_signed(params.signed)
+        if params.size < spec.least:
+            raise ValueError(f"window of {spec.name} needs {spec.size_key} >= {spec.least}, got {params.size}")
         self.spec = spec
         self.params = params
-        values = ring.values(params.size, params.signed)
+        values = spec.values(params.size, params.signed)
         self.elements: tuple = tuple([RingElement(spec, v) for v in values])
         self.index: dict = {e: k for k, e in enumerate(self.elements)}
         self.raw_index: dict = {v: k for k, v in enumerate(values)}
@@ -521,7 +513,7 @@ class Window:
         y may lie outside the window."""
         if y.is_zero():
             return 0, len(self.elements)
-        return self.spec.ring.run(y.val, self)
+        return self.spec.run(y.val, self)
 
 
 def enumerate_window(spec: RingSpec, params: WindowParams) -> Window:
@@ -539,17 +531,17 @@ _GF_RE = re.compile(r"^GF\(([0-9]+)\)\[x\]$")
 def parse_ring_spec(text: str) -> RingSpec:
     text = text.strip()
     if text == "Z":
-        return RingSpec(RingKind.INTEGERS)
+        return _Integers()
     if text == "Zi":
-        return RingSpec(RingKind.GAUSSIAN)
+        return _Gaussian()
     m = _GF_RE.match(text)
     if m:
-        return RingSpec(RingKind.POLY, int(m.group(1)))
+        return _Poly(int(m.group(1)))
     raise ValueError(f"unknown ring spec {text!r} (expected Z, Zi, or GF(q)[x])")
 
 
 def format_ring_spec(spec: RingSpec) -> str:
-    return spec.ring.name
+    return spec.name
 
 
 def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
@@ -561,27 +553,26 @@ def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
     elif len(parts) != 1:
         raise ValueError(f"bad window parameter string {text!r}")
     key, _, raw = parts[0].partition("=")
-    ring = spec.ring
-    if key != ring.size_key:
+    if key != spec.size_key:
         raise ValueError(
-            f"window parameter for {ring.name} must be {ring.size_key}=<int>, got {text!r}"
+            f"window parameter for {spec.name} must be {spec.size_key}=<int>, got {text!r}"
         )
     try:
         size = _decimal(raw.strip())
     except ValueError:
         raise ValueError(f"bad window size in {text!r}") from None
-    ring.check_signed(signed)
+    spec.check_signed(signed)
     return WindowParams(size, signed)
 
 
 def format_window_params(spec: RingSpec, params: WindowParams) -> str:
     suffix = ",signed" if params.signed else ""
-    return f"{spec.ring.size_key}={params.size}{suffix}"
+    return f"{spec.size_key}={params.size}{suffix}"
 
 
 def format_element(e: RingElement) -> str:
     """Canonical literal: Z decimal, Zi like 3+2i / -1i, GF like x^2+2x+1."""
-    return e.spec.ring.text(e.val)
+    return e.spec.text(e.val)
 
 
 def parse_element(spec: RingSpec, text: str) -> RingElement:
@@ -589,7 +580,7 @@ def parse_element(spec: RingSpec, text: str) -> RingElement:
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty element literal")
-    return RingElement(spec, spec.ring.parse(text))
+    return RingElement(spec, spec.parse(text))
 
 
 # -- element-set literals for the CLI ---------------------------------------

@@ -17,9 +17,9 @@ The same instance exports to DIMACS CNF (satisfiable exactly when an
 avoidance coloring exists) for external solvers and for the separate
 DPLL engine in dpll.py, with a model decoder that rebuilds and validates
 the coloring.  The two engines share no search code, so agreement
-between them (dual_engine_check) is a real cross-check.  Over Z,
-moreira_number turns the Forced/AvoidanceFound boundary into a
-least-window-size threshold.
+between them (dual_engine_check) is a real cross-check.  moreira_number
+turns the Forced/AvoidanceFound boundary into a least-window-size
+threshold.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from typing import Optional, Sequence
 from .colorings import Coloring
 from .errors import InternalError
 from .patterns import PatternInstance, PolyFamily, ScanConstraints, _instances
-from .rings import (
-    RingKind,
-    Window,
-    WindowParams,
-    enumerate_window,
-    format_element,
-)
+from .rings import Window, WindowParams, enumerate_window, format_element, integer, integers
 
 
 class AvoidanceInstance:
@@ -280,12 +274,10 @@ class MoreiraResult:
 def moreira_number(r: int, family: PolyFamily, max_n: int,
                    budget: Optional[int] = None,
                    constraints: Optional[ScanConstraints] = None) -> MoreiraResult:
-    """Least N <= max_n at which no r-coloring of {1..N} avoids the
-    family's instances.  Exponential probe then binary search on the
-    monotone Forced boundary (a coloring of {1..N+1} restricts to one of
-    {1..N}, so Forced only moves upward)."""
-    if family.spec.kind is not RingKind.INTEGERS:
-        raise ValueError("least-window thresholds are defined over Z only")
+    """Least window size n <= max_n (N=n over Z, B=n over Zi, d=n over
+    GF(q)[x]) at which no r-coloring avoids the family's instances.
+    Exponential probe then binary search on the monotone Forced boundary
+    (every ring's windows nest, so Forced only moves upward)."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     trace = []
@@ -383,16 +375,15 @@ def parse_dimacs(text: str) -> CnfDocument:
         if line.startswith("c"):
             parts = line.split()
             if len(parts) == 4 and parts[1] == "map":
-                mapping.append((parts[2], int(parts[3])))
+                mapping.append((parts[2], integer(parts[3])))
             continue
         if line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
-            num_vars, expected = int(parts[2]), int(parts[3])
+            num_vars, expected = integer(parts[2]), integer(parts[3])
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for lit in integers(line):
             if lit == 0:
                 clauses.append(tuple(lits))
                 lits = []
@@ -417,10 +408,7 @@ def parse_model(text: str) -> list:
             continue
         if line[0] == "v":
             line = line[1:]
-        for tok in line.split():
-            lit = int(tok)
-            if lit != 0:
-                lits.append(lit)
+        lits += [lit for lit in integers(line) if lit != 0]
     return lits
 
 

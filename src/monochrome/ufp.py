@@ -35,10 +35,11 @@ class PoolExhaustedError(RuntimeError):
 
 
 class UfpSequence:
-    """Ordered finite sequence with a lazily built map from index sets
-    (frozensets of 1-based positions) to their products."""
+    """Ordered finite sequence with its subset products, built lazily as
+    raw values in bitmask order: entry m-1 is the product over the
+    positions of the set bits of m (bit i for position i+1)."""
 
-    __slots__ = ("elements", "_fp")
+    __slots__ = ("elements", "_products")
 
     def __init__(self, elements: Sequence[RingElement]):
         elements = tuple(elements)
@@ -49,7 +50,7 @@ class UfpSequence:
             if not isinstance(e, RingElement) or e.spec != spec:
                 raise ValueError("mixed rings in sequence")
         self.elements = elements
-        self._fp = None
+        self._products = None
 
     @property
     def spec(self):
@@ -61,35 +62,44 @@ class UfpSequence:
     def __repr__(self) -> str:
         return f"<ufp sequence {list(self.elements)!r}>"
 
-    def fp_map(self) -> dict:
-        """index set -> product, over all 2^len - 1 nonempty subsets."""
-        if self._fp is None:
+    def _raw_products(self) -> list:
+        """The raw products of all 2^len - 1 nonempty subsets, in bitmask order."""
+        if self._products is None:
             if len(self.elements) > FS_LENGTH_CAP:
                 raise ValueError(
                     f"sequence length {len(self.elements)} exceeds the enumeration cap {FS_LENGTH_CAP}"
                 )
-            fp = {}
-            for pos, e in enumerate(self.elements, start=1):
-                for idx, prod in list(fp.items()):
-                    fp[idx | {pos}] = prod * e
-                fp[frozenset({pos})] = e
-            self._fp = fp
-        return self._fp
+            products: list = []
+            for e in self.elements:
+                products = _doubled(products, e)
+            self._products = products
+        return self._products
+
+    def fp_map(self) -> dict:
+        """index set -> product, over all 2^len - 1 nonempty subsets."""
+        spec = self.spec
+        return {_index_set(m): RingElement(spec, v) for m, v in enumerate(self._raw_products(), start=1)}
 
     def fp_set(self) -> frozenset:
-        return frozenset(self.fp_map().values())
+        return frozenset(RingElement(self.spec, v) for v in self._raw_products())
 
     def extended(self, y: RingElement) -> "UfpSequence":
-        """The sequence with y appended; reuses this cache when built."""
+        """The sequence with y appended; continues this cache when built."""
         child = UfpSequence(self.elements + (y,))
-        if self._fp is not None and len(child.elements) <= FS_LENGTH_CAP:
-            pos = len(child.elements)
-            fp = dict(self._fp)
-            for idx, prod in self._fp.items():
-                fp[idx | {pos}] = prod * y
-            fp[frozenset({pos})] = y
-            child._fp = fp
+        if self._products is not None and len(child.elements) <= FS_LENGTH_CAP:
+            child._products = _doubled(self._products, y)
         return child
+
+
+def _doubled(products: list, e: RingElement) -> list:
+    """The products with e appended: the old list, e, each old product times e."""
+    v, mul = e.val, e.spec.mul
+    return products + [v] + [mul(p, v) for p in products]
+
+
+def _index_set(mask: int) -> frozenset:
+    """The 1-based positions of the set bits of mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class UfpViolation(NamedTuple):
@@ -98,26 +108,16 @@ class UfpViolation(NamedTuple):
     product: RingElement
 
 
-def _subset_counter_order(n: int):
-    """Nonempty subsets of {1..n} by increasing bitmask — the canonical
-    enumeration behind "first violating pair"."""
-    for mask in range(1, 1 << n):
-        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
-
-
 def has_ufp(seq: Union[UfpSequence, Sequence[RingElement]]) -> Optional[UfpViolation]:
     """None when all subset products are pairwise distinct; otherwise the
     first colliding pair (h earlier than k in bitmask subset order)."""
     if not isinstance(seq, UfpSequence):
         seq = UfpSequence(seq)
-    fp = seq.fp_map()
-    first = {}
-    for idx in _subset_counter_order(len(seq)):
-        prod = fp[idx]
-        prev = first.get(prod)
-        if prev is not None:
-            return UfpViolation(prev, idx, prod)
-        first[prod] = idx
+    first: dict = {}
+    for mask, prod in enumerate(seq._raw_products(), start=1):
+        prev = first.setdefault(prod, mask)
+        if prev != mask:
+            return UfpViolation(_index_set(prev), _index_set(mask), RingElement(seq.spec, prod))
     return None
 
 

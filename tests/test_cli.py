@@ -564,7 +564,8 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
 def test_config_values_checked_like_flags(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     good = {"ring": "Z", "window": "N=10", "colors": "2", "F": "t"}
-    for key, value in (("format", "xml"), ("colors", "two"), ("allow-degenerate", "maybe")):
+    for key, value in (("format", "xml"), ("colors", "two"), ("colors", "２"), ("colors", "1_0"),
+                       ("allow-degenerate", "maybe")):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: value}.items()))
         assert run(capsys, "scan", "--config", str(cfg))[0] == 2, key
     good.update({"format": "text", "allow-degenerate": "yes"})
@@ -601,7 +602,7 @@ def test_config_missing_file(capsys):
     assert code == 2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, monkeypatch):
     assert run(capsys, "scan", "--ring", "Q", "--window", "N=5", "--colors", "2", "--F", "t")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "B=5", "--colors", "2", "--F", "t")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "N=5", "--colors", "2", "--F", "t+1")[0] == 2
@@ -610,6 +611,19 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "N=10", "--colors", "2",
                "--seed", "1", "--F", "t", "--jobs", "4")[0] == 2
+    # integer flags take ASCII decimals only, as every literal does
+    for flag, value in (("--colors", "２"), ("--seed", "1_0"), ("--limit", "٣"), ("--colors", "2.0")):
+        flags = {"--colors": "2", "--seed": "1", flag: value}
+        argv = ["scan", "--ring", "Z", "--window", "N=10", "--F", "t"]
+        assert dispatch(argv + [tok for item in flags.items() for tok in item]) == 2, (flag, value)
+        assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+    assert run(capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "３")[0] == 2
+    assert run(capsys, "search", "moreira", "--colors", "2", "--F", "t", "--maxN", " 20 ")[0] == 0
+    for env in ("1_0", "１０", " 1 0"):
+        monkeypatch.setenv("MONOCHROME_BUDGET", env)
+        assert dispatch(["search", "avoid", "--ring", "Z", "--window", "N=6", "--colors", "2",
+                         "--F", "t"]) == 2, env
+        assert "$MONOCHROME_BUDGET must be an integer" in capsys.readouterr().err
 
 
 def test_text_format(capsys):

@@ -197,6 +197,9 @@ def test_load_malformed_headers():
         loads_coloring("ring Z\nwindow B=3\ncolors 2\n1 2 1\n")
     with pytest.raises(ColoringFormatError):
         loads_coloring("ring Z\nwindow N=3\ncolors two\n1 2 1\n")
+    for count in ("２", "0_2", "+２"):
+        with pytest.raises(ColoringFormatError, match="bad colors header"):
+            loads_coloring(f"ring Z\nwindow N=3\ncolors {count}\n1 2 1\n")
     with pytest.raises(ColoringFormatError):
         loads_coloring("ring Z\n")
 
@@ -204,3 +207,6 @@ def test_load_malformed_headers():
 def test_load_non_integer_entry():
     with pytest.raises(ColoringFormatError):
         loads_coloring("ring Z\nwindow N=3\ncolors 2\n1 a 1\n")
+    for entry in ("２", "0_1", "١"):
+        with pytest.raises(ColoringFormatError, match="bad color entry"):
+            loads_coloring(f"ring Z\nwindow N=3\ncolors 2\n1 {entry} 1\n")

@@ -9,8 +9,6 @@ import pytest
 import monochrome
 from monochrome import (
     RingElement,
-    RingKind,
-    RingSpec,
     WindowParams,
     enumerate_window,
     exact_divide,
@@ -23,6 +21,7 @@ from monochrome import (
     parse_window_params,
     ring_arith,
 )
+from monochrome.rings import _Poly
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -32,9 +31,9 @@ ALL_SPECS = (Z, ZI, GF2, GF3)
 
 
 def rand_elem(spec, rng):
-    if spec.kind is RingKind.INTEGERS:
+    if spec == Z:
         return spec.integer(rng.randint(-50, 50))
-    if spec.kind is RingKind.GAUSSIAN:
+    if spec == ZI:
         return spec.gaussian(rng.randint(-9, 9), rng.randint(-9, 9))
     return spec.poly([rng.randrange(spec.q) for _ in range(rng.randint(0, 4))])
 
@@ -56,19 +55,13 @@ def test_spec_strings_round_trip():
 
 
 def test_poly_spec_requires_prime_modulus():
-    with pytest.raises(ValueError):
-        RingSpec(RingKind.POLY, 4)
-    with pytest.raises(ValueError):
-        RingSpec(RingKind.POLY, 1)
-    with pytest.raises(ValueError):
-        parse_ring_spec("GF(6)[x]")
-
-
-def test_modulus_rejected_outside_poly_ring():
-    with pytest.raises(ValueError):
-        RingSpec(RingKind.INTEGERS, 2)
-    with pytest.raises(ValueError):
-        RingSpec(RingKind.GAUSSIAN, 3)
+    for q in (0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match="prime modulus"):
+            parse_ring_spec(f"GF({q})[x]")
+        with pytest.raises(ValueError, match="prime modulus"):
+            _Poly(q)
+    assert _Poly(3) == GF3 and hash(_Poly(3)) == hash(GF3)
+    assert parse_ring_spec("GF(3)[x]") != GF2 and parse_ring_spec("Zi") == ZI != Z
 
 
 def test_constructors_guard_their_ring():
@@ -131,9 +124,9 @@ def _strip(coeffs) -> tuple:
 
 def reference_raw_ops(spec):
     """From-scratch (add, neg, mul) on raw values, independent of rings.py."""
-    if spec.kind is RingKind.INTEGERS:
+    if spec == Z:
         return (lambda a, b: a + b), (lambda a: -a), (lambda a, b: a * b)
-    if spec.kind is RingKind.GAUSSIAN:
+    if spec == ZI:
         def gmul(u, v):
             (a, b), (c, d) = u, v  # (a+bi)(c+di) = (ac-bd) + (ad+bc)i
             return (a * c - b * d, a * d + b * c)
@@ -159,9 +152,9 @@ def rand_raw(spec, rng):
     """A raw value; zero about one time in six, polynomial lengths 0..5."""
     if rng.randrange(6) == 0:
         return spec.zero.val
-    if spec.kind is RingKind.INTEGERS:
+    if spec == Z:
         return rng.randint(-10**6, 10**6)
-    if spec.kind is RingKind.GAUSSIAN:
+    if spec == ZI:
         return (rng.randint(-999, 999), rng.randint(-999, 999))
     return _strip(rng.randrange(spec.q) for _ in range(rng.randint(0, 5)))
 
@@ -173,7 +166,7 @@ def test_raw_ops_match_reference():
         assert spec.add is spec.add and spec.neg is spec.neg and spec.mul is spec.mul  # cached
         pairs = [(spec.zero.val, spec.zero.val), (spec.zero.val, spec.one.val)]
         pairs += [(rand_raw(spec, rng), rand_raw(spec, rng)) for _ in range(500)]
-        if spec.kind is RingKind.POLY:
+        if spec.q is not None:
             pairs += [((1,), (0, 0, 1)), ((1, 1, 1, 1), (spec.q - 1,)), ((0, 1), ())]
             assert any(len(a) != len(b) and a and b for a, b in pairs)
         for a, b in pairs:
@@ -473,24 +466,17 @@ def test_repr_is_readable():
 
 
 def test_ring_kind_stays_in_rings():
-    """Each ring kind's behaviour lives in rings.py: elsewhere RingKind is
-    named only by the package re-export and search's Z-only threshold
-    guard, and no module reads a spec's ``.kind.value``."""
+    """Each ring kind's behaviour lives in its RingSpec subclass in
+    rings.py: no other module names RingKind or a subclass, or reads a
+    spec's ``.kind``."""
+    hidden = {"RingKind", "_Integers", "_Gaussian", "_Poly"}
     found = set()
-
-    def visit(node, module, where):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == "RingKind"
-                    or isinstance(child, ast.alias) and child.name == "RingKind"
-                    or isinstance(child, ast.Attribute) and child.attr == "RingKind"):
-                found.add((module, where))
-            if (isinstance(child, ast.Attribute) and child.attr == "value"
-                    and isinstance(child.value, ast.Attribute) and child.value.attr == "kind"):
-                found.add((module, where, ".kind.value"))
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
-            visit(child, module, inner)
-
     for path in sorted(pathlib.Path(monochrome.__file__).parent.glob("*.py")):
-        if path.name != "rings.py":
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
-    assert found <= {("__init__.py", None), ("search.py", None), ("search.py", "moreira_number")}
+        if path.name == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id in hidden
+                    or isinstance(node, ast.alias) and node.name in hidden
+                    or isinstance(node, ast.Attribute) and (node.attr in hidden or node.attr == "kind")):
+                found.add((path.name, node.lineno))
+    assert not found

@@ -316,12 +316,20 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 1 1\n1 2\n")  # unterminated clause
+    # int() alone takes non-ASCII digits and underscores; DIMACS numbers do not
+    for text in ("p cnf ２ 1\n1 0\n", "p cnf 1 1_0\n1 0\n", "p cnf 1 1\n１ 0\n",
+                 "p cnf 1 1\n0_1 0\n", "c map 1 ０\np cnf 1 1\n1 0\n"):
+        with pytest.raises(ValueError):
+            parse_dimacs(text)
 
 
 def test_model_text_forms():
     assert parse_model("v 1 -2 0\nv 3 0\n") == [1, -2, 3]
     assert parse_model("1\n-2\n3\n") == [1, -2, 3]
     assert parse_model("c comment\ns SATISFIABLE\nv -1 0\n") == [-1]
+    for text in ("v １ -2 0\n", "1_0\n", "v -٢ 0\n"):
+        with pytest.raises(ValueError):
+            parse_model(text)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +413,8 @@ def test_two_color_triple_threshold():
 def test_threshold_not_reached():
     res = moreira_number(2, LINEAR, 5)
     assert res.status == "not_found_within" and res.n == 5
+    with pytest.raises(ValueError):
+        moreira_number(2, LINEAR, 0)
 
 
 def test_threshold_timeout_is_inconclusive():
@@ -419,11 +429,44 @@ def test_threshold_trace_records_probes():
     assert len(probed) == len(set(probed))
 
 
-def test_threshold_requires_integer_ring():
-    with pytest.raises(ValueError):
-        moreira_number(2, parse_family(ZI, "t"), 5)
-    with pytest.raises(ValueError):
-        moreira_number(2, LINEAR, 0)
+def _avoidable_by_enumeration(window, family) -> bool:
+    """Whether some 2-coloring of a window of at most 16 elements leaves
+    no instance monochromatic, the instances rebuilt from scratch: every
+    y not in {0, 1} and x != 0 of the window whose set {xy} u {x + f(y)}
+    has two or more elements, all inside the window."""
+    spec = window.spec
+    assert len(window) <= 16
+    bit = {e: 1 << k for k, e in enumerate(window.elements)}
+    masks = set()
+    for y in window.elements:
+        if y == spec.zero or y == spec.one:
+            continue
+        f_vals = [sum((c * y**d for d, c in f.terms), spec.zero) for f in family.polys]
+        for x in window.elements:
+            if x == spec.zero:
+                continue
+            elems = {x * y} | {x + v for v in f_vals}
+            if len(elems) > 1 and all(e in bit for e in elems):
+                masks.add(sum(bit[e] for e in elems))
+    return any(all(0 < m & s < s for s in masks) for m in range(1 << len(window)))
+
+
+def test_thresholds_outside_z():
+    # boxes of Zi and degree windows of GF(q)[x] nest like {1..N}; each
+    # side of every boundary is re-derived without avoidance_backtrack
+    for ring, fam_text, threshold in [("Zi", "t", 2), ("GF(2)[x]", "t", 3), ("GF(2)[x]", "0;t", 5),
+                                      ("GF(3)[x]", "t", 2), ("GF(3)[x]", "t^2", 3)]:
+        spec = parse_ring_spec(ring)
+        fam = parse_family(spec, fam_text)
+        res = moreira_number(2, fam, 8)
+        assert (res.status, res.n) == ("found", threshold), (ring, fam_text)
+        for size, avoidable in ((threshold - 1, True), (threshold, False)):
+            window = enumerate_window(spec, WindowParams(size))
+            if len(window) <= 16:
+                got = _avoidable_by_enumeration(window, fam)
+            else:
+                got = reference_backtrack(build_instance(window, 2, fam)).status is AvoidanceStatus.FOUND
+            assert got is avoidable, (ring, fam_text, size)
 
 
 # ---------------------------------------------------------------------------
