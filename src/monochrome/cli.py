@@ -1,12 +1,16 @@
 """Command-line front door.
 
-Every subcommand is a thin shell over one library entry point and emits
-a report with the fixed shape {command, timestamp, status, payload} as
-JSON (default), flat text, or CSV.  Exit codes: 0 for a positive
-outcome, 1 for definite negative outcomes (nothing found, refuted,
-timeout, work cap exceeded, pool exhausted), 2 for usage, parse and
-input errors, 3 for internal errors (a tripped guard or a recursion
-overflow: a bug in the package, not in the input).
+Every subcommand is a thin shell over one library entry point: its
+handler returns ``(status, payload)``, or None when it wrote its own
+output (``report``, and ``cnf export`` without -o).  ``dispatch`` alone
+turns an outcome into a report with the fixed shape {command,
+timestamp, status, payload} as JSON (default), flat text, or CSV; the
+command is the subcommand's words.  Exit codes: 0 for the positive
+statuses in POSITIVE_STATUSES (ok, found, holds, counterexample,
+avoidance_found), 1 for every other status (a definite negative:
+nothing found, refuted, timeout, work cap exceeded, pool exhausted), 2
+for usage, parse and input errors, 3 for internal errors (a tripped
+guard or a recursion overflow: a bug in the package, not in the input).
 
 A config file of `key = value` lines (keys mirror the long flag names,
 values get the flags' type and choice checks) can supply any flag,
@@ -54,6 +58,8 @@ from .patterns import (
     witness_scan,
 )
 from .rings import (
+    WHITESPACE,
+    WindowParams,
     enumerate_window,
     format_element,
     format_ring_spec,
@@ -65,7 +71,6 @@ from .rings import (
     parse_window_params,
 )
 from .search import (
-    AvoidanceStatus,
     avoidance_backtrack,
     build_instance,
     cnf_export,
@@ -78,6 +83,9 @@ from .search import (
 from .ufp import PoolExhaustedError, UfpSequence, grow_ufp, has_ufp
 
 BUDGET_ENV = "MONOCHROME_BUDGET"
+
+# report statuses that exit 0; every other status exits 1
+POSITIVE_STATUSES = frozenset({"ok", "found", "holds", "counterexample", "avoidance_found"})
 
 
 class CliError(Exception):
@@ -157,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="verification and search for monochromatic product/shift "
                     "configurations over finite ring windows",
     )
-    sub = parser.add_subparsers(dest="cmd", metavar="subcommand")
+    sub = parser.add_subparsers(dest="cmd", metavar="subcommand", required=True)
 
     p = sub.add_parser("scan", help="list monochromatic instances of a coloring")
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
@@ -176,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="restrict to one y (element literal)")
 
     p = sub.add_parser("largeness", help="syndetic / witness / IP checks and transports")
-    lsub = p.add_subparsers(dest="sub", metavar="check")
+    lsub = p.add_subparsers(dest="sub", metavar="check", required=True)
 
     q = lsub.add_parser("syndetic", help="do the gap translates of a set cover the window?")
     _add_common(q, ring=True, window=True)
@@ -221,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=integer, help="default 100")
 
     p = sub.add_parser("search", help="avoidance colorings and least-window thresholds")
-    ssub = p.add_subparsers(dest="sub", metavar="mode")
+    ssub = p.add_subparsers(dest="sub", metavar="mode", required=True)
 
     q = ssub.add_parser("avoid", help="search one window for an avoidance coloring")
     _add_common(q, ring=True, window=True, colors=True, family=True, budget=True,
@@ -235,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="confirm the boundary with the reference CNF engine")
 
     p = sub.add_parser("cnf", help="DIMACS export / model decode")
-    csub = p.add_subparsers(dest="sub", metavar="direction")
+    csub = p.add_subparsers(dest="sub", metavar="direction", required=True)
 
     q = csub.add_parser("export", help="write the avoidance instance as DIMACS CNF")
     _add_common(q, ring=True, window=True, colors=True, family=True, constraints=True,
@@ -249,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--save-coloring", help="also write the decoded coloring here")
 
     p = sub.add_parser("ufp", help="uniqueness-of-finite-products tools")
-    usub = p.add_subparsers(dest="sub", metavar="action")
+    usub = p.add_subparsers(dest="sub", metavar="action", required=True)
 
     q = usub.add_parser("verify", help="check pairwise distinctness of subset products")
     _add_common(q, ring=True)
@@ -277,13 +285,13 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = raw.split("#", 1)[0].strip(WHITESPACE)
                 if not line:
                     continue
                 if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+                    raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip(WHITESPACE)!r}")
                 key, value = line.split("=", 1)
-                entries[key.strip().replace("-", "_")] = value.strip()
+                entries[key.strip(WHITESPACE).replace("-", "_")] = value.strip(WHITESPACE)
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     return entries
@@ -404,18 +412,18 @@ def _constraints(args, spec, window) -> ScanConstraints:
 
 
 def _coloring_for(args, spec, window, r) -> Coloring:
-    path = getattr(args, "coloring", None)
-    if path:
-        coloring = load_coloring(path)
-        if coloring.window.spec != spec:
-            raise CliError("coloring file ring differs from --ring")
-        if coloring.window != window:
-            raise CliError("coloring file window differs from --window")
-        if args.colors is not None and coloring.r != r:
-            raise CliError("coloring file colors differ from --colors")
-        return coloring
-    seed = args.seed if args.seed is not None else 0
-    return random_coloring(window, r, seed)
+    if not args.coloring:
+        return random_coloring(window, r, args.seed if args.seed is not None else 0)
+    if args.seed is not None:
+        raise CliError("--coloring and --seed exclude each other: the file fixes every color")
+    coloring = load_coloring(args.coloring)
+    if coloring.window.spec != spec:
+        raise CliError("coloring file ring differs from --ring")
+    if coloring.window != window:
+        raise CliError("coloring file window differs from --window")
+    if coloring.r != r:
+        raise CliError("coloring file colors differ from --colors")
+    return coloring
 
 
 def _fmt_set(elems) -> list:
@@ -467,7 +475,9 @@ def _render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(args, command: str, status: str, payload: dict, *, to_stdout=False) -> None:
+def _emit(args, status: str, payload: dict) -> int:
+    """Write the report of a handler's outcome and return its exit code."""
+    command = " ".join(filter(None, (args.cmd, getattr(args, "sub", None))))
     report = {"command": command, "timestamp": _now(), "status": status, "payload": payload}
     fmt = getattr(args, "format", None) or "json"
     if fmt == "json":
@@ -476,7 +486,8 @@ def _emit(args, command: str, status: str, payload: dict, *, to_stdout=False) ->
         text = _render_text(report)
     else:
         text = _render_csv(report)
-    _write(None if to_stdout else getattr(args, "output", None), text)
+    _write(getattr(args, "output", None), text)
+    return 0 if status in POSITIVE_STATUSES else 1
 
 
 def _write(dest, text: str) -> None:
@@ -492,20 +503,18 @@ def _write(dest, text: str) -> None:
 # Handlers
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
     witnesses = [
         {"x": format_element(w.x), "y": format_element(w.y), "color": w.color}
         for w in witness_scan(coloring, family, constraints, limit=args.limit)
     ]
-    payload = {**_header(spec, window, r, family), "seed": args.seed,
-               "count": len(witnesses), "witnesses": witnesses}
-    _emit(args, "scan", "ok", payload)
-    return 0
+    return "ok", {**_header(spec, window, r, family), "seed": args.seed,
+                  "count": len(witnesses), "witnesses": witnesses}
 
 
-def _cmd_abundance(args) -> int:
+def _cmd_abundance(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
     if args.y is not None:
@@ -518,40 +527,31 @@ def _cmd_abundance(args) -> int:
         for c in range(1, r + 1):
             rows.append({"y": format_element(y), "color": c,
                          "count": len(profile.get(c, ()))})
-    payload = {**_header(spec, window, r, family), "rows": rows}
-    _emit(args, "abundance", "ok", payload)
-    return 0
+    return "ok", {**_header(spec, window, r, family), "rows": rows}
 
 
-def _cmd_largeness(args) -> int:
-    if args.sub is None:
-        raise CliError("largeness needs a check: syndetic, ps-witness, ipstar or transport")
+def _cmd_largeness(args) -> tuple:
     spec = _spec(args)
     window = _window(args, spec)
     if args.sub == "syndetic":
         target = parse_element_set(spec, args.target, window)
         gaps = parse_element_set(spec, args.gaps, window)
         bad = syndetic_check(target, gaps, window)
-        payload = {"holds": bad is None,
-                   "counterexample": None if bad is None else format_element(bad)}
-        _emit(args, "largeness syndetic", "holds" if bad is None else "refuted", payload)
-        return 0 if bad is None else 1
+        return ("holds" if bad is None else "refuted",
+                {"holds": bad is None, "counterexample": None if bad is None else format_element(bad)})
     if args.sub == "ps-witness":
         target = parse_element_set(spec, args.target, window)
         gaps = parse_element_set(spec, args.gaps, window)
         block = parse_element_set(spec, args.block, window)
         witness = ps_witness_search(target, gaps, block, window)
         if witness is None:
-            _emit(args, "largeness ps-witness", "not_found", {"found": False})
-            return 1
-        payload = {
+            return "not_found", {"found": False}
+        return "found", {
             "found": True,
             "gaps": _fmt_set(witness.gaps),
             "block": _fmt_set(witness.block),
             "anchor": format_element(witness.anchor),
         }
-        _emit(args, "largeness ps-witness", "found", payload)
-        return 0
     if args.sub == "ipstar":
         target_window = window
         if args.target_window:
@@ -559,88 +559,70 @@ def _cmd_largeness(args) -> int:
         target = parse_element_set(spec, args.target, target_window)
         seed = args.seed if args.seed is not None else 0
         seq = ipstar_refute(target, window, args.len, args.samples, seed)
-        payload = {"seq_len": args.len, "samples": args.samples, "seed": seed,
-                   "found": seq is not None,
-                   "sequence": None if seq is None else [format_element(e) for e in seq]}
-        _emit(args, "largeness ipstar", "counterexample" if seq else "none_found", payload)
-        return 0 if seq is not None else 1
-    if args.sub == "transport":
-        gaps = parse_element_set(spec, args.gaps, window)
-        block = parse_element_set(spec, args.block, window)
-        anchor = parse_element(spec, args.anchor)
-        by = parse_element(spec, args.by)
-        witness = PSWitness(frozenset(gaps), frozenset(block), anchor)
-        target = None
-        if args.target is not None:
-            target = parse_element_set(spec, args.target, window)
-        payload = {"mode": args.mode, "by": format_element(by)}
-        if target is not None:
-            payload["valid_before"] = validate_ps_witness(witness, target)
-        if args.mode == "dilate":
-            moved = dilation_transport(witness, by)
-            moved_target = dilate_set(target, by) if target is not None else None
-        else:
-            moved = division_transport(witness, by)
-            if moved is None:
-                payload["divisible"] = False
-                _emit(args, "largeness transport", "not_divisible", payload)
-                return 1
-            moved_target = divide_set(target, by) if target is not None else None
-        payload["gaps"] = _fmt_set(moved.gaps)
-        payload["block"] = _fmt_set(moved.block)
-        payload["anchor"] = format_element(moved.anchor)
-        if moved_target is not None:
-            payload["valid_after"] = validate_ps_witness(moved, moved_target)
-        elif target is not None:
-            payload["valid_after"] = None  # target itself not fully divisible
-        _emit(args, "largeness transport", "ok", payload)
-        return 0
-    raise CliError(f"unknown largeness check {args.sub!r}")
+        return "none_found" if seq is None else "counterexample", {
+            "seq_len": args.len, "samples": args.samples, "seed": seed, "found": seq is not None,
+            "sequence": None if seq is None else [format_element(e) for e in seq]}
+    # transport
+    gaps = parse_element_set(spec, args.gaps, window)
+    block = parse_element_set(spec, args.block, window)
+    anchor = parse_element(spec, args.anchor)
+    by = parse_element(spec, args.by)
+    witness = PSWitness(frozenset(gaps), frozenset(block), anchor)
+    target = None if args.target is None else parse_element_set(spec, args.target, window)
+    payload = {"mode": args.mode, "by": format_element(by)}
+    if target is not None:
+        payload["valid_before"] = validate_ps_witness(witness, target)
+    if args.mode == "dilate":
+        moved = dilation_transport(witness, by)
+        moved_target = dilate_set(target, by) if target is not None else None
+    else:
+        moved = division_transport(witness, by)
+        if moved is None:
+            payload["divisible"] = False
+            return "not_divisible", payload
+        moved_target = divide_set(target, by) if target is not None else None
+    payload["gaps"] = _fmt_set(moved.gaps)
+    payload["block"] = _fmt_set(moved.block)
+    payload["anchor"] = format_element(moved.anchor)
+    if moved_target is not None:
+        payload["valid_after"] = validate_ps_witness(moved, moved_target)
+    elif target is not None:
+        payload["valid_after"] = None  # target itself not fully divisible
+    return "ok", payload
 
 
-def _cmd_hj(args) -> int:
+def _cmd_hj(args) -> tuple:
     try:
         res = hj_number_exhaustive(args.colors, args.alphabet, args.maxN, args.work_cap)
     except WorkCapExceeded as exc:
-        _emit(args, "hj", "work_cap_exceeded", {"error": str(exc)})
-        return 1
+        return "work_cap_exceeded", {"error": str(exc)}
     payload = {"r": res.r, "t": res.t, "N": res.n, "status": res.status}
     if res.avoiding is not None:
         payload["avoiding_coloring"] = list(res.avoiding)
-    _emit(args, "hj", res.status, payload)
-    return 0 if res.status == "found" else 1
+    return res.status, payload
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args) -> tuple:
     spec = _spec(args)
     pool = _window(args, spec)
     family = _family(args, spec)
     n = args.n if args.n is not None else 2
     trials = args.trials if args.trials is not None else 100
     seed = args.seed if args.seed is not None else 0
-    checks = 0
-    failures = 0
-    for trial in sigma_trials(family, pool, n, args.depth, trials, seed):
-        for check in trial:
-            checks += 1
-            if not check.ok:
-                failures += 1
-    payload = {
+    oks = [check.ok for trial in sigma_trials(family, pool, n, args.depth, trials, seed) for check in trial]
+    failures = oks.count(False)
+    return "ok" if failures == 0 else "failed", {
         "ring": format_ring_spec(spec),
         "family": format_family(family),
         "n": n,
         "trials": trials,
-        "checks": checks,
+        "checks": len(oks),
         "failures": failures,
         "all_ok": failures == 0,
     }
-    _emit(args, "sigma", "ok" if failures == 0 else "failed", payload)
-    return 0 if failures == 0 else 1
 
 
-def _cmd_search(args) -> int:
-    if args.sub is None:
-        raise CliError("search needs a mode: avoid or moreira")
+def _cmd_search(args) -> tuple:
     if args.sub == "avoid":
         spec, window, r, family, constraints = _problem(args)
         inst = build_instance(window, r, family, constraints)
@@ -657,79 +639,65 @@ def _cmd_search(args) -> int:
             if args.save_coloring:
                 store_coloring(res.coloring, args.save_coloring)
                 payload["coloring_file"] = args.save_coloring
-        _emit(args, "search avoid", res.status.value, payload)
-        return 0 if res.status is AvoidanceStatus.FOUND else 1
-    if args.sub == "moreira":
-        spec = parse_ring_spec("Z")
-        r = _colors(args)
-        family = _family(args, spec)
-        res = moreira_number(r, family, args.maxN, args.budget)
-        payload = {
-            "colors": r,
-            "family": format_family(family),
-            "maxN": args.maxN,
-            "status": res.status,
-            "N": res.n,
-            "trace": [{"N": n, "status": st.value} for n, st in res.trace],
-        }
-        if args.crosscheck and res.status == "found":
-            from .rings import WindowParams
-
-            checks = {}
-            if res.n > 1:
-                below = build_instance(
-                    enumerate_window(spec, WindowParams(res.n - 1)), r, family)
-                checks["below"] = dual_engine_check(below)
-            at = build_instance(enumerate_window(spec, WindowParams(res.n)), r, family)
-            checks["at"] = dual_engine_check(at)
-            payload["crosscheck"] = checks
-        _emit(args, "search moreira", res.status, payload)
-        return 0 if res.status == "found" else 1
-    raise CliError(f"unknown search mode {args.sub!r}")
+        return res.status.value, payload
+    # moreira
+    spec = parse_ring_spec("Z")
+    r = _colors(args)
+    family = _family(args, spec)
+    res = moreira_number(r, family, args.maxN, args.budget)
+    payload = {
+        "colors": r,
+        "family": format_family(family),
+        "maxN": args.maxN,
+        "status": res.status,
+        "N": res.n,
+        "trace": [{"N": n, "status": st.value} for n, st in res.trace],
+    }
+    if args.crosscheck and res.status == "found":
+        sizes = {"below": res.n - 1, "at": res.n}
+        payload["crosscheck"] = {
+            side: dual_engine_check(build_instance(enumerate_window(spec, WindowParams(n)), r, family))
+            for side, n in sizes.items() if n > 0}
+    return res.status, payload
 
 
-def _cmd_cnf(args) -> int:
-    if args.sub is None:
-        raise CliError("cnf needs a direction: export or decode")
+def _cmd_cnf(args) -> tuple | None:
     spec, window, r, family, constraints = _problem(args)
     inst = build_instance(window, r, family, constraints)
     if args.sub == "export":
         doc = cnf_export(inst)
         _write(args.output, to_dimacs(doc))
-        if args.output:
-            payload = {
-                "path": args.output,
-                "vars": doc.num_vars,
-                "clauses": len(doc.clauses),
-                "candidates": len(inst.candidates),
-            }
-            _emit(args, "cnf export", "ok", payload, to_stdout=True)
-        return 0
-    if args.sub == "decode":
-        if args.model == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.model, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise CliError(f"cannot read model {args.model}: {exc}") from None
-        coloring = cnf_model_decode(parse_model(text), inst)
-        payload = {"colors": list(coloring.colors), "valid": True}
-        if args.save_coloring:
-            store_coloring(coloring, args.save_coloring)
-            payload["coloring_file"] = args.save_coloring
-        _emit(args, "cnf decode", "ok", payload)
-        return 0
-    raise CliError(f"unknown cnf direction {args.sub!r}")
+        if not args.output:
+            return None
+        payload = {
+            "path": args.output,
+            "vars": doc.num_vars,
+            "clauses": len(doc.clauses),
+            "candidates": len(inst.candidates),
+        }
+        args.output = None  # -o named the CNF file; the report goes to stdout
+        return "ok", payload
+    # decode
+    if args.model == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.model, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliError(f"cannot read model {args.model}: {exc}") from None
+    coloring = cnf_model_decode(parse_model(text), inst)
+    payload = {"colors": list(coloring.colors), "valid": True}
+    if args.save_coloring:
+        store_coloring(coloring, args.save_coloring)
+        payload["coloring_file"] = args.save_coloring
+    return "ok", payload
 
 
-def _cmd_ufp(args) -> int:
-    if args.sub is None:
-        raise CliError("ufp needs an action: verify or grow")
+def _cmd_ufp(args) -> tuple:
     spec = _spec(args)
     if args.sub == "verify":
-        literals = [tok.strip() for tok in args.elements.split(",") if tok.strip()]
+        literals = [tok.strip(WHITESPACE) for tok in args.elements.split(",") if tok.strip(WHITESPACE)]
         if not literals:
             raise CliError("--elements needs at least one literal")
         seq = UfpSequence([parse_element(spec, tok) for tok in literals])
@@ -744,28 +712,22 @@ def _cmd_ufp(args) -> int:
                 "k": sorted(violation.k),
                 "product": format_element(violation.product),
             }
-        _emit(args, "ufp verify", "holds" if violation is None else "violated", payload)
-        return 0 if violation is None else 1
-    if args.sub == "grow":
-        window = _window(args, spec)
-        start = parse_element(spec, args.start)
-        try:
-            seq = grow_ufp(start, window, args.length)
-        except PoolExhaustedError as exc:
-            _emit(args, "ufp grow", "pool_exhausted",
-                  {"error": str(exc), "step": exc.step})
-            return 1
-        payload = {
-            "length": len(seq),
-            "sequence": [format_element(e) for e in seq.elements],
-            "products": len(seq.fp_set()),
-        }
-        _emit(args, "ufp grow", "ok", payload)
-        return 0
-    raise CliError(f"unknown ufp action {args.sub!r}")
+        return "holds" if violation is None else "violated", payload
+    # grow
+    window = _window(args, spec)
+    start = parse_element(spec, args.start)
+    try:
+        seq = grow_ufp(start, window, args.length)
+    except PoolExhaustedError as exc:
+        return "pool_exhausted", {"error": str(exc), "step": exc.step}
+    return "ok", {
+        "length": len(seq),
+        "sequence": [format_element(e) for e in seq.elements],
+        "products": len(seq.fp_set()),
+    }
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     reports = []
     for path in args.inputs:
         try:
@@ -795,7 +757,6 @@ def _cmd_report(args) -> int:
             *[_plain(payload[k]) if k in payload else "" for k in keys],
         ])
     _write(args.output, buf.getvalue())
-    return 0
 
 
 _HANDLERS = {
@@ -812,18 +773,17 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv, run the subcommand and return the exit code (0 ok,
-    1 negative outcome, 2 usage/input error, 3 internal error)."""
+    """Parse argv, run the subcommand, write its report and return the
+    exit code (0 positive status or no report, 1 any other status, 2
+    usage/input error, 3 internal error)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd is None:
-            parser.print_usage(sys.stderr)
-            return 2
         if args.cmd != "report":
             _apply_config(parser, args)
         _leaf_parser(parser, args).check_required(args)
-        return _HANDLERS[args.cmd](args)
+        outcome = _HANDLERS[args.cmd](args)
+        return 0 if outcome is None else _emit(args, *outcome)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

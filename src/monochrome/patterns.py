@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
-from .rings import RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element
+from .rings import (
+    WHITESPACE, RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element,
+)
 
 __all__ = [
     "ZeroConstPoly",
@@ -353,7 +355,7 @@ def parse_poly(spec: RingSpec, text: str) -> ZeroConstPoly:
     Coefficients are ring-element literals; parenthesize them when they
     contain + or -.  A constant term is only legal when it is 0.
     """
-    text = text.strip().replace(" ", "")
+    text = text.strip(WHITESPACE).replace(" ", "")
     if not text:
         raise ValueError("empty polynomial literal")
     coeffs: dict = {}
@@ -429,7 +431,7 @@ def format_poly(f: ZeroConstPoly) -> str:
 
 def parse_family(spec: RingSpec, text: str) -> PolyFamily:
     """Parse a semicolon-separated family literal, e.g. ``"t; 0; 2t^2+t"``."""
-    parts = [p for p in (chunk.strip() for chunk in text.split(";")) if p]
+    parts = [p for p in (chunk.strip(WHITESPACE) for chunk in text.split(";")) if p]
     if not parts:
         raise ValueError("empty family literal")
     return make_family(spec, [parse_poly(spec, p) for p in parts])

@@ -63,6 +63,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# the only whitespace a literal read from outside may carry (str.strip()
+# and str.split() also take U+3000 and other Unicode spaces)
+WHITESPACE = " \t\n\r\f\v"
+_TOKEN = re.compile(f"[^{WHITESPACE}]+")
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -76,16 +80,22 @@ def _decimal(text: str) -> int:
 
 
 def integer(text: str) -> int:
-    """_decimal between ASCII whitespace: an integer from a flag, the environment or a file."""
-    return _decimal(text.strip(" \t\n\r\f\v"))
+    """_decimal between WHITESPACE: an integer from a flag, the environment or a file."""
+    return _decimal(text.strip(WHITESPACE))
+
+
+def tokens(text: str) -> list:
+    """The WHITESPACE-separated tokens of a text."""
+    return _TOKEN.findall(text)
 
 
 def integers(text: str) -> list:
-    """The whitespace-separated decimals of a text, each as _decimal takes
-    it; the common all-ASCII case is checked once, not per token."""
+    """The WHITESPACE-separated decimals of a text, each as _decimal takes
+    it; the common all-ASCII case is checked once, not per token (bytes
+    split at WHITESPACE only)."""
     if text.isascii() and "_" not in text:
-        return [int(tok) for tok in text.split()]
-    return [_decimal(tok) for tok in text.split()]
+        return [int(tok) for tok in text.encode().split()]
+    return [_decimal(tok) for tok in tokens(text)]
 
 
 class RingSpec:
@@ -529,7 +539,7 @@ _GF_RE = re.compile(r"^GF\(([0-9]+)\)\[x\]$")
 
 
 def parse_ring_spec(text: str) -> RingSpec:
-    text = text.strip()
+    text = text.strip(WHITESPACE)
     if text == "Z":
         return _Integers()
     if text == "Zi":
@@ -545,8 +555,8 @@ def format_ring_spec(spec: RingSpec) -> str:
 
 
 def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
-    text = text.strip()
-    parts = [p.strip() for p in text.split(",")]
+    text = text.strip(WHITESPACE)
+    parts = [p.strip(WHITESPACE) for p in text.split(",")]
     signed = False
     if len(parts) == 2 and parts[1] == "signed":
         signed = True
@@ -558,7 +568,7 @@ def parse_window_params(spec: RingSpec, text: str) -> WindowParams:
             f"window parameter for {spec.name} must be {spec.size_key}=<int>, got {text!r}"
         )
     try:
-        size = _decimal(raw.strip())
+        size = _decimal(raw.strip(WHITESPACE))
     except ValueError:
         raise ValueError(f"bad window size in {text!r}") from None
     spec.check_signed(signed)
@@ -577,7 +587,7 @@ def format_element(e: RingElement) -> str:
 
 def parse_element(spec: RingSpec, text: str) -> RingElement:
     """Parse a canonical (or mildly relaxed) element literal."""
-    text = text.strip().replace(" ", "")
+    text = text.strip(WHITESPACE).replace(" ", "")
     if not text:
         raise ValueError("empty element literal")
     return RingElement(spec, spec.parse(text))
@@ -591,7 +601,7 @@ def parse_element_set(spec: RingSpec, text: str, window: Window) -> frozenset:
     Presets are relative to the window: ideal(m) = m*R intersected with
     the window; evens is ideal(2).
     """
-    text = text.strip()
+    text = text.strip(WHITESPACE)
     if text == "evens":
         return _ideal_preset(spec, "2", window)
     m = re.match(r"^ideal\((.+)\)$", text)
@@ -599,7 +609,7 @@ def parse_element_set(spec: RingSpec, text: str, window: Window) -> frozenset:
         return _ideal_preset(spec, m.group(1), window)
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"bad element-set literal {text!r}")
-    body = text[1:-1].strip()
+    body = text[1:-1].strip(WHITESPACE)
     if not body:
         return frozenset()
     return frozenset(parse_element(spec, tok) for tok in body.split(","))

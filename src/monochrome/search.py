@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 from .colorings import Coloring
 from .errors import InternalError
 from .patterns import PatternInstance, PolyFamily, ScanConstraints, _instances
-from .rings import Window, WindowParams, enumerate_window, format_element, integer, integers
+from .rings import (
+    WHITESPACE, Window, WindowParams, enumerate_window, format_element, integer, integers, tokens,
+)
 
 
 class AvoidanceInstance:
@@ -369,16 +371,16 @@ def parse_dimacs(text: str) -> CnfDocument:
     lits: list = []
     clauses: list = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+        line = line.strip(WHITESPACE)
         if not line:
             continue
         if line.startswith("c"):
-            parts = line.split()
+            parts = tokens(line)
             if len(parts) == 4 and parts[1] == "map":
                 mapping.append((parts[2], integer(parts[3])))
             continue
         if line.startswith("p"):
-            parts = line.split()
+            parts = tokens(line)
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
             num_vars, expected = integer(parts[2]), integer(parts[3])
@@ -403,7 +405,7 @@ def parse_model(text: str) -> list:
     zeros are terminators and are dropped."""
     lits = []
     for line in text.splitlines():
-        line = line.strip()
+        line = line.strip(WHITESPACE)
         if not line or line[0] in "cs":
             continue
         if line[0] == "v":

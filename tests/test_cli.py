@@ -1,7 +1,9 @@
 """Command-line front end: payloads mirror library calls, exit codes follow
 the 0/1/2 contract, config files merge under flags."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -9,6 +11,8 @@ from monochrome import (
     ScanConstraints,
     WindowParams,
     abundance_profile,
+    build_instance,
+    cnf_export,
     enumerate_window,
     format_element,
     hj_number_exhaustive,
@@ -16,8 +20,10 @@ from monochrome import (
     parse_family,
     parse_ring_spec,
     random_coloring,
+    to_dimacs,
     witness_scan,
 )
+from monochrome import cli
 from monochrome.cli import dispatch
 
 Z = parse_ring_spec("Z")
@@ -86,6 +92,10 @@ def test_scan_with_coloring_file(capsys, tmp_path):
         "--seed", "9", "--F", "t",
     )
     assert report["payload"]["witnesses"] == seeded["payload"]["witnesses"]
+    # the file fixes every color, so a seed beside it is a usage error
+    assert dispatch(["scan", "--ring", "Z", "--window", "N=30", "--colors", "2",
+                     "--coloring", str(path), "--seed", "9", "--F", "t"]) == 2
+    assert "--coloring and --seed exclude each other" in capsys.readouterr().err
 
 
 def test_scan_coloring_file_window_mismatch(capsys, tmp_path):
@@ -396,6 +406,23 @@ def test_cnf_export_file(capsys, tmp_path):
     assert report["payload"]["clauses"] == 8
 
 
+def test_cnf_export_destinations(capsys, tmp_path):
+    """Without -o the DIMACS text is all of stdout; with -o the CNF goes
+    to the file and the report, in the chosen format, to stdout."""
+    argv = ["cnf", "export", "--ring", "Z", "--window", "N=6", "--colors", "2", "--F", "t"]
+    dimacs = to_dimacs(cnf_export(build_instance(
+        enumerate_window(Z, WindowParams(6)), 2, parse_family(Z, "t"), ScanConstraints.defaults_for(Z))))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == dimacs
+    path = tmp_path / "inst.cnf"
+    code, out = run(capsys, *argv, "-o", str(path), "--format", "text")
+    assert code == 0
+    assert path.read_text() == dimacs
+    assert out.startswith("# cnf export\nstatus: ok\n")
+    assert f"path: {path}\n" in out
+
+
 def test_cnf_decode_model_file(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("v 1 -2 -3 4 5 -6 0\n")
@@ -565,7 +592,7 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     good = {"ring": "Z", "window": "N=10", "colors": "2", "F": "t"}
     for key, value in (("format", "xml"), ("colors", "two"), ("colors", "２"), ("colors", "1_0"),
-                       ("allow-degenerate", "maybe")):
+                       ("colors", "\u30002"), ("allow-degenerate", "maybe")):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: value}.items()))
         assert run(capsys, "scan", "--config", str(cfg))[0] == 2, key
     good.update({"format": "text", "allow-degenerate": "yes"})
@@ -606,7 +633,9 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
     assert run(capsys, "scan", "--ring", "Q", "--window", "N=5", "--colors", "2", "--F", "t")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "B=5", "--colors", "2", "--F", "t")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "N=5", "--colors", "2", "--F", "t+1")[0] == 2
-    assert run(capsys, "largeness")[0] == 2
+    for group in ("largeness", "search", "cnf", "ufp"):
+        assert dispatch([group]) == 2, group
+        assert "error: the following arguments are required" in capsys.readouterr().err
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "scan", "--ring", "Z", "--window", "N=10", "--colors", "2",
@@ -618,6 +647,13 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
         assert dispatch(argv + [tok for item in flags.items() for tok in item]) == 2, (flag, value)
         assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
     assert run(capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "３")[0] == 2
+    # literals take ASCII whitespace only, as integer flags do: U+3000 is an error
+    for flag, value in (("--ring", "\u3000Z"), ("--window", "N=\u30005"), ("--F", "\u3000t"),
+                        ("--F", "t;\u3000t^2"), ("--exclude-y", "{1,\u30002}")):
+        flags = {"--ring": "Z", "--window": "N=5", "--colors": "2", "--F": "t", flag: value}
+        assert dispatch(["scan"] + [tok for item in flags.items() for tok in item]) == 2, (flag, value)
+    assert run(capsys, "ufp", "verify", "--ring", "Z", "--elements", "2,\u30003")[0] == 2
+    assert run(capsys, "ufp", "verify", "--ring", "Z", "--elements", " 2 ,\t3")[0] == 0
     assert run(capsys, "search", "moreira", "--colors", "2", "--F", "t", "--maxN", " 20 ")[0] == 0
     for env in ("1_0", "１０", " 1 0"):
         monkeypatch.setenv("MONOCHROME_BUDGET", env)
@@ -635,3 +671,16 @@ def test_text_format(capsys):
     assert code == 0
     assert out.startswith("# hj\n")
     assert "status: found" in out
+
+
+def test_only_dispatch_emits():
+    """Handlers return (status, payload); dispatch alone hands it to _emit,
+    so the report shape and the exit-code rule live in one place."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    users = {
+        node.name if isinstance(node, ast.FunctionDef) else f"line {node.lineno}"
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and sub.id == "_emit"
+    }
+    assert users == {"dispatch"}

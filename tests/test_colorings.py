@@ -207,6 +207,7 @@ def test_load_malformed_headers():
 def test_load_non_integer_entry():
     with pytest.raises(ColoringFormatError):
         loads_coloring("ring Z\nwindow N=3\ncolors 2\n1 a 1\n")
-    for entry in ("２", "0_1", "١"):
+    # "2\u30001" is one entry: entries are split at ASCII whitespace only
+    for entry in ("２", "0_1", "١", "2\u30001"):
         with pytest.raises(ColoringFormatError, match="bad color entry"):
             loads_coloring(f"ring Z\nwindow N=3\ncolors 2\n1 {entry} 1\n")

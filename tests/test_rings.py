@@ -385,8 +385,8 @@ def test_window_param_key_must_match_ring():
         parse_window_params(ZI, "B=2,signed")
     with pytest.raises(ValueError):
         parse_window_params(GF2, "d=3,signed")
-    # the size too is ASCII digits only
-    for text in ("N=\uff11_\uff12", "N=1_2", "N=\u0663"):
+    # the size too is ASCII digits only, between ASCII whitespace only
+    for text in ("N=\uff11_\uff12", "N=1_2", "N=\u0663", "N=\u30005", "\u3000N=5", "N=5,\u3000signed"):
         with pytest.raises(ValueError):
             parse_window_params(Z, text)
 
@@ -437,6 +437,15 @@ def test_bad_element_literals():
                        (GF3, "\uff11x"), (GF3, "x^\u0662")):
         with pytest.raises(ValueError):
             parse_element(spec, text)
+    # ASCII whitespace only around a literal: str.strip() would also take U+3000
+    for spec, text in ((Z, "\u30005"), (Z, "5\u3000"), (ZI, "\u3000i"), (GF2, "x\u3000")):
+        with pytest.raises(ValueError):
+            parse_element(spec, text)
+    w = enumerate_window(Z, WindowParams(10))
+    assert parse_element_set(Z, "\t{1, 2 } ", w) == frozenset({Z.integer(1), Z.integer(2)})
+    for text in ("{1,\u30002}", "\u3000{1}", "{\u3000}"):
+        with pytest.raises(ValueError):
+            parse_element_set(Z, text, w)
 
 
 def test_element_set_literals():

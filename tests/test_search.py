@@ -316,9 +316,11 @@ def test_dimacs_parse_errors():
         parse_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
     with pytest.raises(ValueError):
         parse_dimacs("p cnf 1 1\n1 2\n")  # unterminated clause
-    # int() alone takes non-ASCII digits and underscores; DIMACS numbers do not
+    # int() alone takes non-ASCII digits and underscores, and str.split()
+    # splits at U+3000; DIMACS numbers and separators are ASCII only
     for text in ("p cnf ２ 1\n1 0\n", "p cnf 1 1_0\n1 0\n", "p cnf 1 1\n１ 0\n",
-                 "p cnf 1 1\n0_1 0\n", "c map 1 ０\np cnf 1 1\n1 0\n"):
+                 "p cnf 1 1\n0_1 0\n", "c map 1 ０\np cnf 1 1\n1 0\n",
+                 "p cnf\u30001 1\n1 0\n", "p cnf 1 1\n1\u30000\n"):
         with pytest.raises(ValueError):
             parse_dimacs(text)
 
@@ -327,7 +329,7 @@ def test_model_text_forms():
     assert parse_model("v 1 -2 0\nv 3 0\n") == [1, -2, 3]
     assert parse_model("1\n-2\n3\n") == [1, -2, 3]
     assert parse_model("c comment\ns SATISFIABLE\nv -1 0\n") == [-1]
-    for text in ("v １ -2 0\n", "1_0\n", "v -٢ 0\n"):
+    for text in ("v １ -2 0\n", "1_0\n", "v -٢ 0\n", "v 1\u30000\n", "\u3000v 1 0\n"):
         with pytest.raises(ValueError):
             parse_model(text)
 
