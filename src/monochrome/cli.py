@@ -12,12 +12,12 @@ nothing found, refuted, timeout, work cap exceeded, pool exhausted), 2
 for usage, parse and input errors, 3 for internal errors (a tripped
 guard or a recursion overflow: a bug in the package, not in the input).
 
-A config file of `key = value` lines (keys mirror the long flag names,
+A flag is required exactly when --help marks it so, and argparse alone
+enforces that, once the config file and the environment are applied:
+a config file of `key = value` lines (keys mirror the long flag names,
 values get the flags' type and choice checks) can supply any flag,
-required ones included (they are checked once the config and the
-environment are applied); explicit flags win.  The environment
-variable MONOCHROME_BUDGET provides a global default for --budget /
---work-cap.
+required ones included; explicit flags win.  The environment variable
+MONOCHROME_BUDGET provides a global default for --budget / --work-cap.
 """
 
 from __future__ import annotations
@@ -96,17 +96,22 @@ class CliError(Exception):
 # Parser
 
 def _add_common(p, *, ring=False, window=False, colors=False, family=False,
-                seed=False, budget=False, constraints=False, output=True):
+                seed=False, coloring=False, budget=False, constraints=False, output=True):
     if ring:
         p.add_argument("--ring", help="ring spec: Z, Zi, or GF(q)[x]")
     if window:
-        p.add_argument("--window", help="window params: N=50[,signed] / B=3 / d=4")
+        p.add_argument("--window", required=True, help="window params: N=50[,signed] / B=3 / d=4")
     if colors:
-        p.add_argument("--colors", type=integer, help="number of colors r")
+        p.add_argument("--colors", type=integer, required=True, help="number of colors r")
     if family:
-        p.add_argument("--F", dest="F", help='family literal, e.g. "t" or "0; t" or "2t^2+t"')
+        p.add_argument("--F", dest="F", required=True,
+                       help='family literal, e.g. "t" or "0; t" or "2t^2+t"')
     if seed:
         p.add_argument("--seed", type=integer, help="stream seed (default 0)")
+    if coloring:
+        p.add_argument("--coloring", help="coloring file (instead of --seed)")
+        p.add_argument("--partial", action="store_true", default=None,
+                       help="judge instances only partly inside the window by their visible part")
     if budget:
         p.add_argument("--budget", type=integer,
                        help=f"node budget (default: ${BUDGET_ENV} or unlimited)")
@@ -169,18 +174,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="list monochromatic instances of a coloring")
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
-                constraints=True)
-    p.add_argument("--coloring", help="coloring file (instead of --seed)")
-    p.add_argument("--partial", action="store_true", default=None,
-                   help="judge instances only partly inside the window by their visible part")
+                coloring=True, constraints=True)
     p.add_argument("--limit", type=integer, help="stop after this many witnesses")
 
     p = sub.add_parser("abundance", help="per-y color profile of admissible x values")
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
-                constraints=True)
-    p.add_argument("--coloring", help="coloring file (instead of --seed)")
-    p.add_argument("--partial", action="store_true", default=None,
-                   help="judge instances only partly inside the window by their visible part")
+                coloring=True, constraints=True)
     p.add_argument("--y", help="restrict to one y (element literal)")
 
     p = sub.add_parser("largeness", help="syndetic / witness / IP checks and transports")
@@ -215,8 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target", help="optional set A for before/after validation")
 
     p = sub.add_parser("hj", help="exhaustive cube-coloring search for forced lines")
-    _add_common(p)
-    p.add_argument("--colors", type=integer, required=True)
+    _add_common(p, colors=True)
     p.add_argument("--alphabet", type=integer, required=True)
     p.add_argument("--maxN", dest="maxN", type=integer, required=True)
     p.add_argument("--work-cap", type=integer,
@@ -356,33 +354,15 @@ def _spec(args):
     return parse_ring_spec(getattr(args, "ring", None) or "Z")
 
 
-def _window(args, spec, attr="window"):
-    text = getattr(args, attr, None)
-    if not text:
-        raise CliError(f"missing --{attr.replace('_', '-')}")
+def _window(spec, text: str):
     return enumerate_window(spec, parse_window_params(spec, text))
 
 
-def _family(args, spec):
-    if not args.F:
-        raise CliError("missing --F")
-    return parse_family(spec, args.F)
-
-
-def _colors(args) -> int:
-    if args.colors is None:
-        raise CliError("missing --colors")
-    return args.colors
-
-
 def _problem(args) -> tuple:
-    """(spec, window, r, family, constraints) from the flags, read in
-    this order, so the first missing flag is the one reported."""
+    """(spec, window, r, family, constraints) from the flags."""
     spec = _spec(args)
-    window = _window(args, spec)
-    r = _colors(args)
-    family = _family(args, spec)
-    return spec, window, r, family, _constraints(args, spec, window)
+    window = _window(spec, args.window)
+    return spec, window, args.colors, parse_family(spec, args.F), _constraints(args, spec, window)
 
 
 def _header(spec, window, r, family) -> dict:
@@ -399,15 +379,15 @@ def _constraints(args, spec, window) -> ScanConstraints:
     base = ScanConstraints.defaults_for(spec)
     exclude_y = base.exclude_y
     exclude_x = base.exclude_x
-    if getattr(args, "exclude_y", None) is not None:
+    if args.exclude_y is not None:
         exclude_y = parse_element_set(spec, args.exclude_y, window)
-    if getattr(args, "exclude_x", None) is not None:
+    if args.exclude_x is not None:
         exclude_x = parse_element_set(spec, args.exclude_x, window)
     return ScanConstraints(
         exclude_y=exclude_y,
         exclude_x=exclude_x,
-        require_in_window=not bool(getattr(args, "partial", None)),
-        forbid_degenerate=not bool(getattr(args, "allow_degenerate", None)),
+        require_in_window=not getattr(args, "partial", None),
+        forbid_degenerate=not args.allow_degenerate,
     )
 
 
@@ -424,6 +404,13 @@ def _coloring_for(args, spec, window, r) -> Coloring:
     if coloring.r != r:
         raise CliError("coloring file colors differ from --colors")
     return coloring
+
+
+def _save_coloring(args, coloring: Coloring, payload: dict) -> None:
+    """Write the coloring to --save-coloring, if given, and name the file in the payload."""
+    if args.save_coloring:
+        store_coloring(coloring, args.save_coloring)
+        payload["coloring_file"] = args.save_coloring
 
 
 def _fmt_set(elems) -> list:
@@ -532,7 +519,7 @@ def _cmd_abundance(args) -> tuple:
 
 def _cmd_largeness(args) -> tuple:
     spec = _spec(args)
-    window = _window(args, spec)
+    window = _window(spec, args.window)
     if args.sub == "syndetic":
         target = parse_element_set(spec, args.target, window)
         gaps = parse_element_set(spec, args.gaps, window)
@@ -553,9 +540,7 @@ def _cmd_largeness(args) -> tuple:
             "anchor": format_element(witness.anchor),
         }
     if args.sub == "ipstar":
-        target_window = window
-        if args.target_window:
-            target_window = _window(args, spec, "target_window")
+        target_window = _window(spec, args.target_window) if args.target_window else window
         target = parse_element_set(spec, args.target, target_window)
         seed = args.seed if args.seed is not None else 0
         seq = ipstar_refute(target, window, args.len, args.samples, seed)
@@ -572,15 +557,14 @@ def _cmd_largeness(args) -> tuple:
     payload = {"mode": args.mode, "by": format_element(by)}
     if target is not None:
         payload["valid_before"] = validate_ps_witness(witness, target)
-    if args.mode == "dilate":
-        moved = dilation_transport(witness, by)
-        moved_target = dilate_set(target, by) if target is not None else None
-    else:
-        moved = division_transport(witness, by)
-        if moved is None:
-            payload["divisible"] = False
-            return "not_divisible", payload
-        moved_target = divide_set(target, by) if target is not None else None
+    # built per call, so the wrappers bench/tracer.py binds over these names are the ones run
+    move, move_set = {"dilate": (dilation_transport, dilate_set),
+                      "divide": (division_transport, divide_set)}[args.mode]
+    moved = move(witness, by)
+    if moved is None:  # division left the ring
+        payload["divisible"] = False
+        return "not_divisible", payload
+    moved_target = move_set(target, by) if target is not None else None
     payload["gaps"] = _fmt_set(moved.gaps)
     payload["block"] = _fmt_set(moved.block)
     payload["anchor"] = format_element(moved.anchor)
@@ -604,8 +588,8 @@ def _cmd_hj(args) -> tuple:
 
 def _cmd_sigma(args) -> tuple:
     spec = _spec(args)
-    pool = _window(args, spec)
-    family = _family(args, spec)
+    pool = _window(spec, args.window)
+    family = parse_family(spec, args.F)
     n = args.n if args.n is not None else 2
     trials = args.trials if args.trials is not None else 100
     seed = args.seed if args.seed is not None else 0
@@ -636,14 +620,12 @@ def _cmd_search(args) -> tuple:
         }
         if res.coloring is not None:
             payload["coloring"] = list(res.coloring.colors)
-            if args.save_coloring:
-                store_coloring(res.coloring, args.save_coloring)
-                payload["coloring_file"] = args.save_coloring
+            _save_coloring(args, res.coloring, payload)
         return res.status.value, payload
     # moreira
     spec = parse_ring_spec("Z")
-    r = _colors(args)
-    family = _family(args, spec)
+    r = args.colors
+    family = parse_family(spec, args.F)
     res = moreira_number(r, family, args.maxN, args.budget)
     payload = {
         "colors": r,
@@ -688,9 +670,7 @@ def _cmd_cnf(args) -> tuple | None:
             raise CliError(f"cannot read model {args.model}: {exc}") from None
     coloring = cnf_model_decode(parse_model(text), inst)
     payload = {"colors": list(coloring.colors), "valid": True}
-    if args.save_coloring:
-        store_coloring(coloring, args.save_coloring)
-        payload["coloring_file"] = args.save_coloring
+    _save_coloring(args, coloring, payload)
     return "ok", payload
 
 
@@ -714,7 +694,7 @@ def _cmd_ufp(args) -> tuple:
             }
         return "holds" if violation is None else "violated", payload
     # grow
-    window = _window(args, spec)
+    window = _window(spec, args.window)
     start = parse_element(spec, args.start)
     try:
         seq = grow_ufp(start, window, args.length)
@@ -779,8 +759,7 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cmd != "report":
-            _apply_config(parser, args)
+        _apply_config(parser, args)
         _leaf_parser(parser, args).check_required(args)
         outcome = _HANDLERS[args.cmd](args)
         return 0 if outcome is None else _emit(args, *outcome)

@@ -21,7 +21,7 @@ equality exactly, polynomial by polynomial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .patterns import PolyFamily, ZeroConstPoly, eval_poly
@@ -38,18 +38,23 @@ class WorkCapExceeded(RuntimeError):
     """The search needed more decisions than the configured cap."""
 
 
+def _check_letters(t: int, letters: tuple, low: int) -> None:
+    """A nonempty word over the letters low..t of an alphabet of size t >= 1."""
+    if t < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if not letters:
+        raise ValueError("words are nonempty")
+    if any(not low <= a <= t for a in letters):
+        raise ValueError(f"letters must lie in {low}..{t}")
+
+
 @dataclass(frozen=True)
 class Word:
     t: int
     letters: tuple
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if not self.letters:
-            raise ValueError("words are nonempty")
-        if any(not 1 <= a <= self.t for a in self.letters):
-            raise ValueError(f"letters must lie in 1..{self.t}")
+        _check_letters(self.t, self.letters, 1)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -63,12 +68,7 @@ class VariableWord:
     letters: tuple
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("alphabet size must be >= 1")
-        if not self.letters:
-            raise ValueError("words are nonempty")
-        if any(not 0 <= a <= self.t for a in self.letters):
-            raise ValueError(f"letters must lie in 0..{self.t}")
+        _check_letters(self.t, self.letters, WILDCARD)
         if WILDCARD not in self.letters:
             raise ValueError("a variable word needs at least one wildcard")
 
@@ -112,11 +112,7 @@ def word_index(w: Word) -> int:
 
 def _line_cells(t: int, n: int):
     """Every line of [t]^n as a tuple of cell indices."""
-    lines = []
-    for vw in variable_words(t, n):
-        cells = tuple(word_index(substitute(vw, a)) for a in range(1, t + 1))
-        lines.append(cells)
-    return lines
+    return [tuple(map(word_index, line_of(vw))) for vw in variable_words(t, n)]
 
 
 def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> Optional[tuple]:
@@ -204,6 +200,15 @@ def wildcard_set(coords) -> WildcardSet:
     return WildcardSet(frozenset(coords))
 
 
+def _check_levels(n: int, layers: tuple) -> None:
+    """At least one level, and level j holds n^j entries."""
+    if not layers:
+        raise ValueError("at least one level")
+    for j, layer in enumerate(layers, start=1):
+        if len(layer) != n**j:
+            raise ValueError(f"level {j} must have length {n**j}, got {len(layer)}")
+
+
 @dataclass(frozen=True)
 class PhjPoint:
     """Point of the layered space [q]^n x [q]^(n^2) x ... x [q]^(n^d):
@@ -216,11 +221,8 @@ class PhjPoint:
     def __post_init__(self):
         if self.n < 1 or self.q < 1:
             raise ValueError("side and alphabet size must be >= 1")
-        if not self.layers:
-            raise ValueError("at least one level")
+        _check_levels(self.n, self.layers)
         for j, layer in enumerate(self.layers, start=1):
-            if len(layer) != self.n**j:
-                raise ValueError(f"level {j} must have length {self.n**j}, got {len(layer)}")
             if any(not 1 <= a <= self.q for a in layer):
                 raise ValueError(f"level {j} letters must lie in 1..{self.q}")
 
@@ -228,34 +230,33 @@ class PhjPoint:
     def d(self) -> int:
         return len(self.layers)
 
-    def at(self, idx: tuple) -> int:
-        """Entry at a multi-index (level = len(idx))."""
-        return self.layers[len(idx) - 1][flat_index(idx, self.n)]
-
 
 def phj_translate(a: PhjPoint, gamma: WildcardSet, xs: Sequence[int]) -> PhjPoint:
     """Set the gamma^j coordinates of level j to xs[j-1], all others
     unchanged."""
-    gamma.check_range(a.n)
-    xs = tuple(xs)
-    if len(xs) != a.d:
-        raise ValueError(f"need {a.d} letters, got {len(xs)}")
-    for x in xs:
-        if not 1 <= x <= a.q:
-            raise ValueError(f"letter {x} out of range 1..{a.q}")
-    return PhjPoint(a.n, a.q, _translate_layers(a.layers, a.n, gamma, xs))
+    return _translate(a, gamma, xs, "letters",
+                      lambda x: None if 1 <= x <= a.q else f"letter {x} out of range 1..{a.q}")
 
 
-def _translate_layers(layers: tuple, n: int, gamma: WildcardSet, values: tuple) -> tuple:
-    """The layers with every gamma^j entry of level j set to values[j-1]."""
+def _translate(point, gamma: WildcardSet, values: Sequence, noun: str, check):
+    """The layered point with every gamma^j entry of level j set to
+    values[j-1]; check(value) is None or the error message for a bad value."""
+    gamma.check_range(point.n)
+    values = tuple(values)
+    if len(values) != point.d:
+        raise ValueError(f"need {point.d} {noun}, got {len(values)}")
+    for v in values:
+        error = check(v)
+        if error is not None:
+            raise ValueError(error)
     coords = sorted(gamma.gamma)
     out = []
-    for j, layer in enumerate(layers, start=1):
+    for j, layer in enumerate(point.layers, start=1):
         new = list(layer)
         for idx in itertools.product(coords, repeat=j):
-            new[flat_index(idx, n)] = values[j - 1]
+            new[flat_index(idx, point.n)] = values[j - 1]
         out.append(tuple(new))
-    return tuple(out)
+    return replace(point, layers=tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +275,17 @@ class SigmaPoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("side must be >= 1")
-        if not self.layers:
-            raise ValueError("at least one level")
-        for j, layer in enumerate(self.layers, start=1):
-            if len(layer) != self.n**j:
-                raise ValueError(f"level {j} must have length {self.n**j}, got {len(layer)}")
-            for c in layer:
-                if not isinstance(c, RingElement) or c.spec != self.spec:
-                    raise ValueError("entries must be ring elements of the stated ring")
+        _check_levels(self.n, self.layers)
+        if not all(_in_ring(c, self.spec) for layer in self.layers for c in layer):
+            raise ValueError("entries must be ring elements of the stated ring")
 
     @property
     def d(self) -> int:
         return len(self.layers)
+
+
+def _in_ring(c, spec: RingSpec) -> bool:
+    return isinstance(c, RingElement) and c.spec == spec
 
 
 def coefficient_alphabet(family: PolyFamily, d: Optional[int] = None) -> tuple:
@@ -324,13 +324,10 @@ def multiplicative_assignment(ys: Sequence[RingElement], d: int) -> dict:
 
 
 def _require_multiplicative(y_assign: dict, n: int, d: int) -> None:
-    for j in range(2, d + 1):
-        for idx in multi_indices(n, j):
-            v = _y_at(y_assign, (idx[0],))
-            for i in idx[1:]:
-                v = v * _y_at(y_assign, (i,))
-            if _y_at(y_assign, idx) != v:
-                raise ValueError(f"y assignment is not multiplicative at {idx!r}")
+    ys = [_y_at(y_assign, (i,)) for i in range(1, n + 1)]
+    for idx, v in multiplicative_assignment(ys, d).items():
+        if _y_at(y_assign, idx) != v:
+            raise ValueError(f"y assignment is not multiplicative at {idx!r}")
 
 
 def _y_at(y_assign: dict, idx: tuple) -> RingElement:
@@ -365,14 +362,8 @@ def sigma_embed(u: SigmaPoint, y_assign: dict, r0: RingElement,
 def sigma_translate(u: SigmaPoint, gamma: WildcardSet, coeffs: Sequence[RingElement]) -> SigmaPoint:
     """Wildcard translation with ring-element values: level j's gamma^j
     coordinates are set to coeffs[j-1]."""
-    gamma.check_range(u.n)
-    coeffs = tuple(coeffs)
-    if len(coeffs) != u.d:
-        raise ValueError(f"need {u.d} coefficients, got {len(coeffs)}")
-    for c in coeffs:
-        if not isinstance(c, RingElement) or c.spec != u.spec:
-            raise ValueError("coefficients must be ring elements of the stated ring")
-    return SigmaPoint(u.spec, u.n, _translate_layers(u.layers, u.n, gamma, coeffs))
+    return _translate(u, gamma, coeffs, "coefficients", lambda c: None if _in_ring(c, u.spec)
+                      else "coefficients must be ring elements of the stated ring")
 
 
 class SigmaCheck(NamedTuple):
@@ -428,12 +419,15 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
     Base values, the base point, the coordinate set and every layered
     entry are drawn from one splitmix counter stream in that order, so a
     (family, pool, n, depth, trials, seed) tuple pins the whole run.
-    Yields the per-polynomial check tuple of each trial.
+    Yields the per-polynomial check tuple of each trial; a negative trial
+    count is a ValueError.
     """
     if pool.spec != family.spec:
         raise ValueError("pool window and family from different rings")
     if n < 1:
         raise ValueError("side must be >= 1")
+    if trials < 0:
+        raise ValueError(f"trial count must be >= 0, got {trials}")
     d = family.max_degree if depth is None else depth
     alphabet = coefficient_alphabet(family, d)
     size = len(pool.elements)

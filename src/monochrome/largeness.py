@@ -123,12 +123,15 @@ def ipstar_refute(
 
     Entry p of sample s is window element number
     ``stream_below(seed, s*seq_len + p, |window|)``.  Returns the first
-    counterexample sequence found, or None (evidence, not proof).
+    counterexample sequence found, or None (evidence, not proof); a
+    negative sample count is a ValueError.
     """
     if seq_len < 1:
         raise ValueError("sequence length must be >= 1")
     if seq_len > FS_LENGTH_CAP:
         raise ValueError(f"sequence length {seq_len} exceeds the enumeration cap {FS_LENGTH_CAP}")
+    if samples < 0:
+        raise ValueError(f"sample count must be >= 0, got {samples}")
     raw_target = {e.val for e in target}
     size = len(window)
     for s in range(samples):

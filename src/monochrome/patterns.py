@@ -283,7 +283,8 @@ def witness_scan(
     limit: Optional[int] = None,
 ) -> Iterator[Witness]:
     """All (x, y) pairs whose instance is monochromatic, in (y, x) canonical
-    order; stops after `limit` witnesses if given.
+    order; stops after `limit` witnesses if given (a negative limit is a
+    ValueError).
 
     By default the whole instance must lie in the window, so only the x
     in Window.product_run(y) are examined (Z {1..N}: x <= N//y; signed Z:
@@ -299,7 +300,9 @@ def witness_scan(
         raise ValueError("family ring differs from the coloring's ring")
     if constraints is None:
         constraints = ScanConstraints.defaults_for(spec)
-    if limit is not None and limit <= 0:
+    if limit is not None and limit < 0:
+        raise ValueError(f"witness limit must be >= 0, got {limit}")
+    if limit == 0:
         return
     colors = coloring.colors
     emitted = 0

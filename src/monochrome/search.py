@@ -45,14 +45,11 @@ class AvoidanceInstance:
     (Z {1..N}: x <= N//y; signed Z: |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y);
     GF(q)[x]: deg x < d - deg y; y = 0: all), even in partial mode."""
 
-    __slots__ = ("window", "r", "family", "constraints", "candidates", "index_sets")
+    __slots__ = ("window", "r", "candidates", "index_sets")
 
-    def __init__(self, window: Window, r: int, family: PolyFamily,
-                 constraints: ScanConstraints, candidates: tuple, index_sets: tuple):
+    def __init__(self, window: Window, r: int, candidates: tuple, index_sets: tuple):
         self.window = window
         self.r = r
-        self.family = family
-        self.constraints = constraints
         self.candidates = candidates
         self.index_sets = index_sets
 
@@ -89,8 +86,7 @@ def build_instance(window: Window, r: int, family: PolyFamily,
         seen.add(key)
         candidates.append(PatternInstance(x, y, tuple([elements[p] for p in positions])))
         index_sets.append(tuple(sorted(key)))
-    return AvoidanceInstance(window, r, family, constraints,
-                             tuple(candidates), tuple(index_sets))
+    return AvoidanceInstance(window, r, tuple(candidates), tuple(index_sets))
 
 
 class AvoidanceStatus(Enum):
@@ -365,12 +361,13 @@ def to_dimacs(doc: CnfDocument) -> str:
 
 
 def parse_dimacs(text: str) -> CnfDocument:
+    """The document of DIMACS text; lines end at \n only (a \r before it is whitespace)."""
     mapping = []
     num_vars = None
     expected = None
     lits: list = []
     clauses: list = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip(WHITESPACE)
         if not line:
             continue
@@ -402,9 +399,10 @@ def parse_dimacs(text: str) -> CnfDocument:
 
 def parse_model(text: str) -> list:
     """Signed literals from DIMACS v-lines or one-literal-per-line text;
-    zeros are terminators and are dropped."""
+    zeros are terminators and are dropped.  Lines end at \n only (a \r
+    before it is whitespace), as in parse_dimacs."""
     lits = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip(WHITESPACE)
         if not line or line[0] in "cs":
             continue

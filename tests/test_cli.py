@@ -619,6 +619,13 @@ def test_missing_required_flag_exits_two(capsys, tmp_path):
     cfg.write_text("colors = 2\n")
     assert dispatch(["hj", "--config", str(cfg)]) == 2
     assert "the following arguments are required: --alphabet, --maxN" in capsys.readouterr().err
+    # --window, --colors and --F follow the same rule: every missing flag at once, with usage
+    assert dispatch(["scan", "--ring", "Z", "--F", "t"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monochrome scan")
+    assert "the following arguments are required: --window, --colors" in err
+    assert dispatch(["scan", "--help"]) == 0
+    assert "--window WINDOW --colors COLORS --F F" in " ".join(capsys.readouterr().out.split())
 
 
 def test_config_missing_file(capsys):
@@ -647,6 +654,15 @@ def test_usage_errors_exit_two(capsys, monkeypatch):
         assert dispatch(argv + [tok for item in flags.items() for tok in item]) == 2, (flag, value)
         assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
     assert run(capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "３")[0] == 2
+    # negative counts are input errors; zero stays valid
+    for argv, zero in ((["sigma", "--ring", "Z", "--window", "N=5", "--F", "t", "--trials"], 0),
+                       (["largeness", "ipstar", "--ring", "Z", "--window", "N=10", "--target", "evens",
+                         "--len", "2", "--samples"], 1),
+                       (["scan", "--ring", "Z", "--window", "N=10", "--colors", "2", "--F", "t",
+                         "--limit"], 0)):
+        assert dispatch(argv + ["-3"]) == 2, argv
+        assert "must be >= 0, got -3" in capsys.readouterr().err
+        assert run(capsys, *argv, "0")[0] == zero, argv
     # literals take ASCII whitespace only, as integer flags do: U+3000 is an error
     for flag, value in (("--ring", "\u3000Z"), ("--window", "N=\u30005"), ("--F", "\u3000t"),
                         ("--F", "t;\u3000t^2"), ("--exclude-y", "{1,\u30002}")):

@@ -295,6 +295,9 @@ def test_ipstar_length_validation():
         ipstar_refute(frozenset(), w, 0, 1, 0)
     with pytest.raises(ValueError):
         ipstar_refute(frozenset(), w, FS_LENGTH_CAP + 1, 1, 0)
+    with pytest.raises(ValueError):
+        ipstar_refute(frozenset(), w, 2, -4, 0)
+    assert ipstar_refute(frozenset(), w, 2, 0, 0) is None
 
 
 # ---------------------------------------------------------------------------

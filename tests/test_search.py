@@ -320,7 +320,8 @@ def test_dimacs_parse_errors():
     # splits at U+3000; DIMACS numbers and separators are ASCII only
     for text in ("p cnf ２ 1\n1 0\n", "p cnf 1 1_0\n1 0\n", "p cnf 1 1\n１ 0\n",
                  "p cnf 1 1\n0_1 0\n", "c map 1 ０\np cnf 1 1\n1 0\n",
-                 "p cnf\u30001 1\n1 0\n", "p cnf 1 1\n1\u30000\n"):
+                 "p cnf\u30001 1\n1 0\n", "p cnf 1 1\n1\u30000\n",
+                 "p cnf 2 2\n1 0\u20282 0\n"):  # U+2028 ends no line
         with pytest.raises(ValueError):
             parse_dimacs(text)
 
@@ -329,7 +330,10 @@ def test_model_text_forms():
     assert parse_model("v 1 -2 0\nv 3 0\n") == [1, -2, 3]
     assert parse_model("1\n-2\n3\n") == [1, -2, 3]
     assert parse_model("c comment\ns SATISFIABLE\nv -1 0\n") == [-1]
-    for text in ("v １ -2 0\n", "1_0\n", "v -٢ 0\n", "v 1\u30000\n", "\u3000v 1 0\n"):
+    assert parse_model("v 1 -2 0\r\nv 3 0\r\n") == [1, -2, 3]
+    assert parse_dimacs("p cnf 2 1\r\n1 -2 0\r\n").clauses == ((1, -2),)
+    # lines end at \n only: \x85 (like U+2028) is neither a line end nor a separator
+    for text in ("v １ -2 0\n", "1_0\n", "v -٢ 0\n", "v 1\u30000\n", "\u3000v 1 0\n", "v 1\x85-2 0\n"):
         with pytest.raises(ValueError):
             parse_model(text)
 
