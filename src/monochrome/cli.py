@@ -5,12 +5,15 @@ handler returns ``(status, payload)``, or None when it wrote its own
 output (``report``, and ``cnf export`` without -o).  ``dispatch`` alone
 turns an outcome into a report with the fixed shape {command,
 timestamp, status, payload} as JSON (default), flat text, or CSV; the
-command is the subcommand's words.  Exit codes: 0 for the positive
-statuses in POSITIVE_STATUSES (ok, found, holds, counterexample,
-avoidance_found), 1 for every other status (a definite negative:
-nothing found, refuted, timeout, work cap exceeded, pool exhausted), 2
-for usage, parse and input errors, 3 for internal errors (a tripped
-guard or a recursion overflow: a bug in the package, not in the input).
+command is the subcommand's words.  A JSON report is one compact line
+(no spaces between tokens, keys in that order, non-ASCII escaped), so
+the C encoder writes it; pipe it through ``python3 -m json.tool`` to
+read it.  Exit codes: 0 for the positive statuses in POSITIVE_STATUSES
+(ok, found, holds, counterexample, avoidance_found), 1 for every other
+status (a definite negative: nothing found, refuted, timeout, work cap
+exceeded, pool exhausted), 2 for usage, parse and input errors, 3 for
+internal errors (a tripped guard or a recursion overflow: a bug in the
+package, not in the input).
 
 A flag is required exactly when --help marks it so, and argparse alone
 enforces that, once the config file and the environment are applied:
@@ -433,9 +436,14 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value) -> str:
+    """The CLI's one JSON form: compact, ASCII-escaped, keys in insertion order."""
+    return json.dumps(value, separators=(",", ":"))
+
+
 def _plain(value) -> str:
     if isinstance(value, (dict, list)):
-        return json.dumps(value, separators=(",", ":"))
+        return _json(value)
     return str(value)
 
 
@@ -468,7 +476,7 @@ def _emit(args, status: str, payload: dict) -> int:
     report = {"command": command, "timestamp": _now(), "status": status, "payload": payload}
     fmt = getattr(args, "format", None) or "json"
     if fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json(report) + "\n"
     elif fmt == "text":
         text = _render_text(report)
     else:
@@ -717,9 +725,13 @@ def _cmd_report(args) -> None:
             raise CliError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise CliError(f"{path}: not a report (the top level is not a JSON object)")
         for key in ("command", "timestamp", "status", "payload"):
             if key not in data:
                 raise CliError(f"{path}: missing report key {key!r}")
+        if not isinstance(data["payload"], dict):
+            raise CliError(f"{path}: report payload is not a JSON object")
         reports.append((path, data))
     keys = sorted({
         k

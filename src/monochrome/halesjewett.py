@@ -419,8 +419,10 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
     Base values, the base point, the coordinate set and every layered
     entry are drawn from one splitmix counter stream in that order, so a
     (family, pool, n, depth, trials, seed) tuple pins the whole run.
-    Yields the per-polynomial check tuple of each trial; a negative trial
-    count is a ValueError.
+    Yields the per-polynomial check tuple of each trial.  This is a
+    generator function: its ValueError checks (pool and family from
+    different rings, side below 1, negative trial count) run at the
+    first next(), not at the call.
     """
     if pool.spec != family.spec:
         raise ValueError("pool window and family from different rings")

@@ -293,6 +293,10 @@ def witness_scan(
     the window are ignored and monochromaticity is judged on the visible
     part (instances with no visible element are skipped); that examines
     every pair, O(|W|^2).
+
+    This is a generator function: its ValueError checks (family ring
+    against the coloring's ring, negative limit) run at the first
+    next(), not at the call.
     """
     window = coloring.window
     spec = window.spec

@@ -531,29 +531,68 @@ def test_ufp_grow_pool_exhausted(capsys):
 
 
 def test_report_merges_json_to_csv(capsys, tmp_path):
-    for i, n in enumerate((10, 20)):
+    """Compact reports and indented ones (the older JSON form) merge alike."""
+    outs = []
+    for n in (10, 20):
         code, out = run(
             capsys,
             "scan", "--ring", "Z", "--window", f"N={n}", "--colors", "2",
             "--seed", "7", "--F", "t",
         )
         assert code == 0
-        (tmp_path / f"r{i}.json").write_text(out)
-    code, out = run(
-        capsys, "report", str(tmp_path / "r0.json"), str(tmp_path / "r1.json"),
-    )
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0].startswith("file,command,timestamp,status")
-    assert len(lines) == 3
-    assert "scan" in lines[1]
+        outs.append(out)
+    (tmp_path / "r0.json").write_text(outs[0])
+    (tmp_path / "r1.json").write_text(outs[1])
+    (tmp_path / "old.json").write_text(json.dumps(json.loads(outs[0]), indent=2) + "\n")
+
+    def merged(*names):
+        code, out = run(capsys, "report", *(str(tmp_path / name) for name in names))
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0].startswith("file,command,timestamp,status")
+        assert len(lines) == 3
+        return [line.split(",", 1)[1] for line in lines]  # without the file column
+
+    compact = merged("r0.json", "r1.json")
+    assert compact[1].startswith("scan,")
+    assert merged("old.json", "r1.json") == compact
 
 
 def test_report_rejects_non_report_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    code, _ = run(capsys, "report", str(bad))
-    assert code == 2
+    for text in ("{}", '"command timestamp status payload"', "null",
+                 '{"command": "scan", "timestamp": "t", "status": "ok", "payload": 5}'):
+        bad.write_text(text)
+        assert dispatch(["report", str(bad)]) == 2, text
+        assert capsys.readouterr().err.startswith(f"error: {bad}: "), text
+
+
+def test_json_report_is_one_compact_line(capsys, tmp_path):
+    save = tmp_path / "caf\u00e9.txt"
+    code, out = run(
+        capsys,
+        "search", "avoid", "--ring", "Z", "--window", "N=4", "--colors", "2",
+        "--F", "t", "--save-coloring", str(save),
+    )
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = json.loads(out)
+    assert out == json.dumps(report, separators=(",", ":")) + "\n"
+    assert list(report) == ["command", "timestamp", "status", "payload"]
+    assert report["payload"]["coloring_file"] == str(save)
+    assert "\\u00e9" in out and "\u00e9" not in out
+
+
+def test_cli_json_form_stated_once():
+    """Reports and nested text values share one encoder call, cli._json."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    users = {
+        node.name if isinstance(node, ast.FunctionDef) else f"line {node.lineno}"
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "dumps"
+    }
+    assert users == {"_json"}
 
 
 # ---------------------------------------------------------------------------
