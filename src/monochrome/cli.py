@@ -12,15 +12,18 @@ read it.  Exit codes: 0 for the positive statuses in POSITIVE_STATUSES
 (ok, found, holds, counterexample, avoidance_found), 1 for every other
 status (a definite negative: nothing found, refuted, timeout, work cap
 exceeded, pool exhausted), 2 for usage, parse and input errors, 3 for
-internal errors (a tripped guard or a recursion overflow: a bug in the
-package, not in the input).
+internal errors (a tripped guard, a recursion overflow or any other
+RuntimeError: a bug in the package, not in the input).
 
-A flag is required exactly when --help marks it so, and argparse alone
-enforces that, once the config file and the environment are applied:
-a config file of `key = value` lines (keys mirror the long flag names,
-values get the flags' type and choice checks) can supply any flag,
-required ones included; explicit flags win.  The environment variable
-MONOCHROME_BUDGET provides a global default for --budget / --work-cap.
+argparse alone checks flags: their values, and the required ones,
+which --help shows without brackets.  A config file (--config FILE) of
+`key = value` lines is read before parsing, and each entry becomes the
+subcommand's own flag `--key=value` (a store-true flag `--key` when the
+value is true, nothing when false), placed after the subcommand words
+and before the user's flags: argparse checks its value like any flag,
+it can supply a required flag, and an explicit flag wins.  The
+environment variable MONOCHROME_BUDGET then fills an unset --budget /
+--work-cap.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .colorings import (
     random_coloring,
     store_coloring,
 )
-from .errors import InternalError
 from .halesjewett import WorkCapExceeded, hj_number_exhaustive, sigma_trials
 from .largeness import (
     PSWitness,
@@ -101,7 +103,7 @@ class CliError(Exception):
 def _add_common(p, *, ring=False, window=False, colors=False, family=False,
                 seed=False, coloring=False, budget=False, constraints=False, output=True):
     if ring:
-        p.add_argument("--ring", help="ring spec: Z, Zi, or GF(q)[x]")
+        p.add_argument("--ring", default="Z", help="ring spec: Z, Zi, or GF(q)[x]")
     if window:
         p.add_argument("--window", required=True, help="window params: N=50[,signed] / B=3 / d=4")
     if colors:
@@ -129,46 +131,9 @@ def _add_common(p, *, ring=False, window=False, colors=False, family=False,
     p.add_argument("--config", help="file of key = value lines mirroring these flags")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Required options may come from a config file, so parsing leaves
-    them unchecked and check_required checks them once the config is
-    applied; usage and help still show them as required."""
-
-    def __init__(self, *args, **kwargs):
-        self.deferred = []
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.required and action.option_strings:
-            action.required = False
-            self.deferred.append(action)
-        return action
-
-    def check_required(self, args: argparse.Namespace) -> None:
-        """argparse's own "required" error for options still unset."""
-        missing = ["/".join(a.option_strings) for a in self.deferred if getattr(args, a.dest) is None]
-        if missing:
-            self.error("the following arguments are required: " + ", ".join(missing))
-
-    def _shown_required(self, render):
-        for a in self.deferred:
-            a.required = True
-        try:
-            return render()
-        finally:
-            for a in self.deferred:
-                a.required = False
-
-    def format_usage(self) -> str:
-        return self._shown_required(super().format_usage)
-
-    def format_help(self) -> str:
-        return self._shown_required(super().format_help)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _build_parser() -> tuple:
+    """The parser, and the parser of each leaf subcommand by its words."""
+    parser = argparse.ArgumentParser(
         prog="monochrome",
         description="verification and search for monochromatic product/shift "
                     "configurations over finite ring windows",
@@ -274,7 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="report JSON files")
     p.add_argument("-o", "--output", help="CSV destination (default stdout)")
 
-    return parser
+    groups = {"largeness": lsub, "search": ssub, "cnf": csub, "ufp": usub}
+    leaves = {(cmd,): p for cmd, p in sub.choices.items() if cmd not in groups}
+    leaves.update(((cmd, name), q) for cmd, g in groups.items() for name, q in g.choices.items())
+    return parser, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +266,39 @@ def _load_config(path: str) -> dict:
     return entries
 
 
-def _leaf_parser(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.ArgumentParser:
-    """The (sub)parser that parsed args."""
-    for dest in ("cmd", "sub"):
-        name = getattr(args, dest, None)
-        if name is not None:
-            subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            parser = subparsers.choices[name]
-    return parser
+def _with_config(leaves: dict, argv: list) -> list:
+    """argv with the --config file's entries turned into the subcommand's
+    own flags, placed after its words and before the user's flags, so
+    that argparse checks them and explicit flags win."""
+    words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    options = leaves[words]._option_string_actions if words in leaves else {}
+    if "--config" not in options:
+        return argv
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[len(words):])[0].config
+    except argparse.ArgumentError:  # let the subcommand's parser report it
+        return argv
+    if path is None:
+        return argv
+    flags = []
+    for key, value in _load_config(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = options.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            raise CliError(f"unknown config key {key!r}")
+        if action.nargs != 0:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise CliError(f"config key {key}: expected a boolean, got {value!r}")
+    return [*words, *flags, *argv[len(words):]]
 
 
-def _convert(action: argparse.Action, value: str):
-    """A config value typed and checked like the flag with the same dest."""
-    key = action.dest
-    if action.nargs == 0:  # store_true flag
-        low = value.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise CliError(f"config key {key}: expected a boolean, got {value!r}")
-    if action.type is not None:
-        try:
-            value = action.type(value)
-        except ValueError:
-            raise CliError(f"config key {key}: invalid {action.type.__name__} value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise CliError(f"config key {key}: invalid choice {value!r} (choose from {choices})")
-    return value
-
-
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then the environment."""
-    if getattr(args, "config", None):
-        allowed = {k for k in vars(args) if k not in ("cmd", "sub", "config", "inputs")}
-        actions = {a.dest: a for a in _leaf_parser(parser, args)._actions}
-        for key, value in _load_config(args.config).items():
-            if key not in allowed:
-                raise CliError(f"unknown config key {key!r}")
-            if getattr(args, key) is None:
-                setattr(args, key, _convert(actions[key], value))
+def _apply_env(args: argparse.Namespace) -> None:
+    """Fill an unset --budget or --work-cap from the environment."""
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         for dest in ("budget", "work_cap"):
@@ -353,17 +313,13 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 # Shared pieces
 
 
-def _spec(args):
-    return parse_ring_spec(getattr(args, "ring", None) or "Z")
-
-
 def _window(spec, text: str):
     return enumerate_window(spec, parse_window_params(spec, text))
 
 
 def _problem(args) -> tuple:
     """(spec, window, r, family, constraints) from the flags."""
-    spec = _spec(args)
+    spec = parse_ring_spec(args.ring)
     window = _window(spec, args.window)
     return spec, window, args.colors, parse_family(spec, args.F), _constraints(args, spec, window)
 
@@ -395,7 +351,7 @@ def _constraints(args, spec, window) -> ScanConstraints:
 
 
 def _coloring_for(args, spec, window, r) -> Coloring:
-    if not args.coloring:
+    if args.coloring is None:
         return random_coloring(window, r, args.seed if args.seed is not None else 0)
     if args.seed is not None:
         raise CliError("--coloring and --seed exclude each other: the file fixes every color")
@@ -411,7 +367,7 @@ def _coloring_for(args, spec, window, r) -> Coloring:
 
 def _save_coloring(args, coloring: Coloring, payload: dict) -> None:
     """Write the coloring to --save-coloring, if given, and name the file in the payload."""
-    if args.save_coloring:
+    if args.save_coloring is not None:
         store_coloring(coloring, args.save_coloring)
         payload["coloring_file"] = args.save_coloring
 
@@ -486,8 +442,8 @@ def _emit(args, status: str, payload: dict) -> int:
 
 
 def _write(dest, text: str) -> None:
-    """Write text to the file dest, or to stdout when dest is empty."""
-    if dest:
+    """Write text to the file dest, or to stdout when dest is None."""
+    if dest is not None:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -526,7 +482,7 @@ def _cmd_abundance(args) -> tuple:
 
 
 def _cmd_largeness(args) -> tuple:
-    spec = _spec(args)
+    spec = parse_ring_spec(args.ring)
     window = _window(spec, args.window)
     if args.sub == "syndetic":
         target = parse_element_set(spec, args.target, window)
@@ -548,7 +504,7 @@ def _cmd_largeness(args) -> tuple:
             "anchor": format_element(witness.anchor),
         }
     if args.sub == "ipstar":
-        target_window = _window(spec, args.target_window) if args.target_window else window
+        target_window = _window(spec, args.target_window) if args.target_window is not None else window
         target = parse_element_set(spec, args.target, target_window)
         seed = args.seed if args.seed is not None else 0
         seq = ipstar_refute(target, window, args.len, args.samples, seed)
@@ -595,7 +551,7 @@ def _cmd_hj(args) -> tuple:
 
 
 def _cmd_sigma(args) -> tuple:
-    spec = _spec(args)
+    spec = parse_ring_spec(args.ring)
     pool = _window(spec, args.window)
     family = parse_family(spec, args.F)
     n = args.n if args.n is not None else 2
@@ -657,7 +613,7 @@ def _cmd_cnf(args) -> tuple | None:
     if args.sub == "export":
         doc = cnf_export(inst)
         _write(args.output, to_dimacs(doc))
-        if not args.output:
+        if args.output is None:
             return None
         payload = {
             "path": args.output,
@@ -683,7 +639,7 @@ def _cmd_cnf(args) -> tuple | None:
 
 
 def _cmd_ufp(args) -> tuple:
-    spec = _spec(args)
+    spec = parse_ring_spec(args.ring)
     if args.sub == "verify":
         literals = [tok.strip(WHITESPACE) for tok in args.elements.split(",") if tok.strip(WHITESPACE)]
         if not literals:
@@ -768,11 +724,10 @@ def dispatch(argv) -> int:
     """Parse argv, run the subcommand, write its report and return the
     exit code (0 positive status or no report, 1 any other status, 2
     usage/input error, 3 internal error)."""
-    parser = _build_parser()
+    parser, leaves = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(parser, args)
-        _leaf_parser(parser, args).check_required(args)
+        args = parser.parse_args(_with_config(leaves, argv))
+        _apply_env(args)
         outcome = _HANDLERS[args.cmd](args)
         return 0 if outcome is None else _emit(args, *outcome)
     except SystemExit as exc:
@@ -781,10 +736,10 @@ def dispatch(argv) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, RecursionError) as exc:
+    except RuntimeError as exc:  # InternalError, RecursionError: a fault of the package
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ColoringFormatError, ZeroDivisionError, OSError, RuntimeError) as exc:
+    except (ValueError, ColoringFormatError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

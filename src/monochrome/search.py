@@ -448,8 +448,9 @@ def dual_engine_check(inst: AvoidanceInstance, budget: Optional[int] = None) -> 
 
 
 def cnf_model_decode(model: Sequence[int], inst: AvoidanceInstance) -> Coloring:
-    """Rebuild the coloring from a satisfying assignment and validate it
-    avoids every candidate (failure there means an encode or solver bug)."""
+    """Rebuild the coloring from a satisfying assignment and validate it:
+    a model that leaves a candidate monochromatic is a ValueError naming
+    the candidate."""
     r = inst.r
     n = len(inst.window)
     true_vars = set()
@@ -466,6 +467,8 @@ def cnf_model_decode(model: Sequence[int], inst: AvoidanceInstance) -> Coloring:
                 f"element #{i} carries {len(chosen)} colors; model violates the one-color clauses"
             )
         colors.append(chosen[0] + 1)
-    if not _is_avoiding(colors, inst.index_sets):
-        raise RuntimeError("decoded coloring leaves a candidate monochromatic: encode/solver bug")
+    for cand, idxs in zip(inst.candidates, inst.index_sets):
+        if len({colors[i] for i in idxs}) == 1:
+            elems = ", ".join(map(format_element, cand.elements))
+            raise ValueError(f"model leaves the candidate {{{elems}}} monochromatic")
     return Coloring(inst.window, r, tuple(colors))

@@ -4,6 +4,7 @@ the 0/1/2 contract, config files merge under flags."""
 import ast
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -602,9 +603,11 @@ def test_cli_json_form_stated_once():
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("ring = Z\nwindow = N=50\ncolors = 2\nseed = 7\nF = t\n")
-    code, report = run_json(capsys, "scan", "--config", str(cfg))
-    assert code == 0
-    assert report["payload"]["count"] == 83
+    # --conf is argparse's abbreviation of --config: it loads the file too
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        code, report = run_json(capsys, "scan", *argv)
+        assert code == 0, argv
+        assert report["payload"]["count"] == 83, argv
 
 
 def test_flags_override_config(capsys, tmp_path):
@@ -614,31 +617,50 @@ def test_flags_override_config(capsys, tmp_path):
     assert code == 0
     assert report["payload"]["seed"] == 8
     assert report["payload"]["count"] != 83 or report["payload"]["seed"] == 8
+    # an explicit store-true flag beats a false config entry
+    cfg.write_text("ring = Z\nwindow = N=20\ncolors = 2\nseed = 7\nF = t\npartial = no\n")
+    flags = ["--ring", "Z", "--window", "N=20", "--colors", "2", "--seed", "7", "--F", "t"]
+    for extra in ([], ["--partial"]):
+        code, report = run_json(capsys, "scan", "--config", str(cfg), *extra)
+        assert code == 0
+        assert report["payload"] == run_json(capsys, "scan", *flags, *extra)[1]["payload"], extra
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
-    for key in ("banana", "jobs"):
+    # help and config are flags but no config keys; abbreviations such as col are not keys
+    for key in ("banana", "jobs", "help", "config", "col"):
         cfg.write_text(f"ring = Z\n{key} = 3\n")
-        code, _ = run(
-            capsys, "scan", "--config", str(cfg), "--window", "N=5",
-            "--colors", "2", "--F", "t",
-        )
+        code = dispatch(["scan", "--config", str(cfg), "--window", "N=5", "--colors", "2", "--F", "t"])
         assert code == 2, key
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n", key
 
 
 def test_config_values_checked_like_flags(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     good = {"ring": "Z", "window": "N=10", "colors": "2", "F": "t"}
-    for key, value in (("format", "xml"), ("colors", "two"), ("colors", "２"), ("colors", "1_0"),
-                       ("colors", "\u30002"), ("allow-degenerate", "maybe")):
+    # values are argparse's to check, so its messages name the flag
+    for key, value, message in (
+            ("format", "xml", "argument --format: invalid choice: 'xml'"),
+            ("colors", "two", "argument --colors: invalid integer value: 'two'"),
+            ("colors", "２", "argument --colors: invalid integer value"),
+            ("colors", "1_0", "argument --colors: invalid integer value"),
+            ("colors", "\u30002", "argument --colors: invalid integer value"),
+            ("allow-degenerate", "maybe", "config key allow_degenerate: expected a boolean, got 'maybe'")):
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**good, key: value}.items()))
-        assert run(capsys, "scan", "--config", str(cfg))[0] == 2, key
+        assert dispatch(["scan", "--config", str(cfg)]) == 2, key
+        assert message in capsys.readouterr().err, key
     good.update({"format": "text", "allow-degenerate": "yes"})
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in good.items()))
     code, out = run(capsys, "scan", "--config", str(cfg))
     assert code == 0
     assert out.startswith("# scan\n")
+    # keys may spell - as _; a false store-true entry leaves the flag unset
+    cfg.write_text("ring = Z\nwindow = N=10\ncolors = 2\nF = t\nexclude_y = {0,1,2}\nallow_degenerate = no\n")
+    flags = ["--ring", "Z", "--window", "N=10", "--colors", "2", "--F", "t", "--exclude-y", "{0,1,2}"]
+    code, report = run_json(capsys, "scan", "--config", str(cfg))
+    assert code == 0
+    assert report["payload"] == run_json(capsys, "scan", *flags)[1]["payload"]
 
 
 def test_config_supplies_required_flags(capsys, tmp_path):
@@ -665,6 +687,132 @@ def test_missing_required_flag_exits_two(capsys, tmp_path):
     assert "the following arguments are required: --window, --colors" in err
     assert dispatch(["scan", "--help"]) == 0
     assert "--window WINDOW --colors COLORS --F F" in " ".join(capsys.readouterr().out.split())
+
+
+# Every README command and every command of the benchmark's toolkit workload
+# (report aside: it takes no --config), in the order that makes each input file
+# (avoid.txt, model.txt) exist before a command reads it.
+GOLDEN_COMMANDS = [
+    ["scan", "--ring", "Z", "--window", "N=50", "--colors", "2", "--seed", "7", "--F", "t"],
+    ["abundance", "--ring", "Z", "--window", "N=50", "--colors", "2", "--seed", "7", "--F", "t",
+     "--y", "2", "--format", "csv"],
+    ["abundance", "--ring", "Z", "--window", "N=30", "--colors", "2", "--seed", "3", "--F", "t",
+     "--y", "5", "--partial"],
+    ["largeness", "syndetic", "--ring", "Z", "--window", "N=10", "--target", "evens", "--gaps", "{0,1}"],
+    ["largeness", "ps-witness", "--ring", "Z", "--window", "N=30", "--target", "evens",
+     "--gaps", "{0,1}", "--block", "{1,2,3,4,5}"],
+    ["largeness", "ipstar", "--ring", "Z", "--window", "N=100", "--target-window", "N=300,signed",
+     "--target", "ideal(3)", "--len", "3", "--samples", "50", "--seed", "1"],
+    ["largeness", "transport", "--ring", "Z", "--window", "N=30", "--mode", "dilate",
+     "--gaps", "{0,1}", "--block", "{1,2,3,4,5}", "--anchor", "1", "--by", "3", "--target", "evens"],
+    ["hj", "--colors", "2", "--alphabet", "2", "--maxN", "3", "--format", "text"],
+    ["sigma", "--ring", "GF(2)[x]", "--window", "d=3", "--F", "t^2+t", "--n", "2", "--trials", "100",
+     "--seed", "0"],
+    ["search", "avoid", "--ring", "Z", "--window", "N=7", "--colors", "2", "--F", "t",
+     "--save-coloring", "avoid7.txt"],
+    ["search", "moreira", "--colors", "2", "--F", "t", "--maxN", "20", "--crosscheck"],
+    ["cnf", "export", "--ring", "Z", "--window", "N=3", "--colors", "2", "--F", "t", "-o", "inst.cnf"],
+    ["cnf", "decode", "--ring", "Z", "--window", "N=3", "--colors", "2", "--F", "t", "--model", "model.txt"],
+    ["ufp", "verify", "--ring", "Z", "--elements", "2,3,4"],
+    ["ufp", "grow", "--ring", "Z", "--window", "N=10000", "--start", "2", "--length", "10"],
+    ["scan", "--ring", "Z", "--window", "N=200", "--colors", "2", "--seed", "0", "--F", "0;t",
+     "--partial", "-o", "scan_partial.json"],
+    ["abundance", "--ring", "Z", "--window", "N=150", "--colors", "2", "--seed", "1", "--F", "t",
+     "--format", "csv", "-o", "abundance.csv"],
+    ["largeness", "syndetic", "--ring", "Z", "--window", "N=2000", "--target", "evens",
+     "--gaps", "{0,1}", "-o", "syndetic.json"],
+    ["largeness", "ps-witness", "--ring", "Z", "--window", "N=2000", "--target", "ideal(3)",
+     "--gaps", "{0,1}", "--block", "{1,2,3,4,5}", "-o", "ps_witness.json"],
+    ["largeness", "ipstar", "--ring", "Z", "--window", "N=100", "--target-window", "N=600,signed",
+     "--target", "evens", "--len", "4", "--samples", "400", "--seed", "0", "-o", "ipstar.json"],
+    ["largeness", "transport", "--ring", "Z", "--window", "N=2000", "--mode", "dilate",
+     "--gaps", "{0,1}", "--block", "{1,2,3,4,5}", "--anchor", "1", "--by", "3", "--target", "evens",
+     "-o", "transport.json"],
+    ["hj", "--colors", "2", "--alphabet", "3", "--maxN", "3", "--work-cap", "10000000000",
+     "-o", "hj23.json"],
+    ["sigma", "--ring", "GF(2)[x]", "--window", "d=3", "--F", "t^2+t", "--n", "2", "--trials", "200",
+     "--seed", "0", "-o", "sigma.json"],
+    ["ufp", "verify", "--ring", "Z", "--elements", "2,3,5,7,11,13,17,19,23,29,31,37",
+     "-o", "ufp_verify.json"],
+    ["search", "avoid", "--ring", "Z", "--window", "N=44", "--colors", "2", "--F", "0;3t",
+     "--save-coloring", "avoid.txt", "-o", "avoid.json"],
+    ["scan", "--coloring", "avoid.txt", "--ring", "Z", "--window", "N=44", "--colors", "2",
+     "--F", "0;3t", "-o", "scan_coloring.json"],
+    ["cnf", "export", "--ring", "Z", "--window", "N=44", "--colors", "2", "--F", "0;3t"],
+]
+
+
+def test_config_file_gives_the_flags_answer(capsys, tmp_path, monkeypatch):
+    """Each command's flags written to a config file give the same exit code,
+    report and written files as the flags, also when the config holds a
+    different value for the first flag and the flag itself is given."""
+
+    def config_lines(flags, first=None):
+        lines, i = [], 0
+        while i < len(flags):
+            key = {"-o": "output"}.get(flags[i], flags[i].lstrip("-"))
+            if i + 1 < len(flags) and not flags[i + 1].startswith("-"):
+                lines.append(f"{key} = {'99' if i == 0 and first else flags[i + 1]}\n")
+                i += 2
+            else:
+                lines.append(f"{key} = yes\n")
+                i += 1
+        return "".join(lines)
+
+    def outcome(argv):
+        code, out = run(capsys, *argv)
+        files = {p.name: p.read_text() for p in sorted(pathlib.Path().iterdir())}
+        return code, re.sub(r'"timestamp":"[^"]*"', "", out), re.sub(r'"timestamp":"[^"]*"', "", str(files))
+
+    for mode in ("flags", "config", "config+flag"):
+        (tmp_path / mode).mkdir()
+    cfg = tmp_path / "command.cfg"
+    for argv in GOLDEN_COMMANDS:
+        words = argv[:2] if argv[0] in ("largeness", "search", "cnf", "ufp") else argv[:1]
+        flags = argv[len(words):]
+        results = {}
+        for mode in ("flags", "config", "config+flag"):
+            monkeypatch.chdir(tmp_path / mode)
+            pathlib.Path("model.txt").write_text("v 1 -2 -3 4 5 -6 0\n")
+            if mode == "flags":
+                results[mode] = outcome(argv)
+                continue
+            cfg.write_text(config_lines(flags, first=mode == "config+flag"))
+            explicit = flags[:2] if mode == "config+flag" else []
+            results[mode] = outcome([*words, "--config", str(cfg), *explicit])
+        assert results["config"] == results["flags"], argv
+        assert results["config+flag"] == results["flags"], argv
+
+
+def test_empty_value_is_an_error(capsys, tmp_path, monkeypatch):
+    """An empty value is a bad value, never a missing flag."""
+    monkeypatch.chdir(tmp_path)
+    problem = ["--ring", "Z", "--window", "N=7", "--colors", "2", "--F", "t"]  # avoidable: avoid saves
+    for argv in (["scan", *problem, "--ring", ""],
+                 ["scan", *problem, "--coloring", "", "--seed", "1"],
+                 ["scan", *problem, "--coloring", ""],
+                 ["scan", *problem, "-o", ""],
+                 ["scan", *problem, "--config", ""],
+                 ["scan", *problem, "--config="],
+                 ["search", "avoid", *problem, "--save-coloring", ""],
+                 ["cnf", "export", *problem, "-o", ""],
+                 ["largeness", "ipstar", "--ring", "Z", "--window", "N=10", "--target-window", "",
+                  "--target", "evens", "--len", "2", "--samples", "3"]):
+        assert dispatch(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stray_runtime_error_exits_three(capsys, monkeypatch):
+    """Only input errors exit 2: any other RuntimeError is a fault of the package."""
+
+    def fault(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setitem(cli._HANDLERS, "hj", fault)
+    assert dispatch(["hj", "--colors", "2", "--alphabet", "2", "--maxN", "3"]) == 3
+    assert capsys.readouterr().err == "internal error: unexpected state\n"
 
 
 def test_config_missing_file(capsys):

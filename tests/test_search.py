@@ -371,8 +371,8 @@ def test_decode_rejects_out_of_range_literal():
 
 def test_decode_flags_monochromatic_candidate():
     inst = build_instance(zwindow(3), 2, LINEAR)
-    # elements 2 and 3 share color 1: candidate {2,3} monochromatic
-    with pytest.raises(RuntimeError):
+    # elements 2 and 3 share color 1: candidate {2,3} monochromatic, an input error
+    with pytest.raises(ValueError, match=r"candidate \{2, 3\} monochromatic"):
         cnf_model_decode([1, -2, 3, -4, 5, -6], inst)
 
 
