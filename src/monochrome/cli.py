@@ -202,9 +202,10 @@ def _build_parser() -> tuple:
                 constraints=True)
     q.add_argument("--save-coloring", help="write a found coloring to this file")
 
-    q = ssub.add_parser("moreira", help="least N over Z at which avoidance becomes impossible")
-    _add_common(q, colors=True, family=True, budget=True)
-    q.add_argument("--maxN", dest="maxN", type=integer, required=True)
+    q = ssub.add_parser("moreira", help="least window size at which avoidance becomes impossible")
+    _add_common(q, ring=True, colors=True, family=True, budget=True)
+    q.add_argument("--maxN", dest="maxN", type=integer, required=True,
+                   help="largest window size probed: N over Z, B over Zi, d over GF(q)[x]")
     q.add_argument("--crosscheck", action="store_true", default=None,
                    help="confirm the boundary with the reference CNF engine")
 
@@ -587,11 +588,12 @@ def _cmd_search(args) -> tuple:
             _save_coloring(args, res.coloring, payload)
         return res.status.value, payload
     # moreira
-    spec = parse_ring_spec("Z")
+    spec = parse_ring_spec(args.ring)
     r = args.colors
     family = parse_family(spec, args.F)
     res = moreira_number(r, family, args.maxN, args.budget)
     payload = {
+        "ring": format_ring_spec(spec),
         "colors": r,
         "family": format_family(family),
         "maxN": args.maxN,

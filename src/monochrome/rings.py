@@ -430,21 +430,6 @@ class RingElement:
         return self.spec.key(self.val)
 
 
-def ring_arith(op: str, a: RingElement, b: Optional[RingElement] = None) -> RingElement:
-    """String-dispatched arithmetic: op in {add, mul, neg, sub}."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def exact_divide(a: RingElement, b: RingElement) -> Optional[RingElement]:
     """The unique c with b*c = a, or None when a is not divisible by b.
 

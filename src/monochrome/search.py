@@ -19,7 +19,10 @@ DPLL engine in dpll.py, with a model decoder that rebuilds and validates
 the coloring.  The two engines share no search code, so agreement
 between them (dual_engine_check) is a real cross-check.  moreira_number
 turns the Forced/AvoidanceFound boundary into a least-window-size
-threshold.
+threshold.  Its probes reuse the largest instance built so far whenever
+a probe's window is a prefix of that instance's window: the probe
+searches the prefix slice (AvoidanceInstance.prefix), which equals a
+fresh build, instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -58,6 +61,33 @@ class AvoidanceInstance:
             f"<avoidance instance |W|={len(self.window)} r={self.r} "
             f"candidates={len(self.candidates)}>"
         )
+
+    def prefix(self, window: Window) -> "AvoidanceInstance":
+        """This instance restricted to window, whose elements must be the
+        first len(window) of self.window's (else ValueError): the
+        candidates whose positions and y lie in window, in their order,
+        which is build_instance(window, ...) without the rebuild.
+
+        A candidate inside window comes from an x and a y inside it (x*y
+        bounds both by norm or degree, and y = 0 leaves x + f(0) = x), so
+        the first pair making each element set is the same in both scans.
+        The one exception is the degenerate {0} from x = 0 and a y at
+        which every f vanishes: that y may lie outside window, hence the
+        check on y."""
+        if not _is_prefix(window, self.window):
+            raise ValueError(f"{window!r} is not a prefix of {self.window!r}")
+        n = len(window)
+        inside = window.raw_index
+        kept = [(c, idxs) for c, idxs in zip(self.candidates, self.index_sets)
+                if idxs[-1] < n and c.y.val in inside]
+        return AvoidanceInstance(window, self.r, tuple(c for c, _ in kept),
+                                 tuple(idxs for _, idxs in kept))
+
+
+def _is_prefix(window: Window, of: Window) -> bool:
+    """Whether window's elements are the first len(window) of of's: same
+    ring, and each element at the same position in both."""
+    return window.spec == of.spec and window.raw_index.items() <= of.raw_index.items()
 
 
 def build_instance(window: Window, r: int, family: PolyFamily,
@@ -267,6 +297,7 @@ class MoreiraResult:
     status: str  # "found" | "not_found_within" | "inconclusive"
     n: int  # least forced N; max probed; or the N whose search timed out
     trace: tuple  # (N, AvoidanceStatus) pairs in evaluation order
+    builds: int  # probes that ran build_instance rather than a prefix slice
 
 
 def moreira_number(r: int, family: PolyFamily, max_n: int,
@@ -275,14 +306,31 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     """Least window size n <= max_n (N=n over Z, B=n over Zi, d=n over
     GF(q)[x]) at which no r-coloring avoids the family's instances.
     Exponential probe then binary search on the monotone Forced boundary
-    (every ring's windows nest, so Forced only moves upward)."""
+    (every ring's windows nest, so Forced only moves upward).
+
+    The largest instance built so far is kept, and a probe whose window
+    is a prefix of its window searches AvoidanceInstance.prefix of it
+    instead of a fresh build_instance.  Over Z and GF(q)[x] every smaller
+    window is a prefix of a larger one, so every binary-search probe is
+    sliced; a Zi box is a prefix of a larger box only for B <= 2, so Zi
+    probes build afresh.  builds counts the probes that built."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     trace = []
+    kept = None  # the largest instance built so far
+    builds = 0
 
     def status_at(n: int) -> AvoidanceStatus:
+        nonlocal kept, builds
         window = enumerate_window(family.spec, WindowParams(n))
-        res = avoidance_backtrack(build_instance(window, r, family, constraints), budget)
+        if kept is not None and _is_prefix(window, kept.window):
+            inst = kept.prefix(window)
+        else:
+            inst = build_instance(window, r, family, constraints)
+            builds += 1
+            if kept is None or len(window) > len(kept.window):
+                kept = inst
+        res = avoidance_backtrack(inst, budget)
         trace.append((n, res.status))
         return res.status
 
@@ -292,24 +340,24 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     while True:
         st = status_at(n)
         if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", n, tuple(trace))
+            return MoreiraResult("inconclusive", n, tuple(trace), builds)
         if st is AvoidanceStatus.FORCED:
             hi = n
             break
         lo = n
         if n == max_n:
-            return MoreiraResult("not_found_within", max_n, tuple(trace))
+            return MoreiraResult("not_found_within", max_n, tuple(trace), builds)
         n = min(2 * n, max_n)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         st = status_at(mid)
         if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", mid, tuple(trace))
+            return MoreiraResult("inconclusive", mid, tuple(trace), builds)
         if st is AvoidanceStatus.FORCED:
             hi = mid
         else:
             lo = mid
-    return MoreiraResult("found", hi, tuple(trace))
+    return MoreiraResult("found", hi, tuple(trace), builds)
 
 
 # ---------------------------------------------------------------------------

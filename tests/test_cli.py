@@ -375,9 +375,23 @@ def test_search_moreira_crosscheck(capsys):
     )
     assert code == 0
     payload = report["payload"]
-    assert payload["N"] == 8
+    assert payload["ring"] == "Z" and payload["N"] == 8
     assert payload["crosscheck"]["below"]["agree"] is True
     assert payload["crosscheck"]["at"]["agree"] is True
+
+
+@pytest.mark.parametrize("ring, threshold", [("GF(2)[x]", 3), ("Zi", 2)])
+def test_search_moreira_over_other_rings(capsys, ring, threshold):
+    code, report = run_json(
+        capsys, "search", "moreira", "--ring", ring, "--colors", "2", "--F", "t", "--maxN", "8",
+        "--crosscheck",
+    )
+    assert code == 0
+    payload = report["payload"]
+    assert payload["ring"] == ring and payload["N"] == threshold
+    assert payload["crosscheck"]["below"]["backtrack"] == "avoidance_found"
+    assert payload["crosscheck"]["at"]["backtrack"] == "forced"
+    assert payload["crosscheck"]["below"]["agree"] is True and payload["crosscheck"]["at"]["agree"] is True
 
 
 def test_search_moreira_not_found(capsys):

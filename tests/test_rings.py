@@ -19,7 +19,6 @@ from monochrome import (
     parse_element_set,
     parse_ring_spec,
     parse_window_params,
-    ring_arith,
 )
 from monochrome.rings import _Poly
 
@@ -86,7 +85,6 @@ def test_unknown_ring_literal_rejected():
 
 def test_integer_addition_example():
     assert Z.integer(2) + Z.integer(3) == Z.integer(5)
-    assert ring_arith("add", Z.integer(2), Z.integer(3)) == Z.integer(5)
 
 
 def test_char_two_cancellation_example():
@@ -179,16 +177,6 @@ def test_raw_ops_match_reference():
                 assert (ex * ey).val == ref_mul(x, y)
                 assert (-ex).val == ref_neg(x)
                 assert (ex - ey).val == ref_add(x, ref_neg(y))
-
-
-def test_ring_arith_dispatch_matches_operators():
-    rng = random.Random(7)
-    for spec in ALL_SPECS:
-        a, b = rand_elem(spec, rng), rand_elem(spec, rng)
-        assert ring_arith("add", a, b) == a + b
-        assert ring_arith("sub", a, b) == a - b
-        assert ring_arith("mul", a, b) == a * b
-        assert ring_arith("neg", a) == -a
 
 
 def test_mixed_ring_arithmetic_rejected():

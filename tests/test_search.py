@@ -466,6 +466,9 @@ def test_thresholds_outside_z():
         fam = parse_family(spec, fam_text)
         res = moreira_number(2, fam, 8)
         assert (res.status, res.n) == ("found", threshold), (ring, fam_text)
+        for size, status in res.trace:  # sliced or built, each probe answers as a fresh build
+            window = enumerate_window(spec, WindowParams(size))
+            assert avoidance_backtrack(build_instance(window, 2, fam)).status is status, (ring, size)
         for size, avoidable in ((threshold - 1, True), (threshold, False)):
             window = enumerate_window(spec, WindowParams(size))
             if len(window) <= 16:
@@ -473,6 +476,59 @@ def test_thresholds_outside_z():
             else:
                 got = reference_backtrack(build_instance(window, 2, fam)).status is AvoidanceStatus.FOUND
             assert got is avoidable, (ring, fam_text, size)
+
+
+# ---------------------------------------------------------------------------
+# Prefix slices
+
+
+def _prefix_constraints(spec):
+    """The defaults; degenerates kept with y = 0 admitted; nothing excluded;
+    and degenerates kept with x = 0 admitted but not y = 0, where F = {0}
+    makes the instance {0} at any y."""
+    zero, one = spec.zero, spec.one
+    return [
+        ScanConstraints.defaults_for(spec),
+        ScanConstraints(frozenset({one}), frozenset({zero}), forbid_degenerate=False),
+        ScanConstraints(frozenset(), frozenset()),
+        ScanConstraints(frozenset({zero, one}), frozenset(), forbid_degenerate=False),
+    ]
+
+
+@pytest.mark.parametrize("ring, big, sizes", [
+    ("Z", 100, range(1, 101)),
+    ("GF(2)[x]", 6, range(1, 7)),
+    ("GF(3)[x]", 4, range(1, 5)),
+    ("Zi", 4, (0, 1, 2)),
+])
+def test_prefix_equals_a_fresh_build(ring, big, sizes):
+    spec = parse_ring_spec(ring)
+    for fam_text in ("t", "0;t", "0", "t;t^2"):
+        fam = parse_family(spec, fam_text)
+        for constraints in _prefix_constraints(spec):
+            whole = build_instance(enumerate_window(spec, WindowParams(big)), 2, fam, constraints)
+            for n in sizes:
+                window = enumerate_window(spec, WindowParams(n))
+                sliced = whole.prefix(window)
+                fresh = build_instance(window, 2, fam, constraints)
+                assert sliced.window is window and sliced.r == 2
+                assert sliced.index_sets == fresh.index_sets, (fam_text, constraints, n)
+                assert sliced.candidates == fresh.candidates, (fam_text, constraints, n)
+
+
+def test_prefix_rejects_a_window_that_is_not_a_prefix():
+    whole = build_instance(enumerate_window(ZI, WindowParams(4)), 2, parse_family(ZI, "t"))
+    for window in (enumerate_window(ZI, WindowParams(3)), enumerate_window(ZI, WindowParams(5))):
+        with pytest.raises(ValueError, match="not a prefix"):
+            whole.prefix(window)
+
+
+def test_threshold_builds_only_where_no_prefix_is_kept():
+    # frozen: the doubling probes build; every binary-search probe is a slice of N=128
+    res = moreira_number(2, parse_family(Z, "t^3"), 128)
+    assert (res.status, res.n) == ("found", 69)
+    assert [n for n, _ in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 96, 80, 72, 68, 70, 69]
+    assert res.builds == 8
 
 
 # ---------------------------------------------------------------------------
