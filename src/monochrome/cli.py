@@ -605,7 +605,7 @@ def _cmd_search(args) -> tuple:
         sizes = {"below": res.n - 1, "at": res.n}
         payload["crosscheck"] = {
             side: dual_engine_check(build_instance(enumerate_window(spec, WindowParams(n)), r, family))
-            for side, n in sizes.items() if n > 0}
+            for side, n in sizes.items() if n >= spec.least}
     return res.status, payload
 
 

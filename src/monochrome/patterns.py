@@ -9,6 +9,11 @@ configuration land in one color class).
 
 Scan order is fixed: y runs over the window in canonical order, x runs in
 canonical order inside each y, so "first witness" is reproducible.
+
+Scans run on raw values and build no RingElement: the family is evaluated
+once per y from y's raw powers, and each instance is placed element by
+element, the product first, so a scan that needs whole instances drops
+one at its first element outside the window.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
 from .rings import (
@@ -125,13 +130,38 @@ def make_family(spec: RingSpec, polys) -> PolyFamily:
 
 
 def eval_poly(f: ZeroConstPoly, y: RingElement) -> RingElement:
-    """Exact evaluation; eval_poly(f, 0) = 0 by construction."""
+    """Exact evaluation; eval_poly(f, 0) = 0 by construction.  It runs the
+    kernel's raw routine (_raw_evaluator) on f alone."""
     if y.spec != f.spec:
         raise ValueError("polynomial and argument from different rings")
-    acc = f.spec.zero
-    for degree, c in f.terms:
-        acc = acc + c * y**degree
-    return acc
+    return RingElement(f.spec, _raw_evaluator(PolyFamily(f.spec, (f,)))(y.val)[0])
+
+
+def _raw_evaluator(family: PolyFamily) -> Callable:
+    """The function taking a raw y to the raw values [f(y) for f in family].
+    It computes y's raw powers once, up to family.max_degree, and sums each
+    f as c*y^d with the spec's raw add and mul, skipping the mul where c is
+    one; no RingElement is built."""
+    spec = family.spec
+    add, mul, zero, one = spec.add, spec.mul, spec.zero.val, spec.one.val
+    # per f: (degree, raw coefficient or None for one) pairs
+    terms = [[(d, None if c.val == one else c.val) for d, c in f.terms] for f in family]
+    top = family.max_degree
+
+    def f_values(yv) -> list:
+        powers = [one, yv]  # powers[d] = y^d
+        for _ in range(top - 1):
+            powers.append(mul(powers[-1], yv))
+        out = []
+        for f_terms in terms:
+            acc = None
+            for d, c in f_terms:
+                v = powers[d] if c is None else mul(c, powers[d])
+                acc = v if acc is None else add(acc, v)
+            out.append(zero if acc is None else acc)
+        return out
+
+    return f_values
 
 
 @dataclass(frozen=True)
@@ -152,24 +182,33 @@ def pattern_elements(x: RingElement, y: RingElement, family: PolyFamily) -> Patt
     if x.spec != y.spec or x.spec != family.spec:
         raise ValueError("x, y and family must come from the same ring")
     spec = x.spec
-    vals = _raw_instance(x.val, y.val, _f_values(family, y), spec.add, spec.mul)
+    f_values = _raw_evaluator(family)(y.val)
+    vals, _ = _raw_instance(x.val, y.val, f_values, spec.add, spec.mul, {}, False)
     return PatternInstance(x, y, tuple(RingElement(spec, v) for v in vals))
 
 
-def _f_values(family: PolyFamily, y: RingElement) -> list:
-    """The raw values of [f(y) for f in family], evaluated once per y."""
-    return [eval_poly(f, y).val for f in family]
-
-
-def _raw_instance(xv, yv, f_values: list, add, mul) -> list:
-    """The raw values of [x*y] ++ [x + f(y) ...] deduplicated keeping first
-    occurrence, from the raw x, y and f(y) and the ring's raw add and mul."""
-    vals = [mul(xv, yv)]
+def _raw_instance(xv, yv, f_values: list, add, mul, position: dict, whole: bool):
+    """The instance at raw x and y as (values, positions): the raw values of
+    [x*y] ++ [x + f(y) for f(y) in f_values] deduplicated keeping first
+    occurrence, and their positions in position (None for a value it
+    lacks).  Each value is looked up as soon as it is computed, the
+    product first; with whole, the result is None at the first value
+    outside position, and the rest are never computed."""
+    v = mul(xv, yv)
+    p = position.get(v)
+    if p is None and whole:
+        return None
+    vals, positions = [v], [p]
     for fv in f_values:
         v = add(xv, fv)
-        if v not in vals:
-            vals.append(v)
-    return vals
+        if v in vals:
+            continue
+        p = position.get(v)
+        if p is None and whole:
+            return None
+        vals.append(v)
+        positions.append(p)
+    return vals, positions
 
 
 @dataclass(frozen=True)
@@ -244,34 +283,36 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
                ys=None) -> Iterator[tuple]:
     """The candidate kernel of witness_scan, abundance_profile and
     search.build_instance: for each y of ys (default: the admitted y in
-    canonical order) it evaluates f(y) once and yields (y, x, positions)
-    for the admitted x in canonical order, dropping degenerate instances
-    unless allowed.  Each instance is computed on raw values by
-    _raw_instance, so no element is built per pair; positions follow the
-    instance's element order.  With require_in_window, x runs only over
-    window.product_run(y) and instances leaving the window are dropped;
-    otherwise x runs over the whole window and an element outside it has
-    position None."""
+    canonical order) it evaluates every f(y) once, from y's raw powers
+    (_raw_evaluator), and yields (y, x, positions) for the admitted x in
+    canonical order, dropping degenerate instances unless allowed.  Each
+    instance is computed on raw values by _raw_instance, so the kernel
+    builds no RingElement; positions follow the instance's element order.
+    With require_in_window, x runs only over window.product_run(y) and an
+    instance is dropped at its first element outside the window, before
+    the rest is computed; otherwise x runs over the whole window and an
+    element outside it has position None."""
     index = window.index
     elements = window.elements
     position = window.raw_index
     add, mul = window.spec.add, window.spec.mul
+    f_values = _raw_evaluator(family)
     skip = {index[x] for x in constraints.exclude_x if x in index}
-    require_in_window = constraints.require_in_window
+    whole = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
     if ys is None:
         ys = (y for y in elements if constraints.admits_y(y))
     for y in ys:
         yv = y.val
-        f_values = _f_values(family, y)
-        lo, hi = window.product_run(y) if require_in_window else (0, len(elements))
+        fvs = f_values(yv)
+        lo, hi = window.product_run(y) if whole else (0, len(elements))
         run = [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]
         for x in run:
-            vals = _raw_instance(x.val, yv, f_values, add, mul)
-            if forbid_degenerate and len(vals) == 1:
+            instance = _raw_instance(x.val, yv, fvs, add, mul, position, whole)
+            if instance is None:
                 continue
-            positions = list(map(position.get, vals))
-            if require_in_window and None in positions:
+            positions = instance[1]
+            if forbid_degenerate and len(positions) == 1:
                 continue
             yield y, x, positions
 

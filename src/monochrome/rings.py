@@ -395,15 +395,20 @@ class RingElement:
     def __pow__(self, exponent: int) -> "RingElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = self.spec.one
+        if exponent == 0:
+            return self.spec.one
+        # square-and-multiply from the low bit: the first set bit takes base
+        # as is, and no squaring follows the top bit
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):

@@ -305,8 +305,10 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
                    constraints: Optional[ScanConstraints] = None) -> MoreiraResult:
     """Least window size n <= max_n (N=n over Z, B=n over Zi, d=n over
     GF(q)[x]) at which no r-coloring avoids the family's instances.
-    Exponential probe then binary search on the monotone Forced boundary
-    (every ring's windows nest, so Forced only moves upward).
+    Exponential probe from n = 1, then binary search on the monotone
+    Forced boundary (every ring's windows nest, so Forced only moves
+    upward) down to the ring's least window: a Zi probe forced at B=1 is
+    followed by a probe of B=0.
 
     The largest instance built so far is kept, and a probe whose window
     is a prefix of its window searches AvoidanceInstance.prefix of it
@@ -334,7 +336,7 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
         trace.append((n, res.status))
         return res.status
 
-    lo = 0  # largest N known avoidable
+    lo = family.spec.least - 1  # largest N known avoidable (none yet: below the least window)
     n = 1
     hi = None  # smallest N known forced
     while True:

@@ -394,6 +394,21 @@ def test_search_moreira_over_other_rings(capsys, ring, threshold):
     assert payload["crosscheck"]["below"]["agree"] is True and payload["crosscheck"]["at"]["agree"] is True
 
 
+
+def test_search_moreira_crosscheck_keeps_the_least_zi_box(capsys):
+    # one color: B=1 is forced, B=0 = {0} is avoidable and is the below side
+    code, report = run_json(
+        capsys, "search", "moreira", "--ring", "Zi", "--colors", "1", "--F", "t", "--maxN", "4",
+        "--crosscheck",
+    )
+    assert code == 0
+    payload = report["payload"]
+    assert payload["N"] == 1
+    assert payload["trace"] == [{"N": 1, "status": "forced"}, {"N": 0, "status": "avoidance_found"}]
+    below, at = payload["crosscheck"]["below"], payload["crosscheck"]["at"]
+    assert (below["backtrack"], below["vars"], below["agree"]) == ("avoidance_found", 1, True)
+    assert (at["backtrack"], at["agree"]) == ("forced", True)
+
 def test_search_moreira_not_found(capsys):
     code, report = run_json(
         capsys, "search", "moreira", "--colors", "2", "--F", "t", "--maxN", "5",

@@ -1,5 +1,6 @@
 """Pattern family {x*y} + {x + f(y)}: evaluation, scanning, abundance, literals."""
 
+import itertools
 import random
 
 import pytest
@@ -66,6 +67,40 @@ def test_eval_poly_at_zero_is_zero():
     for spec in (Z, ZI, GF3):
         f = zero_const_poly(spec, {1: rand_elem(spec, rng), 3: rand_elem(spec, rng)})
         assert eval_poly(f, spec.zero) == spec.zero
+
+
+def repeated_product_eval(f, y):
+    """f(y) from scratch: each term c*y^d with y^d as d - 1 products."""
+    acc = f.spec.zero
+    for degree, coeff in f.terms:
+        p = y
+        for _ in range(degree - 1):
+            p = p * y
+        acc = acc + coeff * p
+    return acc
+
+
+# ring, families, y literals: 0, 1, the units, and values outside any test window
+SHARED_FAMILIES = ("t^5", "-t+t^3", "2t^2+t", "0", "t;t^2;t^3")
+EVAL_CASES = [
+    (Z, SHARED_FAMILIES, ("0", "1", "-1", "-7", "41", "-1000")),
+    (ZI, SHARED_FAMILIES + ("(1+1i)t^3",), ("0", "1", "-1", "1i", "-1i", "4-3i", "-20+7i")),
+    (GF2, SHARED_FAMILIES + ("(x+1)t^2+xt",), ("0", "1", "x", "x^5+x", "x^9+x^3+1")),
+    (GF3, SHARED_FAMILIES + ("(x+1)t^2+xt",), ("0", "1", "2", "2x^3+1", "x^7+2x+2")),
+]
+
+
+@pytest.mark.parametrize("spec, families, ys", EVAL_CASES, ids=[c[0].name for c in EVAL_CASES])
+def test_eval_poly_matches_repeated_multiplication(spec, families, ys):
+    from monochrome.patterns import _raw_evaluator
+
+    for text in families:
+        family = parse_family(spec, text)
+        evaluate = _raw_evaluator(family)  # the kernel's: powers shared across f
+        for y in (parse_element(spec, lit) for lit in ys):
+            want = [repeated_product_eval(f, y) for f in family]
+            assert [eval_poly(f, y) for f in family] == want, (text, y)
+            assert evaluate(y.val) == [v.val for v in want], (text, y)
 
 
 def test_constant_term_rejected():
@@ -483,12 +518,13 @@ def full_window_loop(window, colors, family, constraints, ys=None):
 
 
 # ring, window, families, a y outside the window (N+1, B+1, degree d)
+# (t^3 and t;t^2;t^3 leave the window at small y: the kernel's early exit)
 KERNEL_RINGS = [
-    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2"), "41"),
-    (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t"), "16"),
-    (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t"), "4"),
-    (GF2, WindowParams(5), ("0;t", "t^2+t"), "x^5+x"),
-    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t"), "2x^3+1"),
+    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2", "t^3", "t;t^2;t^3"), "41"),
+    (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3"), "16"),
+    (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t", "t^3", "t;t^2;t^3"), "4"),
+    (GF2, WindowParams(5), ("0;t", "t^2+t", "t^3", "t;t^2;t^3"), "x^5+x"),
+    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3"), "2x^3+1"),
 ]
 
 
@@ -546,8 +582,9 @@ def test_kernel_matches_full_window_loop(ring_case):
     y_out = parse_element(spec, outside)
     assert y_out not in window
     rng = random.Random(100 + ring_case)
-    for name, constraints in kernel_cases(spec, window, ring_case).items():
-        family = parse_family(spec, rng.choice(family_texts))
+    cases = kernel_cases(spec, window, ring_case).items()
+    for (name, constraints), family_text in itertools.product(cases, family_texts):
+        family = parse_family(spec, family_text)
         r = rng.choice((2, 3))
         coloring = random_coloring(window, r, rng.randrange(10**6))
         label = f"{spec} {name} {format_family(family)} r={r}"
@@ -587,9 +624,11 @@ def test_kernel_matches_full_window_loop(ring_case):
 
 
 def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
-    """witness_scan computes instances on raw values: the RingElements it
-    builds are f(y)'s (eval_poly builds 4 for f = t), per admitted y, and
-    none per examined (x, y) pair."""
+    """witness_scan, abundance_profile and build_instance compute every
+    instance, f(y) included, on raw values: they build no RingElement,
+    per y or per pair."""
+    from monochrome import build_instance
+
     built = [0]
     init = RingElement.__init__
 
@@ -597,17 +636,17 @@ def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
         built[0] += 1
         init(self, spec, val)
 
-    for spec, params in ((Z, WindowParams(300)), (GF2, WindowParams(6))):
+    for spec, params, text in ((Z, WindowParams(300), "0;t"), (GF2, WindowParams(6), "0;t"),
+                               (ZI, WindowParams(4), "2t^2+t;t^3"),
+                               (GF3, WindowParams(3), "(x+1)t^2+xt")):
         window = enumerate_window(spec, params)
-        family = parse_family(spec, "0;t")
+        family = parse_family(spec, text)
         coloring = random_coloring(window, 2, 11)
-        constraints = ScanConstraints.defaults_for(spec)
-        ys = [y for y in window.elements if constraints.admits_y(y)]
-        pairs = sum(hi - lo for lo, hi in map(window.product_run, ys))
+        y = window.elements[3]
         monkeypatch.setattr(RingElement, "__init__", counting_init)
         built[0] = 0
         witnesses = list(witness_scan(coloring, family))
+        abundance_profile(coloring, family, y)
+        build_instance(window, 2, family)
         monkeypatch.undo()
-        bound = 4 * len(ys) + len(witnesses)
-        assert bound < 2 * pairs  # two elements per pair would break it
-        assert built[0] <= bound, (spec, built[0], pairs)
+        assert witnesses and built[0] == 0, (spec, built[0])

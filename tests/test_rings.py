@@ -195,6 +195,30 @@ def test_powers():
         Z.integer(2) ** -1
 
 
+
+def test_power_multiplies_only_as_needed(monkeypatch):
+    # square-and-multiply: bit_length - 1 squarings and popcount - 1
+    # products into the result, none of them by one
+    mults = [0, 0, 1, 2, 2, 3, 3, 4, 3]
+    for base in (Z.integer(-3), ZI.gaussian(1, 2), GF3.poly((2, 1))):
+        spec = base.spec
+        want = [spec.one]
+        for _ in range(8):
+            want.append(want[-1] * base)
+        calls = [0]
+        mul = spec.mul
+
+        def counting_mul(a, b):
+            calls[0] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(spec, "mul", counting_mul)
+        for k in range(9):
+            calls[0] = 0
+            assert base ** k == want[k], (spec, k)
+            assert calls[0] == mults[k], (spec, k)
+        monkeypatch.undo()
+
 def test_no_zero_divisors_sampled():
     rng = random.Random(11)
     for spec in ALL_SPECS:

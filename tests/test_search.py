@@ -478,6 +478,27 @@ def test_thresholds_outside_z():
             assert got is avoidable, (ring, fam_text, size)
 
 
+
+def test_zi_threshold_probes_the_least_box():
+    # F = t with nothing excluded and degenerates admitted: B=0 = {0} holds
+    # the one-element candidate {0} (x = y = 0), which no coloring avoids
+    fam = parse_family(ZI, "t")
+    open_all = ScanConstraints(frozenset(), frozenset(), forbid_degenerate=False)
+    least = build_instance(enumerate_window(ZI, WindowParams(0)), 2, fam, open_all)
+    assert avoidance_backtrack(least).status is AvoidanceStatus.FORCED
+    res = moreira_number(2, fam, 4, constraints=open_all)
+    assert (res.status, res.n) == ("found", 0)
+    assert res.trace == ((1, AvoidanceStatus.FORCED), (0, AvoidanceStatus.FORCED))
+    # one color: B=1 is forced by any candidate, and B=0 holds none
+    res = moreira_number(1, fam, 4)
+    assert (res.status, res.n) == ("found", 1)
+    assert res.trace == ((1, AvoidanceStatus.FORCED), (0, AvoidanceStatus.FOUND))
+    # Z and GF(q)[x] windows start at 1: a forced first probe is the answer
+    for spec in (Z, GF2):
+        res = moreira_number(2, parse_family(spec, "0"), 4, constraints=open_all)
+        assert (res.status, res.n, res.trace) == ("found", 1, ((1, AvoidanceStatus.FORCED),))
+
+
 # ---------------------------------------------------------------------------
 # Prefix slices
 
