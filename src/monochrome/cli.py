@@ -16,7 +16,13 @@ internal errors (a tripped guard, a recursion overflow or any other
 RuntimeError: a bug in the package, not in the input).
 
 argparse alone checks flags: their values, and the required ones,
-which --help shows without brackets.  A config file (--config FILE) of
+which --help shows without brackets.  Each command is declared once, in
+the ordered table _COMMANDS of its words, help text and flags, and
+``dispatch`` builds only the parser path that argv names: the top
+parser, the group parser if any, and the one leaf.  It builds the full
+tree only for argv that names no leaf (top-level or group help, a
+missing or unknown subcommand); every help, usage and error text is the
+same either way.  A config file (--config FILE) of
 `key = value` lines is read before parsing, and each entry becomes the
 subcommand's own flag `--key=value` (a store-true flag `--key` when the
 value is true, nothing when false), placed after the subcommand words
@@ -131,118 +137,160 @@ def _add_common(p, *, ring=False, window=False, colors=False, family=False,
     p.add_argument("--config", help="file of key = value lines mirroring these flags")
 
 
-def _build_parser() -> tuple:
-    """The parser, and the parser of each leaf subcommand by its words."""
-    parser = argparse.ArgumentParser(
-        prog="monochrome",
-        description="verification and search for monochromatic product/shift "
-                    "configurations over finite ring windows",
-    )
-    sub = parser.add_subparsers(dest="cmd", metavar="subcommand", required=True)
-
-    p = sub.add_parser("scan", help="list monochromatic instances of a coloring")
+def _scan_flags(p):
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
                 coloring=True, constraints=True)
     p.add_argument("--limit", type=integer, help="stop after this many witnesses")
 
-    p = sub.add_parser("abundance", help="per-y color profile of admissible x values")
+
+def _abundance_flags(p):
     _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
                 coloring=True, constraints=True)
     p.add_argument("--y", help="restrict to one y (element literal)")
 
-    p = sub.add_parser("largeness", help="syndetic / witness / IP checks and transports")
-    lsub = p.add_subparsers(dest="sub", metavar="check", required=True)
 
-    q = lsub.add_parser("syndetic", help="do the gap translates of a set cover the window?")
-    _add_common(q, ring=True, window=True)
-    q.add_argument("--target", required=True, help="element set A")
-    q.add_argument("--gaps", required=True, help="gap set G")
+def _syndetic_flags(p):
+    _add_common(p, ring=True, window=True)
+    p.add_argument("--target", required=True, help="element set A")
+    p.add_argument("--gaps", required=True, help="gap set G")
 
-    q = lsub.add_parser("ps-witness", help="least anchor making (gaps, block) a witness")
-    _add_common(q, ring=True, window=True)
-    q.add_argument("--target", required=True)
-    q.add_argument("--gaps", required=True)
-    q.add_argument("--block", required=True)
 
-    q = lsub.add_parser("ipstar", help="search seeded sequences whose finite sums miss a set")
-    _add_common(q, ring=True, window=True, seed=True)
-    q.add_argument("--target", required=True)
-    q.add_argument("--target-window",
+def _ps_witness_flags(p):
+    _add_common(p, ring=True, window=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--gaps", required=True)
+    p.add_argument("--block", required=True)
+
+
+def _ipstar_flags(p):
+    _add_common(p, ring=True, window=True, seed=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--target-window",
                    help="window params for parsing --target (default: --window)")
-    q.add_argument("--len", type=integer, required=True, help="sequence length")
-    q.add_argument("--samples", type=integer, required=True)
+    p.add_argument("--len", type=integer, required=True, help="sequence length")
+    p.add_argument("--samples", type=integer, required=True)
 
-    q = lsub.add_parser("transport", help="dilate or divide a witness exactly")
-    _add_common(q, ring=True, window=True)
-    q.add_argument("--gaps", required=True)
-    q.add_argument("--block", required=True)
-    q.add_argument("--anchor", required=True, help="element literal")
-    q.add_argument("--by", required=True, help="element literal to dilate/divide by")
-    q.add_argument("--mode", choices=("dilate", "divide"), required=True)
-    q.add_argument("--target", help="optional set A for before/after validation")
 
-    p = sub.add_parser("hj", help="exhaustive cube-coloring search for forced lines")
+def _transport_flags(p):
+    _add_common(p, ring=True, window=True)
+    p.add_argument("--gaps", required=True)
+    p.add_argument("--block", required=True)
+    p.add_argument("--anchor", required=True, help="element literal")
+    p.add_argument("--by", required=True, help="element literal to dilate/divide by")
+    p.add_argument("--mode", choices=("dilate", "divide"), required=True)
+    p.add_argument("--target", help="optional set A for before/after validation")
+
+
+def _hj_flags(p):
     _add_common(p, colors=True)
     p.add_argument("--alphabet", type=integer, required=True)
     p.add_argument("--maxN", dest="maxN", type=integer, required=True)
     p.add_argument("--work-cap", type=integer,
                    help="stop a side's search after this many decisions (default 10^8)")
 
-    p = sub.add_parser("sigma", help="randomized exact checks of the embedding identity")
+
+def _sigma_flags(p):
     _add_common(p, ring=True, window=True, family=True, seed=True)
     p.add_argument("--n", type=integer, help="side of the layered space (default 2)")
     p.add_argument("--depth", type=integer, help="levels d (default: family top degree)")
     p.add_argument("--trials", type=integer, help="default 100")
 
-    p = sub.add_parser("search", help="avoidance colorings and least-window thresholds")
-    ssub = p.add_subparsers(dest="sub", metavar="mode", required=True)
 
-    q = ssub.add_parser("avoid", help="search one window for an avoidance coloring")
-    _add_common(q, ring=True, window=True, colors=True, family=True, budget=True,
+def _avoid_flags(p):
+    _add_common(p, ring=True, window=True, colors=True, family=True, budget=True,
                 constraints=True)
-    q.add_argument("--save-coloring", help="write a found coloring to this file")
+    p.add_argument("--save-coloring", help="write a found coloring to this file")
 
-    q = ssub.add_parser("moreira", help="least window size at which avoidance becomes impossible")
-    _add_common(q, ring=True, colors=True, family=True, budget=True)
-    q.add_argument("--maxN", dest="maxN", type=integer, required=True,
+
+def _moreira_flags(p):
+    _add_common(p, ring=True, colors=True, family=True, budget=True)
+    p.add_argument("--maxN", dest="maxN", type=integer, required=True,
                    help="largest window size probed: N over Z, B over Zi, d over GF(q)[x]")
-    q.add_argument("--crosscheck", action="store_true", default=None,
+    p.add_argument("--crosscheck", action="store_true", default=None,
                    help="confirm the boundary with the reference CNF engine")
 
-    p = sub.add_parser("cnf", help="DIMACS export / model decode")
-    csub = p.add_subparsers(dest="sub", metavar="direction", required=True)
 
-    q = csub.add_parser("export", help="write the avoidance instance as DIMACS CNF")
-    _add_common(q, ring=True, window=True, colors=True, family=True, constraints=True,
+def _export_flags(p):
+    _add_common(p, ring=True, window=True, colors=True, family=True, constraints=True,
                 output=False)
-    q.add_argument("--format", choices=("json", "text", "csv"), help="report format")
-    q.add_argument("-o", "--output", help="CNF file path (default: raw DIMACS on stdout)")
+    p.add_argument("--format", choices=("json", "text", "csv"), help="report format")
+    p.add_argument("-o", "--output", help="CNF file path (default: raw DIMACS on stdout)")
 
-    q = csub.add_parser("decode", help="turn a satisfying model back into a coloring")
-    _add_common(q, ring=True, window=True, colors=True, family=True, constraints=True)
-    q.add_argument("--model", required=True, help="model file (v-lines or literals); - for stdin")
-    q.add_argument("--save-coloring", help="also write the decoded coloring here")
 
-    p = sub.add_parser("ufp", help="uniqueness-of-finite-products tools")
-    usub = p.add_subparsers(dest="sub", metavar="action", required=True)
+def _decode_flags(p):
+    _add_common(p, ring=True, window=True, colors=True, family=True, constraints=True)
+    p.add_argument("--model", required=True, help="model file (v-lines or literals); - for stdin")
+    p.add_argument("--save-coloring", help="also write the decoded coloring here")
 
-    q = usub.add_parser("verify", help="check pairwise distinctness of subset products")
-    _add_common(q, ring=True)
-    q.add_argument("--elements", required=True,
+
+def _verify_flags(p):
+    _add_common(p, ring=True)
+    p.add_argument("--elements", required=True,
                    help="comma-separated element literals, in order")
 
-    q = usub.add_parser("grow", help="extend a sequence over a window pool")
-    _add_common(q, ring=True, window=True)
-    q.add_argument("--start", required=True, help="first element (literal)")
-    q.add_argument("--length", type=integer, required=True, help="target length")
 
-    p = sub.add_parser("report", help="merge report JSON files into one CSV table")
+def _grow_flags(p):
+    _add_common(p, ring=True, window=True)
+    p.add_argument("--start", required=True, help="first element (literal)")
+    p.add_argument("--length", type=integer, required=True, help="target length")
+
+
+def _report_flags(p):
     p.add_argument("inputs", nargs="+", help="report JSON files")
     p.add_argument("-o", "--output", help="CSV destination (default stdout)")
 
-    groups = {"largeness": lsub, "search": ssub, "cnf": csub, "ufp": usub}
-    leaves = {(cmd,): p for cmd, p in sub.choices.items() if cmd not in groups}
-    leaves.update(((cmd, name), q) for cmd, g in groups.items() for name, q in g.choices.items())
+
+# group word -> (help, metavar of its subcommand)
+_GROUPS = {
+    "largeness": ("syndetic / witness / IP checks and transports", "check"),
+    "search": ("avoidance colorings and least-window thresholds", "mode"),
+    "cnf": ("DIMACS export / model decode", "direction"),
+    "ufp": ("uniqueness-of-finite-products tools", "action"),
+}
+
+# leaf words -> (help, flag adder), in --help order; a group is listed
+# where its first leaf is
+_COMMANDS = {
+    ("scan",): ("list monochromatic instances of a coloring", _scan_flags),
+    ("abundance",): ("per-y color profile of admissible x values", _abundance_flags),
+    ("largeness", "syndetic"): ("do the gap translates of a set cover the window?", _syndetic_flags),
+    ("largeness", "ps-witness"): ("least anchor making (gaps, block) a witness", _ps_witness_flags),
+    ("largeness", "ipstar"): ("search seeded sequences whose finite sums miss a set", _ipstar_flags),
+    ("largeness", "transport"): ("dilate or divide a witness exactly", _transport_flags),
+    ("hj",): ("exhaustive cube-coloring search for forced lines", _hj_flags),
+    ("sigma",): ("randomized exact checks of the embedding identity", _sigma_flags),
+    ("search", "avoid"): ("search one window for an avoidance coloring", _avoid_flags),
+    ("search", "moreira"): ("least window size at which avoidance becomes impossible",
+                            _moreira_flags),
+    ("cnf", "export"): ("write the avoidance instance as DIMACS CNF", _export_flags),
+    ("cnf", "decode"): ("turn a satisfying model back into a coloring", _decode_flags),
+    ("ufp", "verify"): ("check pairwise distinctness of subset products", _verify_flags),
+    ("ufp", "grow"): ("extend a sequence over a window pool", _grow_flags),
+    ("report",): ("merge report JSON files into one CSV table", _report_flags),
+}
+
+
+def _build_parser(words: tuple | None = None) -> tuple:
+    """The parser, and the parser of each leaf subcommand by its words:
+    the whole tree, or with words only the path to that one leaf."""
+    parser = argparse.ArgumentParser(
+        prog="monochrome",
+        description="verification and search for monochromatic product/shift "
+                    "configurations over finite ring windows",
+    )
+    sub = parser.add_subparsers(dest="cmd", metavar="subcommand", required=True)
+    groups = {}
+    leaves = {}
+    for path, (help_text, add_flags) in _COMMANDS.items():
+        if words not in (None, path):
+            continue
+        if len(path) == 2 and path[0] not in groups:
+            group_help, metavar = _GROUPS[path[0]]
+            groups[path[0]] = sub.add_parser(path[0], help=group_help).add_subparsers(
+                dest="sub", metavar=metavar, required=True)
+        parent = groups[path[0]] if len(path) == 2 else sub
+        leaves[path] = parent.add_parser(path[-1], help=help_text)
+        add_flags(leaves[path])
     return parser, leaves
 
 
@@ -267,12 +315,12 @@ def _load_config(path: str) -> dict:
     return entries
 
 
-def _with_config(leaves: dict, argv: list) -> list:
-    """argv with the --config file's entries turned into the subcommand's
-    own flags, placed after its words and before the user's flags, so
-    that argparse checks them and explicit flags win."""
-    words = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
-    options = leaves[words]._option_string_actions if words in leaves else {}
+def _with_config(leaf: argparse.ArgumentParser, words: tuple, argv: list) -> list:
+    """argv, which names the leaf subcommand by its words, with the
+    --config file's entries turned into the leaf's own flags, placed
+    after its words and before the user's flags, so that argparse checks
+    them and explicit flags win."""
+    options = leaf._option_string_actions
     if "--config" not in options:
         return argv
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
@@ -604,8 +652,7 @@ def _cmd_search(args) -> tuple:
     if args.crosscheck and res.status == "found":
         sizes = {"below": res.n - 1, "at": res.n}
         payload["crosscheck"] = {
-            side: dual_engine_check(build_instance(enumerate_window(spec, WindowParams(n)), r, family))
-            for side, n in sizes.items() if n >= spec.least}
+            side: dual_engine_check(res.instance_at(n)) for side, n in sizes.items() if n >= spec.least}
     return res.status, payload
 
 
@@ -725,10 +772,18 @@ _HANDLERS = {
 def dispatch(argv) -> int:
     """Parse argv, run the subcommand, write its report and return the
     exit code (0 positive status or no report, 1 any other status, 2
-    usage/input error, 3 internal error)."""
-    parser, leaves = _build_parser()
+    usage/input error, 3 internal error).
+
+    Only the parsers on argv's path are built: argparse takes no
+    abbreviated subcommand, and no flag but -h before it, so argv names a
+    leaf only by exactly its first one or two words.  Help and errors
+    for argv that names no leaf need the whole tree."""
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1])) if w in _COMMANDS), None)
+    parser, leaves = _build_parser(words)
     try:
-        args = parser.parse_args(_with_config(leaves, argv))
+        if words is not None:
+            argv = _with_config(leaves[words], words, argv)
+        args = parser.parse_args(argv)
         _apply_env(args)
         outcome = _HANDLERS[args.cmd](args)
         return 0 if outcome is None else _emit(args, *outcome)

@@ -28,9 +28,9 @@ fresh build, instead of rebuilding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .colorings import Coloring
 from .errors import InternalError
@@ -298,6 +298,9 @@ class MoreiraResult:
     n: int  # least forced N; max probed; or the N whose search timed out
     trace: tuple  # (N, AvoidanceStatus) pairs in evaluation order
     builds: int  # probes that ran build_instance rather than a prefix slice
+    # n -> the instance the search probed at n: sliced from the largest
+    # instance it built when that window is a prefix, else built afresh
+    instance_at: Callable[[int], AvoidanceInstance] = field(repr=False, compare=False)
 
 
 def moreira_number(r: int, family: PolyFamily, max_n: int,
@@ -315,24 +318,27 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     instead of a fresh build_instance.  Over Z and GF(q)[x] every smaller
     window is a prefix of a larger one, so every binary-search probe is
     sliced; a Zi box is a prefix of a larger box only for B <= 2, so Zi
-    probes build afresh.  builds counts the probes that built."""
+    probes build afresh.  builds counts the probes that built, and the
+    result's instance_at makes the same choice for any later n."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     trace = []
     kept = None  # the largest instance built so far
     builds = 0
 
-    def status_at(n: int) -> AvoidanceStatus:
+    def instance_at(n: int) -> AvoidanceInstance:
         nonlocal kept, builds
         window = enumerate_window(family.spec, WindowParams(n))
         if kept is not None and _is_prefix(window, kept.window):
-            inst = kept.prefix(window)
-        else:
-            inst = build_instance(window, r, family, constraints)
-            builds += 1
-            if kept is None or len(window) > len(kept.window):
-                kept = inst
-        res = avoidance_backtrack(inst, budget)
+            return kept.prefix(window)
+        inst = build_instance(window, r, family, constraints)
+        builds += 1
+        if kept is None or len(window) > len(kept.window):
+            kept = inst
+        return inst
+
+    def status_at(n: int) -> AvoidanceStatus:
+        res = avoidance_backtrack(instance_at(n), budget)
         trace.append((n, res.status))
         return res.status
 
@@ -342,24 +348,24 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     while True:
         st = status_at(n)
         if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", n, tuple(trace), builds)
+            return MoreiraResult("inconclusive", n, tuple(trace), builds, instance_at)
         if st is AvoidanceStatus.FORCED:
             hi = n
             break
         lo = n
         if n == max_n:
-            return MoreiraResult("not_found_within", max_n, tuple(trace), builds)
+            return MoreiraResult("not_found_within", max_n, tuple(trace), builds, instance_at)
         n = min(2 * n, max_n)
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         st = status_at(mid)
         if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", mid, tuple(trace), builds)
+            return MoreiraResult("inconclusive", mid, tuple(trace), builds, instance_at)
         if st is AvoidanceStatus.FORCED:
             hi = mid
         else:
             lo = mid
-    return MoreiraResult("found", hi, tuple(trace), builds)
+    return MoreiraResult("found", hi, tuple(trace), builds, instance_at)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line front end: payloads mirror library calls, exit codes follow
 the 0/1/2 contract, config files merge under flags."""
 
+import argparse
 import ast
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +18,7 @@ from monochrome import (
     abundance_profile,
     build_instance,
     cnf_export,
+    dual_engine_check,
     enumerate_window,
     format_element,
     hj_number_exhaustive,
@@ -368,16 +373,23 @@ def test_negative_budget_is_a_usage_error(capsys, monkeypatch, argv, env):
 
 
 def test_search_moreira_crosscheck(capsys):
-    code, report = run_json(
-        capsys,
-        "search", "moreira", "--colors", "2", "--F", "t", "--maxN", "64",
-        "--crosscheck",
-    )
-    assert code == 0
-    payload = report["payload"]
-    assert payload["ring"] == "Z" and payload["N"] == 8
-    assert payload["crosscheck"]["below"]["agree"] is True
-    assert payload["crosscheck"]["at"]["agree"] is True
+    """Each side is checked exactly as a fresh build's instance."""
+    for ring, family, threshold in (("Z", "t", 8), ("GF(2)[x]", "t", 3), ("Zi", "0;3t", 4)):
+        code, report = run_json(
+            capsys,
+            "search", "moreira", "--ring", ring, "--colors", "2", "--F", family, "--maxN", "64",
+            "--crosscheck",
+        )
+        assert code == 0
+        payload = report["payload"]
+        assert payload["ring"] == ring and payload["N"] == threshold
+        assert payload["crosscheck"]["below"]["agree"] is True
+        assert payload["crosscheck"]["at"]["agree"] is True
+        spec = parse_ring_spec(ring)
+        fresh = {side: dual_engine_check(build_instance(enumerate_window(spec, WindowParams(n)), 2,
+                                                        parse_family(spec, family)))
+                 for side, n in (("below", threshold - 1), ("at", threshold))}
+        assert payload["crosscheck"] == json.loads(json.dumps(fresh)), ring
 
 
 @pytest.mark.parametrize("ring, threshold", [("GF(2)[x]", 3), ("Zi", 2)])
@@ -916,3 +928,92 @@ def test_only_dispatch_emits():
         if isinstance(sub, ast.Name) and sub.id == "_emit"
     }
     assert users == {"dispatch"}
+
+
+# ---------------------------------------------------------------------------
+# parser path
+
+
+LEAF_WORDS = [
+    ["scan"], ["abundance"], ["largeness", "syndetic"], ["largeness", "ps-witness"],
+    ["largeness", "ipstar"], ["largeness", "transport"], ["hj"], ["sigma"], ["search", "avoid"],
+    ["search", "moreira"], ["cnf", "export"], ["cnf", "decode"], ["ufp", "verify"], ["ufp", "grow"],
+    ["report"],
+]
+
+
+def test_dispatch_matches_the_full_tree(capsys, monkeypatch, tmp_path):
+    """dispatch builds only the parsers on argv's path, yet every help,
+    usage and error text and exit code equals that of the whole tree."""
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("bad.cfg").write_text("nosuch = 1\n")
+    corpus = [[*words, "--help"] for words in LEAF_WORDS]
+    corpus += [[group, "-h"] for group in ("largeness", "search", "cnf", "ufp")]
+    corpus += [["-h"], [], ["frobnicate"], ["largeness"], ["search", "nope"], ["-h", "scan"],
+               ["scan", "--jobs", "4"], ["hj", "--colors", "2"], ["search", "avoid"],
+               ["scan", "--ring", "Z", "--window", "N=5", "--colors", "x", "--F", "t"],
+               ["scan", "--config", "bad.cfg"], ["largeness", "ipstar", "--config", "bad.cfg"],
+               ["hj", "--co", "missing.cfg"], ["hj", "--config"]]
+
+    def outcomes():
+        results = []
+        for argv in corpus:
+            code = dispatch(list(argv))
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    path_only = outcomes()
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda words=None: full_parser())
+    assert path_only == outcomes()
+    assert len({out for _, out, _ in path_only}) > len(LEAF_WORDS)  # the helps differ
+
+
+def test_dispatch_builds_only_the_path(monkeypatch, tmp_path):
+    """A top-level leaf costs 3 parsers (top, leaf and the one-option
+    parser that looks for --config), a group leaf 4; nothing is kept
+    from call to call."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("scan.cfg").write_text("seed = 3\n")
+    scan = ["scan", "--ring", "Z", "--window", "N=5", "--colors", "2", "--F", "t", "-o", "r.json"]
+    ipstar = ["largeness", "ipstar", "--ring", "Z", "--window", "N=10", "--target", "evens",
+              "--len", "2", "--samples", "3", "-o", "r.json"]
+    for argv, parsers in ((scan, 3), (scan, 3), (ipstar, 4), ([*scan, "--config", "scan.cfg"], 3)):
+        built.clear()
+        assert dispatch(argv) in (0, 1), argv
+        assert len(built) == parsers, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import monochrome.cli\n"
+            "print(len(built))\n")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "0\n"
+
+
+def test_command_table_is_the_full_tree():
+    """The table dispatch matches argv against names the full tree's
+    leaves, in the same order."""
+    parser, leaves = cli._build_parser()
+
+    def walk(p, words):
+        subs = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield words, p
+        for name, child in (subs[0].choices.items() if subs else ()):
+            yield from walk(child, (*words, name))
+
+    tree = dict(walk(parser, ()))
+    assert list(tree) == list(cli._COMMANDS) == list(leaves) == [tuple(w) for w in LEAF_WORDS]
+    assert all(tree[words] is leaves[words] for words in tree)

@@ -29,6 +29,7 @@ from monochrome import (
     to_dimacs,
     witness_scan,
 )
+from monochrome import search
 from monochrome.dpll import dpll_sat, model_satisfies
 from _reference_engines import reference_backtrack, reference_dpll
 
@@ -550,6 +551,25 @@ def test_threshold_builds_only_where_no_prefix_is_kept():
     assert (res.status, res.n) == ("found", 69)
     assert [n for n, _ in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 96, 80, 72, 68, 70, 69]
     assert res.builds == 8
+
+
+@pytest.mark.parametrize("ring, fam_text, max_n, builds", [
+    ("Z", "t^3", 128, 0), ("GF(2)[x]", "t", 8, 0), ("Zi", "0;3t", 64, 1)])
+def test_instance_at_slices_like_the_probes(monkeypatch, ring, fam_text, max_n, builds):
+    """After the search, instance_at gives the fresh build's instance at
+    N and N-1, and builds only a window that is no prefix of the kept
+    one (Zi B=3, the kept box being B=4)."""
+    spec = parse_ring_spec(ring)
+    fam = parse_family(spec, fam_text)
+    res = moreira_number(2, fam, max_n)
+    built = []
+    monkeypatch.setattr(search, "build_instance", lambda *a: built.append(a) or build_instance(*a))
+    for n in (res.n - 1, res.n):
+        inst = res.instance_at(n)
+        fresh = build_instance(enumerate_window(spec, WindowParams(n)), 2, fam)
+        assert inst.window.raw_index == fresh.window.raw_index and inst.r == 2
+        assert (inst.candidates, inst.index_sets) == (fresh.candidates, fresh.index_sets), n
+    assert len(built) == builds
 
 
 # ---------------------------------------------------------------------------
