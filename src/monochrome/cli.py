@@ -315,6 +315,11 @@ def _load_config(path: str) -> dict:
     return entries
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):  # an ambiguous option calls this even with exit_on_error=False
+        raise argparse.ArgumentError(None, message)
+
+
 def _with_config(leaf: argparse.ArgumentParser, words: tuple, argv: list) -> list:
     """argv, which names the leaf subcommand by its words, with the
     --config file's entries turned into the leaf's own flags, placed
@@ -323,7 +328,10 @@ def _with_config(leaf: argparse.ArgumentParser, words: tuple, argv: list) -> lis
     options = leaf._option_string_actions
     if "--config" not in options:
         return argv
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    # all the leaf's option strings, so that argparse reads an abbreviation of
+    # --config as the leaf does; no option takes an option-like value, so arity is moot
+    pre = _RaisingParser(add_help=False)
+    pre.add_argument(*(s for s, a in options.items() if a.dest != "config"), nargs="?", dest="other")
     pre.add_argument("--config")
     try:
         path = pre.parse_known_args(argv[len(words):])[0].config

@@ -7,21 +7,22 @@ Alphabet letters are 1..t and the wildcard is 0.  Cells of the cube
 [t]^N are indexed lexicographically (first letter most significant), and
 a coloring of the cube is a flat tuple over those cells.  The layered
 space has one array per level j = 1..d; level j is indexed by j-tuples
-over {1..N} flattened in row-major order, so its length is N^j.
+over {1..N} flattened in row-major order, so its length is N^j, and its
+entries are ring elements only.
 
-The embedding sends a layered point u with ring-element entries to
-r0 + sum_j sum_i u[j][i] * y(i) for a user-supplied assignment y on
-multi-indices.  When y is multiplicative on product indices
-(y(i1..ij) = y(i1)*...*y(ij)), substituting a polynomial's coefficients
-into the gamma^j positions shifts the value by exactly f(y_gamma) with
-y_gamma = sum_{i in gamma} y(i); verify_sigma_line_identity checks that
-equality exactly, polynomial by polynomial.
+The embedding sends a layered point u to r0 + sum_j sum_i u[j][i] * y(i)
+for a user-supplied assignment y on multi-indices.  When y is
+multiplicative on product indices (y(i1..ij) = y(i1)*...*y(ij)),
+substituting a polynomial's coefficients into the gamma^j positions
+shifts the value by exactly f(y_gamma) with y_gamma = sum_{i in gamma}
+y(i); verify_sigma_line_identity checks that equality exactly,
+polynomial by polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .patterns import PolyFamily, ZeroConstPoly, eval_poly
@@ -200,73 +201,14 @@ def wildcard_set(coords) -> WildcardSet:
     return WildcardSet(frozenset(coords))
 
 
-def _check_levels(n: int, layers: tuple) -> None:
-    """At least one level, and level j holds n^j entries."""
-    if not layers:
-        raise ValueError("at least one level")
-    for j, layer in enumerate(layers, start=1):
-        if len(layer) != n**j:
-            raise ValueError(f"level {j} must have length {n**j}, got {len(layer)}")
-
-
-@dataclass(frozen=True)
-class PhjPoint:
-    """Point of the layered space [q]^n x [q]^(n^2) x ... x [q]^(n^d):
-    layers[j-1] is the level-j array, flat over [n]^j row-major."""
-
-    n: int
-    q: int
-    layers: tuple
-
-    def __post_init__(self):
-        if self.n < 1 or self.q < 1:
-            raise ValueError("side and alphabet size must be >= 1")
-        _check_levels(self.n, self.layers)
-        for j, layer in enumerate(self.layers, start=1):
-            if any(not 1 <= a <= self.q for a in layer):
-                raise ValueError(f"level {j} letters must lie in 1..{self.q}")
-
-    @property
-    def d(self) -> int:
-        return len(self.layers)
-
-
-def phj_translate(a: PhjPoint, gamma: WildcardSet, xs: Sequence[int]) -> PhjPoint:
-    """Set the gamma^j coordinates of level j to xs[j-1], all others
-    unchanged."""
-    return _translate(a, gamma, xs, "letters",
-                      lambda x: None if 1 <= x <= a.q else f"letter {x} out of range 1..{a.q}")
-
-
-def _translate(point, gamma: WildcardSet, values: Sequence, noun: str, check):
-    """The layered point with every gamma^j entry of level j set to
-    values[j-1]; check(value) is None or the error message for a bad value."""
-    gamma.check_range(point.n)
-    values = tuple(values)
-    if len(values) != point.d:
-        raise ValueError(f"need {point.d} {noun}, got {len(values)}")
-    for v in values:
-        error = check(v)
-        if error is not None:
-            raise ValueError(error)
-    coords = sorted(gamma.gamma)
-    out = []
-    for j, layer in enumerate(point.layers, start=1):
-        new = list(layer)
-        for idx in itertools.product(coords, repeat=j):
-            new[flat_index(idx, point.n)] = values[j - 1]
-        out.append(tuple(new))
-    return replace(point, layers=tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # The embedding into a ring
 
 
 @dataclass(frozen=True)
 class SigmaPoint:
-    """Layered point whose entries are ring elements (drawn from a
-    family's coefficient alphabet) — the domain of the embedding."""
+    """Point of the layered space, the domain of the embedding: layers[j-1]
+    is level j, ring elements flat over [n]^j in row-major order."""
 
     spec: RingSpec
     n: int
@@ -275,7 +217,11 @@ class SigmaPoint:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("side must be >= 1")
-        _check_levels(self.n, self.layers)
+        if not self.layers:
+            raise ValueError("at least one level")
+        for j, layer in enumerate(self.layers, start=1):
+            if len(layer) != self.n**j:
+                raise ValueError(f"level {j} must have length {self.n**j}, got {len(layer)}")
         if not all(_in_ring(c, self.spec) for layer in self.layers for c in layer):
             raise ValueError("entries must be ring elements of the stated ring")
 
@@ -337,21 +283,10 @@ def _y_at(y_assign: dict, idx: tuple) -> RingElement:
         raise ValueError(f"y assignment missing index {idx!r}") from None
 
 
-def sigma_embed(u: SigmaPoint, y_assign: dict, r0: RingElement,
-                family: Optional[PolyFamily] = None) -> RingElement:
-    """r0 + sum_j sum_idx u[j][idx] * y(idx), exactly.
-
-    When a family is supplied, every entry of u must come from its
-    coefficient alphabet at depth u.d.
-    """
+def sigma_embed(u: SigmaPoint, y_assign: dict, r0: RingElement) -> RingElement:
+    """r0 + sum_j sum_idx u[j][idx] * y(idx), exactly."""
     if r0.spec != u.spec:
         raise ValueError("base point and layered point from different rings")
-    if family is not None:
-        allowed = set(coefficient_alphabet(family, u.d))
-        for layer in u.layers:
-            for c in layer:
-                if c not in allowed:
-                    raise ValueError(f"entry {c!r} outside the family's coefficient alphabet")
     total = r0
     for j, layer in enumerate(u.layers, start=1):
         for flat, idx in enumerate(multi_indices(u.n, j)):
@@ -360,10 +295,22 @@ def sigma_embed(u: SigmaPoint, y_assign: dict, r0: RingElement,
 
 
 def sigma_translate(u: SigmaPoint, gamma: WildcardSet, coeffs: Sequence[RingElement]) -> SigmaPoint:
-    """Wildcard translation with ring-element values: level j's gamma^j
-    coordinates are set to coeffs[j-1]."""
-    return _translate(u, gamma, coeffs, "coefficients", lambda c: None if _in_ring(c, u.spec)
-                      else "coefficients must be ring elements of the stated ring")
+    """Wildcard translation: the layered point with every gamma^j entry of
+    level j set to coeffs[j-1], all others unchanged."""
+    gamma.check_range(u.n)
+    coeffs = tuple(coeffs)
+    if len(coeffs) != u.d:
+        raise ValueError(f"need {u.d} coefficients, got {len(coeffs)}")
+    if not all(_in_ring(c, u.spec) for c in coeffs):
+        raise ValueError("coefficients must be ring elements of the stated ring")
+    coords = sorted(gamma.gamma)
+    out = []
+    for j, layer in enumerate(u.layers, start=1):
+        new = list(layer)
+        for idx in itertools.product(coords, repeat=j):
+            new[flat_index(idx, u.n)] = coeffs[j - 1]
+        out.append(tuple(new))
+    return SigmaPoint(u.spec, u.n, tuple(out))
 
 
 class SigmaCheck(NamedTuple):

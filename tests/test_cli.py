@@ -645,7 +645,7 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("ring = Z\nwindow = N=50\ncolors = 2\nseed = 7\nF = t\n")
     # --conf is argparse's abbreviation of --config: it loads the file too
-    for argv in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)], [f"--conf={cfg}"]):
         code, report = run_json(capsys, "scan", *argv)
         assert code == 0, argv
         assert report["payload"]["count"] == 83, argv
@@ -707,9 +707,10 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
 def test_config_supplies_required_flags(capsys, tmp_path):
     cfg = tmp_path / "hj.cfg"
     cfg.write_text("colors = 2\nalphabet = 2\nmaxN = 3\n")
-    code, report = run_json(capsys, "hj", "--config", str(cfg))
-    assert code == 0
-    assert report["payload"]["N"] == 2
+    for flag in ("--config", "--conf"):
+        code, report = run_json(capsys, "hj", flag, str(cfg))
+        assert code == 0, flag
+        assert report["payload"]["N"] == 2, flag
     code, report = run_json(capsys, "hj", "--config", str(cfg), "--maxN", "1")
     assert code == 1 and report["payload"]["N"] == 1  # the flag still wins
 
@@ -862,6 +863,13 @@ def test_config_missing_file(capsys):
         "--window", "N=5", "--colors", "2", "--F", "t",
     )
     assert code == 2
+    # --co abbreviates --colors and --config of hj alike, so it names no file
+    assert dispatch(["hj", "--co", "/nonexistent.cfg", "--alphabet", "2", "--maxN", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: monochrome hj")
+    assert err.endswith("error: ambiguous option: --co could match --colors, --config\n")
+    assert dispatch(["hj", "--conf", "/nonexistent.cfg", "--alphabet", "2", "--maxN", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config /nonexistent.cfg")
 
 
 def test_usage_errors_exit_two(capsys, monkeypatch):
@@ -971,9 +979,9 @@ def test_dispatch_matches_the_full_tree(capsys, monkeypatch, tmp_path):
 
 
 def test_dispatch_builds_only_the_path(monkeypatch, tmp_path):
-    """A top-level leaf costs 3 parsers (top, leaf and the one-option
-    parser that looks for --config), a group leaf 4; nothing is kept
-    from call to call."""
+    """A top-level leaf costs 3 parsers (top, leaf and the parser that
+    looks for --config), a group leaf 4; nothing is kept from call to
+    call."""
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",

@@ -8,7 +8,6 @@ import pytest
 
 from monochrome import (
     WILDCARD,
-    PhjPoint,
     SigmaPoint,
     VariableWord,
     Word,
@@ -22,7 +21,6 @@ from monochrome import (
     multiplicative_assignment,
     parse_family,
     parse_ring_spec,
-    phj_translate,
     sigma_embed,
     sigma_translate,
     sigma_trials,
@@ -237,50 +235,18 @@ def test_wildcard_set_validation():
     g.check_range(2)
 
 
-def test_phj_point_shape_checked():
-    PhjPoint(2, 3, ((1, 2), (3, 1, 2, 3)))
-    with pytest.raises(ValueError):
-        PhjPoint(2, 3, ((1, 2), (3, 1, 2)))  # second layer must have n^2 cells
-    with pytest.raises(ValueError):
-        PhjPoint(2, 3, ((1, 4), (3, 1, 2, 3)))  # letter out of range
-
-
-def test_phj_translate_single_layer():
-    a = PhjPoint(3, 2, ((1, 1, 1),))
-    moved = phj_translate(a, wildcard_set({1, 3}), (2,))
-    assert moved.layers == ((2, 1, 2),)
-
-
-def test_phj_translate_idempotent():
-    rng = random.Random(9)
-    for _ in range(100):
-        n, q, d = rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 2)
-        layers = tuple(
-            tuple(rng.randint(1, q) for _ in range(n**j)) for j in range(1, d + 1)
-        )
-        a = PhjPoint(n, q, layers)
-        gamma = wildcard_set(rng.sample(range(1, n + 1), rng.randint(1, n)))
-        xs = tuple(rng.randint(1, q) for _ in range(d))
-        once = phj_translate(a, gamma, xs)
-        assert phj_translate(once, gamma, xs) == once
-
-
-def test_phj_translate_touches_exactly_gamma_cells():
-    a = PhjPoint(2, 2, ((1, 1), (1, 1, 1, 1)))
-    moved = phj_translate(a, wildcard_set({1}), (2, 2))
-    assert moved.layers[0] == (2, 1)
-    # gamma^2 = {(1,1)} -> flat cell 0 only
-    assert moved.layers[1] == (2, 1, 1, 1)
-
-
-def test_phj_translate_letter_out_of_range():
-    a = PhjPoint(2, 2, ((1, 1),))
-    with pytest.raises(ValueError):
-        phj_translate(a, wildcard_set({1}), (3,))
-
-
 # ---------------------------------------------------------------------------
 # Additive embedding
+
+
+def test_sigma_point_shape_checked():
+    SigmaPoint(Z, 2, ((Z.one, Z.zero), (Z.one,) * 4))
+    with pytest.raises(ValueError, match=r"^level 2 must have length 4, got 3$"):
+        SigmaPoint(Z, 2, ((Z.one, Z.zero), (Z.one,) * 3))
+    with pytest.raises(ValueError, match=r"^at least one level$"):
+        SigmaPoint(Z, 2, ())
+    with pytest.raises(ValueError, match=r"^entries must be ring elements of the stated ring$"):
+        SigmaPoint(Z, 1, ((GF2.one,),))
 
 
 def test_sigma_embed_linear_example():
@@ -391,13 +357,43 @@ def test_identity_worked_example_partial_gamma():
 
 
 def test_sigma_translate_writes_family_coefficients():
-    fam = parse_family(Z, "3t^2+2t")
-    u = SigmaPoint(Z, 2, ((Z.zero, Z.zero), (Z.zero,) * 4))
+    # (family, side n, base entry, gamma, the cells of each level set to f's coefficient)
+    for fam_text, n, base, gamma, cells in (
+            ("3t^2+2t", 2, Z.zero, {1}, ((0,), (0,))),
+            ("2t", 3, Z.one, {1, 3}, ((0, 2),)),
+            # gamma^2 = {1,3}^2 is flat cells 0, 2, 6 and 8 of level 2
+            ("3t^2+2t", 3, Z.one, {1, 3}, ((0, 2), (0, 2, 6, 8)))):
+        f = parse_family(Z, fam_text).polys[0]
+        u = SigmaPoint(Z, n, tuple((base,) * n**j for j in range(1, len(cells) + 1)))
+        moved = sigma_translate(u, wildcard_set(gamma), tuple(f.coeff(j) for j in range(1, u.d + 1)))
+        assert moved.layers == tuple(
+            tuple(f.coeff(j) if k in cells[j - 1] else base for k in range(n**j))
+            for j in range(1, u.d + 1)), (fam_text, n, gamma)
+
+
+def test_sigma_translate_idempotent():
+    rng = random.Random(9)
+    for spec, pool in ((Z, enumerate_window(Z, WindowParams(5)).elements),
+                       (GF2, enumerate_window(GF2, WindowParams(2)).elements)):
+        for _ in range(100):
+            n, d = rng.randint(1, 3), rng.randint(1, 2)
+            u = SigmaPoint(spec, n, tuple(tuple(rng.choice(pool) for _ in range(n**j))
+                                          for j in range(1, d + 1)))
+            gamma = wildcard_set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            coeffs = tuple(rng.choice(pool) for _ in range(d))
+            once = sigma_translate(u, gamma, coeffs)
+            assert sigma_translate(once, gamma, coeffs) == once
+
+
+def test_sigma_translate_rejects_bad_coefficients():
+    u = SigmaPoint(Z, 2, ((Z.one, Z.one), (Z.one,) * 4))
     gamma = wildcard_set({1})
-    f = fam.polys[0]
-    moved = sigma_translate(u, gamma, (f.coeff(1), f.coeff(2)))
-    assert moved.layers[0] == (Z.integer(2), Z.zero)
-    assert moved.layers[1] == (Z.integer(3), Z.zero, Z.zero, Z.zero)
+    with pytest.raises(ValueError, match=r"^need 2 coefficients, got 1$"):
+        sigma_translate(u, gamma, (Z.one,))
+    with pytest.raises(ValueError, match=r"^coefficients must be ring elements of the stated ring$"):
+        sigma_translate(u, gamma, (Z.one, GF2.one))
+    with pytest.raises(ValueError, match=r"exceeds side 2"):
+        sigma_translate(u, wildcard_set({3}), (Z.one, Z.one))
 
 
 def test_seeded_trials_all_pass_each_ring():

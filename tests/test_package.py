@@ -36,11 +36,16 @@ def _bench_names(filename: str) -> dict:
 def test_benchmark_instrumentation_binds():
     """bench/tracer.py wraps only the public functions and CLI handlers it
     finds, so a renamed or removed one would read 0 in a per-layer metric
-    instead of failing: every name the benchmark reads must still exist."""
+    instead of failing: every name the benchmark reads must still exist.
+    So must the attributes and fields it reads off the package's objects
+    (micro_ns in bench/run.py, the HOOKS of bench/tracer.py and
+    bench/workloads.py): only a traced run reads the hooks' ones, so a
+    dropped one would otherwise break only that run."""
+    import dataclasses
     import importlib
     import inspect
 
-    from monochrome import cli
+    from monochrome import cli, colorings, dpll, patterns, rings, search
 
     run = _bench_names("run.py")
     spans = [name for names in ast.literal_eval(run["LAYER_MS"]).values() for name in names]
@@ -55,3 +60,14 @@ def test_benchmark_instrumentation_binds():
             unbound.append(span)
     assert not unbound
     assert set(ast.literal_eval(run["CLI_COMMANDS"])) <= set(cli._HANDLERS)
+
+    read = [(rings.Window, "elements"), (rings.Window, "index"), (colorings.Coloring, "window"),
+            (rings.RingSpec, "zero"), (rings.RingSpec, "one"),
+            (patterns.ScanConstraints, "admits_x"), (patterns.ScanConstraints, "admits_y"),
+            (search.AvoidanceInstance, "candidates"), (search.AvoidanceResult, "nodes"),
+            (search.AvoidanceResult, "backtracks"), (search.MoreiraResult, "trace"),
+            (search.CnfDocument, "clauses"), (dpll, "dpll_sat")]
+    missing = [(owner.__name__, name) for owner, name in read
+               if not hasattr(owner, name) and not (dataclasses.is_dataclass(owner) and name in
+                                                    {f.name for f in dataclasses.fields(owner)})]
+    assert not missing
