@@ -356,11 +356,24 @@ def test_identity_worked_example_partial_gamma():
     assert chk.lhs == Z.integer(16)
 
 
+def test_phj_translate_single_layer():
+    u = SigmaPoint(Z, 3, ((Z.one,) * 3,))
+    moved = sigma_translate(u, wildcard_set({1, 3}), (Z.integer(2),))
+    assert moved.layers == ((Z.integer(2), Z.one, Z.integer(2)),)
+
+
+def test_phj_translate_touches_exactly_gamma_cells():
+    u = SigmaPoint(Z, 2, ((Z.one,) * 2, (Z.one,) * 4))
+    moved = sigma_translate(u, wildcard_set({1}), (Z.integer(2), Z.integer(2)))
+    assert moved.layers[0] == (Z.integer(2), Z.one)
+    # gamma^2 = {(1,1)} -> flat cell 0 only
+    assert moved.layers[1] == (Z.integer(2), Z.one, Z.one, Z.one)
+
+
 def test_sigma_translate_writes_family_coefficients():
     # (family, side n, base entry, gamma, the cells of each level set to f's coefficient)
     for fam_text, n, base, gamma, cells in (
             ("3t^2+2t", 2, Z.zero, {1}, ((0,), (0,))),
-            ("2t", 3, Z.one, {1, 3}, ((0, 2),)),
             # gamma^2 = {1,3}^2 is flat cells 0, 2, 6 and 8 of level 2
             ("3t^2+2t", 3, Z.one, {1, 3}, ((0, 2), (0, 2, 6, 8)))):
         f = parse_family(Z, fam_text).polys[0]
