@@ -7,7 +7,8 @@ turns an outcome into a report with the fixed shape {command,
 timestamp, status, payload} as JSON (default), flat text, or CSV; the
 command is the subcommand's words.  A JSON report is one compact line
 (no spaces between tokens, keys in that order, non-ASCII escaped), so
-the C encoder writes it; pipe it through ``python3 -m json.tool`` to
+the C encoder writes it, without a cycle check (a cyclic report is an
+internal error, exit 3); pipe it through ``python3 -m json.tool`` to
 read it.  Exit codes: 0 for the positive statuses in POSITIVE_STATUSES
 (ok, found, holds, counterexample, avoidance_found), 1 for every other
 status (a definite negative: nothing found, refuted, timeout, work cap
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -450,8 +452,9 @@ def _render_text(report: dict) -> str:
 
 
 def _json(value) -> str:
-    """The CLI's one JSON form: compact, ASCII-escaped, keys in insertion order."""
-    return json.dumps(value, separators=(",", ":"))
+    """The CLI's one JSON form: compact, ASCII-escaped, keys in insertion order.
+    No cycle check: a cyclic value overflows as a RecursionError."""
+    return json.dumps(value, separators=(",", ":"), check_circular=False)
 
 
 def _plain(value) -> str:
@@ -514,8 +517,9 @@ def _write(dest, text: str) -> None:
 def _cmd_scan(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
+    name = functools.cache(spec.text)  # raw value -> literal, formatted at first use
     witnesses = [
-        {"x": format_element(w.x), "y": format_element(w.y), "color": w.color}
+        {"x": name(w.x.val), "y": name(w.y.val), "color": w.color}
         for w in witness_scan(coloring, family, constraints, limit=args.limit)
     ]
     return "ok", {**_header(spec, window, r, family), "seed": args.seed,

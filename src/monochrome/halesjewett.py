@@ -57,9 +57,6 @@ class Word:
     def __post_init__(self):
         _check_letters(self.t, self.letters, 1)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class VariableWord:
@@ -72,9 +69,6 @@ class VariableWord:
         _check_letters(self.t, self.letters, WILDCARD)
         if WILDCARD not in self.letters:
             raise ValueError("a variable word needs at least one wildcard")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def substitute(w: VariableWord, a: int) -> Word:
@@ -104,7 +98,7 @@ def variable_words(t: int, n: int):
 
 
 def word_index(w: Word) -> int:
-    """Position of w in the canonical cell order of [t]^len(w)."""
+    """Position of w in the canonical cell order of [t]^len(w.letters)."""
     k = 0
     for a in w.letters:
         k = k * w.t + (a - 1)

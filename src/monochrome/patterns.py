@@ -13,7 +13,8 @@ canonical order inside each y, so "first witness" is reproducible.
 Scans run on raw values and build no RingElement: the family is evaluated
 once per y from y's raw powers, and each instance is placed element by
 element, the product first, so a scan that needs whole instances drops
-one at its first element outside the window.
+one at its first element outside the window.  A partial scan visits
+every pair but computes the product only for the x of product_run(y).
 """
 
 from __future__ import annotations
@@ -291,7 +292,10 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     With require_in_window, x runs only over window.product_run(y) and an
     instance is dropped at its first element outside the window, before
     the rest is computed; otherwise x runs over the whole window and an
-    element outside it has position None."""
+    element outside it has position None.  In partial mode an x outside
+    the run has x*y outside the window, so its positions are those of the
+    x + f(y) alone (repeats kept), with no product and no degenerate
+    test: each visible x + f(y) differs from x*y."""
     index = window.index
     elements = window.elements
     position = window.raw_index
@@ -302,10 +306,20 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     forbid_degenerate = constraints.forbid_degenerate
     if ys is None:
         ys = (y for y in elements if constraints.admits_y(y))
+
+    def outside_run(y, fvs, start, stop):
+        for pos in range(start, stop):
+            if pos not in skip:
+                x = elements[pos]
+                xv = x.val
+                yield y, x, [position.get(add(xv, fv)) for fv in fvs]
+
     for y in ys:
         yv = y.val
         fvs = f_values(yv)
-        lo, hi = window.product_run(y) if whole else (0, len(elements))
+        lo, hi = window.product_run(y)
+        if not whole:
+            yield from outside_run(y, fvs, 0, lo)
         run = [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]
         for x in run:
             instance = _raw_instance(x.val, yv, fvs, add, mul, position, whole)
@@ -315,6 +329,8 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
             if forbid_degenerate and len(positions) == 1:
                 continue
             yield y, x, positions
+        if not whole:
+            yield from outside_run(y, fvs, hi, len(elements))
 
 
 def witness_scan(
@@ -332,8 +348,9 @@ def witness_scan(
     |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y); GF(q)[x]: deg x < d - deg y;
     y = 0: all).  With require_in_window=False, elements falling outside
     the window are ignored and monochromaticity is judged on the visible
-    part (instances with no visible element are skipped); that examines
-    every pair, O(|W|^2).
+    part (instances with no visible element are skipped); that visits
+    every pair, but computes the product x*y only for the x in
+    Window.product_run(y).
 
     This is a generator function: its ValueError checks (family ring
     against the coloring's ring, negative limit) run at the first

@@ -25,6 +25,7 @@ from monochrome import (
     load_coloring,
     parse_family,
     parse_ring_spec,
+    parse_window_params,
     random_coloring,
     to_dimacs,
     witness_scan,
@@ -102,6 +103,26 @@ def test_scan_with_coloring_file(capsys, tmp_path):
     assert dispatch(["scan", "--ring", "Z", "--window", "N=30", "--colors", "2",
                      "--coloring", str(path), "--seed", "9", "--F", "t"]) == 2
     assert "--coloring and --seed exclude each other" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring,window,family", [("Zi", "B=3", "0;t"), ("GF(3)[x]", "d=3", "0;(x+1)t")])
+def test_scan_names_tuple_valued_elements(capsys, ring, window, family):
+    """scan formats each element once, keyed by its raw value: over rings
+    whose raw values are tuples, in both modes and under --limit, the
+    reported literals are format_element's, in witness_scan's order."""
+    spec = parse_ring_spec(ring)
+    coloring = random_coloring(enumerate_window(spec, parse_window_params(spec, window)), 2, 5)
+    defaults = ScanConstraints.defaults_for(spec)
+    partial = ScanConstraints(defaults.exclude_y, defaults.exclude_x, require_in_window=False)
+    argv = ["scan", "--ring", ring, "--window", window, "--colors", "2", "--seed", "5", "--F", family]
+    for extra, constraints in (([], defaults), (["--partial"], partial)):
+        expected = [(format_element(wit.x), format_element(wit.y)) for wit in
+                    witness_scan(coloring, parse_family(spec, family), constraints)]
+        assert len(expected) > 1
+        for limit, want in ((), expected), (("--limit", "1"), expected[:1]):
+            code, report = run_json(capsys, *argv, *extra, *limit)
+            assert code == 0
+            assert [(row["x"], row["y"]) for row in report["payload"]["witnesses"]] == want
 
 
 def test_scan_coloring_file_window_mismatch(capsys, tmp_path):
@@ -522,6 +543,26 @@ def test_recursion_error_exits_three(capsys, monkeypatch):
         "search", "avoid", "--ring", "Z", "--window", "N=7", "--colors", "2", "--F", "t",
     )
     assert code == 3
+
+
+def test_cyclic_report_exits_three(capsys, monkeypatch, tmp_path):
+    """A report that contains itself is a fault of the package: exit 3,
+    nothing written, not a usage error."""
+    def cyclic(args):
+        payload = {"count": 1}
+        payload["self"] = payload
+        return "ok", payload
+
+    monkeypatch.setitem(cli._HANDLERS, "scan", cyclic)
+    out = tmp_path / "report.json"
+    for dest in ([], ["-o", str(out)]):
+        code = dispatch(["scan", "--ring", "Z", "--window", "N=7", "--colors", "2",
+                         "--F", "t", *dest])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("internal error:")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

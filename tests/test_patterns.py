@@ -525,6 +525,9 @@ KERNEL_RINGS = [
     (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t", "t^3", "t;t^2;t^3"), "4"),
     (GF2, WindowParams(5), ("0;t", "t^2+t", "t^3", "t;t^2;t^3"), "x^5+x"),
     (GF3, WindowParams(3), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3"), "2x^3+1"),
+    # at (x, y) = (4, 2) every element of t^2's instance is 8: degenerate and
+    # wholly outside the window, so partial mode must yield no witness there
+    (Z, WindowParams(7), ("t^2", "0;t^2"), "8"),
 ]
 
 
