@@ -7,7 +7,6 @@ and uniqueness-of-finite-products tooling."""
 from .colorings import (
     Coloring,
     ColoringFormatError,
-    color_class,
     dumps_coloring,
     load_coloring,
     loads_coloring,
@@ -39,8 +38,6 @@ from .halesjewett import (
     variable_words,
     verify_sigma_line_identity,
     wildcard_set,
-    word_index,
-    words,
 )
 from .largeness import (
     FS_LENGTH_CAP,
@@ -50,7 +47,6 @@ from .largeness import (
     dilation_transport,
     divide_set,
     division_transport,
-    finite_products,
     finite_sums,
     ipstar_refute,
     ps_witness_search,

@@ -25,7 +25,6 @@ from typing import Iterable
 
 from .prng import stream_value
 from .rings import (
-    RingElement,
     Window,
     enumerate_window,
     format_ring_spec,
@@ -61,9 +60,6 @@ class Coloring:
         self.r = r
         self.colors = colors
 
-    def color_of(self, e: RingElement) -> int:
-        return self.colors[self.window.index[e]]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Coloring)
@@ -81,16 +77,7 @@ class Coloring:
 
 def random_coloring(window: Window, r: int, seed: int) -> Coloring:
     """Deterministic uniform coloring from the documented splitmix stream."""
-    if r < 1:
-        raise ValueError(f"color count must be >= 1, got {r}")
     return Coloring(window, r, (1 + stream_value(seed, k) % r for k in range(len(window))))
-
-
-def color_class(coloring: Coloring, i: int) -> set:
-    """All window elements of color i; the classes partition the window."""
-    if not 1 <= i <= coloring.r:
-        raise ValueError(f"color {i} out of range 1..{coloring.r}")
-    return {e for e, c in zip(coloring.window.elements, coloring.colors) if c == i}
 
 
 def dumps_coloring(coloring: Coloring) -> str:

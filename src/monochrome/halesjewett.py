@@ -3,9 +3,10 @@ brute-force Hales-Jewett numbers at desk scale; and the embedding of a
 layered product space into a ring that turns wildcard translations into
 configurations r0 + s + f(y_gamma).
 
-Alphabet letters are 1..t and the wildcard is 0.  Cells of the cube
-[t]^N are indexed lexicographically (first letter most significant), and
-a coloring of the cube is a flat tuple over those cells.  The layered
+Alphabet letters are 1..t and the wildcard is 0.  A word's cell in the
+cube [t]^N is flat_index(letters, t), the lexicographic order of
+multi_indices(t, N) (first letter most significant), and a coloring of
+the cube is a flat tuple over those cells.  The layered
 space has one array per level j = 1..d; level j is indexed by j-tuples
 over {1..N} flattened in row-major order, so its length is N^j, and its
 entries are ring elements only.
@@ -83,12 +84,6 @@ def line_of(w: VariableWord) -> tuple:
     return tuple(substitute(w, a) for a in range(1, w.t + 1))
 
 
-def words(t: int, n: int):
-    """All of [t]^n in lexicographic (canonical cell) order."""
-    for letters in itertools.product(range(1, t + 1), repeat=n):
-        yield Word(t, letters)
-
-
 def variable_words(t: int, n: int):
     """All (t+1)^n - t^n variable words of length n, wildcard-first
     lexicographic order."""
@@ -97,17 +92,9 @@ def variable_words(t: int, n: int):
             yield VariableWord(t, letters)
 
 
-def word_index(w: Word) -> int:
-    """Position of w in the canonical cell order of [t]^len(w.letters)."""
-    k = 0
-    for a in w.letters:
-        k = k * w.t + (a - 1)
-    return k
-
-
 def _line_cells(t: int, n: int):
     """Every line of [t]^n as a tuple of cell indices."""
-    return [tuple(map(word_index, line_of(vw))) for vw in variable_words(t, n)]
+    return [tuple(flat_index(w.letters, t) for w in line_of(vw)) for vw in variable_words(t, n)]
 
 
 def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> Optional[tuple]:

@@ -9,10 +9,11 @@ with t + b + x landing in A.  The witness inclusion is the executable
 content; quantifying over all finite blocks is out of reach on finite
 data.
 
-Finite-sums and finite-products sets are enumerated exactly over all
-nonempty index subsets (capped at length 24).  The IP*-refutation search
-is evidence-only: failing to find a finite-sums set disjoint from A
-proves nothing, finding one refutes "A meets every IP set" at this scale.
+Finite-sums sets are enumerated exactly over all nonempty index subsets
+(capped at length 24); finite products are ufp.UfpSequence's job.  The
+IP*-refutation search is evidence-only: failing to find a finite-sums
+set disjoint from A proves nothing, finding one refutes "A meets every
+IP set" at this scale.
 Sums are formed in the ambient ring, never clipped: a sum that escapes A
 simply counts as "not in A".
 """
@@ -89,12 +90,13 @@ def _ring_of(seq: tuple):
     return spec
 
 
-def _subset_folds(seq, op) -> set:
-    """Raw values of all nonempty-subset folds of seq under the raw op."""
+def _subset_sums(seq) -> set:
+    """Raw values of the sums of seq over all nonempty index subsets."""
+    add = seq[0].spec.add
     acc = set()
     for e in seq:
         v = e.val
-        acc |= {op(prev, v) for prev in acc}
+        acc |= {add(prev, v) for prev in acc}
         acc.add(v)
     return acc
 
@@ -102,13 +104,7 @@ def _subset_folds(seq, op) -> set:
 def finite_sums(seq: Sequence[RingElement]) -> FSSet:
     seq = tuple(seq)
     spec = _ring_of(seq)
-    return FSSet(seq, frozenset(RingElement(spec, v) for v in _subset_folds(seq, spec.add)))
-
-
-def finite_products(seq: Sequence[RingElement]) -> frozenset:
-    seq = tuple(seq)
-    spec = _ring_of(seq)
-    return frozenset(RingElement(spec, v) for v in _subset_folds(seq, spec.mul))
+    return FSSet(seq, frozenset(RingElement(spec, v) for v in _subset_sums(seq)))
 
 
 def ipstar_refute(
@@ -139,7 +135,7 @@ def ipstar_refute(
             window.elements[stream_below(seed, s * seq_len + p, size)]
             for p in range(seq_len)
         )
-        if raw_target.isdisjoint(_subset_folds(seq, window.spec.add)):
+        if raw_target.isdisjoint(_subset_sums(seq)):
             return seq
     return None
 
@@ -149,11 +145,7 @@ def dilation_transport(witness: PSWitness, r: RingElement) -> PSWitness:
     gaps, block and anchor by r.  Exact because r(t+b+x) = rt+rb+rx."""
     if r.is_zero():
         raise ValueError("dilation by zero destroys the witness")
-    return PSWitness(
-        frozenset(r * t for t in witness.gaps),
-        frozenset(r * b for b in witness.block),
-        r * witness.anchor,
-    )
+    return PSWitness(dilate_set(witness.gaps, r), dilate_set(witness.block, r), r * witness.anchor)
 
 
 def division_transport(witness: PSWitness, y: RingElement) -> Optional[PSWitness]:
@@ -162,12 +154,12 @@ def division_transport(witness: PSWitness, y: RingElement) -> Optional[PSWitness
     compatibility hypothesis is violated).  Inverse of dilation by y."""
     if y.is_zero():
         raise ZeroDivisionError("division transport by ring zero")
-    gaps = [exact_divide(t, y) for t in witness.gaps]
-    block = [exact_divide(b, y) for b in witness.block]
+    gaps = divide_set(witness.gaps, y)
+    block = divide_set(witness.block, y)
     anchor = exact_divide(witness.anchor, y)
-    if anchor is None or any(v is None for v in gaps) or any(v is None for v in block):
+    if gaps is None or block is None or anchor is None:
         return None
-    return PSWitness(frozenset(gaps), frozenset(block), anchor)
+    return PSWitness(gaps, block, anchor)
 
 
 def dilate_set(target, r: RingElement) -> frozenset:

@@ -29,26 +29,6 @@ from .rings import (
     WHITESPACE, RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element,
 )
 
-__all__ = [
-    "ZeroConstPoly",
-    "PolyFamily",
-    "PatternInstance",
-    "ScanConstraints",
-    "PatternVerdict",
-    "Witness",
-    "zero_const_poly",
-    "make_family",
-    "eval_poly",
-    "pattern_elements",
-    "pattern_color",
-    "witness_scan",
-    "abundance_profile",
-    "parse_poly",
-    "parse_family",
-    "format_poly",
-    "format_family",
-]
-
 
 @dataclass(frozen=True)
 class ZeroConstPoly:

@@ -504,9 +504,6 @@ class Window:
     def __repr__(self) -> str:
         return f"<Window {format_ring_spec(self.spec)} {format_window_params(self.spec, self.params)} (|W|={len(self)})>"
 
-    def position(self, e: RingElement) -> int:
-        return self.index[e]
-
     def product_run(self, y: RingElement) -> tuple:
         """Positions ``(lo, hi)`` of the window slice holding every x with
         x*y in the window, by the per-ring rule in the module docstring;

@@ -12,7 +12,8 @@ computable by exact division alone — no window scan.
 extend_ufp never materializes the exclusion set: it tests candidates
 with the equivalent membership predicate "some x*alpha lands in B u {1}"
 (O(|B|) multiplications each), which is the same condition read forward.
-The exclusion_set op stays available for its own sake and for tests.
+exclusion_set materializes C for callers that want the set itself, such
+as the largeness demo.
 """
 
 from __future__ import annotations
@@ -74,11 +75,6 @@ class UfpSequence:
                 products = _doubled(products, e)
             self._products = products
         return self._products
-
-    def fp_map(self) -> dict:
-        """index set -> product, over all 2^len - 1 nonempty subsets."""
-        spec = self.spec
-        return {_index_set(m): RingElement(spec, v) for m, v in enumerate(self._raw_products(), start=1)}
 
     def fp_set(self) -> frozenset:
         return frozenset(RingElement(self.spec, v) for v in self._raw_products())

@@ -36,8 +36,6 @@ from monochrome import (
     validate_ps_witness,
     variable_words,
     witness_scan,
-    word_index,
-    words,
 )
 
 Z = parse_ring_spec("Z")
@@ -109,9 +107,12 @@ def test_02_exhaustive_threshold_desk_scale():
     assert avoider == (1, 2)
 
     # oracle: every 2-coloring of the 16-point space meets a one-color line
-    cells = list(words(2, 2))
-    assert len(cells) == 4
-    lines = [[word_index(w) for w in line_of(vw)] for vw in variable_words(2, 2)]
+    def cells(n):  # oracle cell order: itertools' lexicographic enumeration of [2]^n
+        return {letters: k for k, letters in enumerate(itertools.product((1, 2), repeat=n))}
+
+    cell = cells(2)
+    assert len(cell) == 4
+    lines = [[cell[w.letters] for w in line_of(vw)] for vw in variable_words(2, 2)]
     assert len(lines) == 5
     colorings_checked = 0
     for colors in itertools.product((1, 2), repeat=4):
@@ -120,7 +121,7 @@ def test_02_exhaustive_threshold_desk_scale():
     assert colorings_checked == 16
 
     # and at side length 1 the emitted coloring defeats the single line
-    single_line = [word_index(w) for w in line_of(next(variable_words(2, 1)))]
+    single_line = [cells(1)[w.letters] for w in line_of(next(variable_words(2, 1)))]
     assert len({avoider[i] for i in single_line}) == 2
 
     elapsed = time.monotonic() - t0

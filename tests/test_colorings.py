@@ -8,7 +8,6 @@ from monochrome import (
     Coloring,
     ColoringFormatError,
     WindowParams,
-    color_class,
     dumps_coloring,
     enumerate_window,
     load_coloring,
@@ -50,12 +49,6 @@ def test_colors_must_be_in_range():
         Coloring(W10, 2, (1, 2) * 4 + (3, 1))
 
 
-def test_color_of_by_element():
-    c = Coloring(W10, 2, tuple(1 + (n % 2) for n in range(1, 11)))
-    assert c.color_of(Z.integer(1)) == 2
-    assert c.color_of(Z.integer(2)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Seeded randomization
 
@@ -87,51 +80,8 @@ def test_random_coloring_documented_update_rule():
 
 
 def test_random_coloring_zero_colors_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^color count must be >= 1, got 0$"):
         random_coloring(W10, 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# Color classes
-
-
-def test_color_class_whole_window():
-    c = Coloring(W10, 1, (1,) * 10)
-    assert color_class(c, 1) == set(W10.elements)
-
-
-def test_color_class_empty():
-    c = Coloring(W10, 2, (1,) * 10)
-    assert color_class(c, 2) == set()
-
-
-def test_color_class_parity():
-    c = Coloring(W10, 2, tuple(1 + (n % 2) for n in range(1, 11)))
-    assert color_class(c, 1) == {Z.integer(n) for n in (2, 4, 6, 8, 10)}
-
-
-def test_color_class_index_out_of_range():
-    c = Coloring(W10, 2, (1,) * 10)
-    with pytest.raises(ValueError):
-        color_class(c, 0)
-    with pytest.raises(ValueError):
-        color_class(c, 3)
-
-
-def test_color_classes_partition_window():
-    rng = random.Random(4)
-    for w in small_windows():
-        for _ in range(30):
-            r = rng.randint(1, 4)
-            c = random_coloring(w, r, rng.getrandbits(32))
-            classes = [color_class(c, i) for i in range(1, r + 1)]
-            union = set()
-            total = 0
-            for cl in classes:
-                total += len(cl)
-                union |= cl
-            assert union == set(w.elements)
-            assert total == len(w)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ from monochrome import (
     variable_words,
     verify_sigma_line_identity,
     wildcard_set,
-    word_index,
-    words,
     enumerate_window,
     WindowParams,
 )
+from monochrome.halesjewett import _line_cells
 from _reference_engines import reference_find_avoiding_coloring
 
 Z = parse_ring_spec("Z")
@@ -85,16 +84,29 @@ def test_line_substitutions_pairwise_distinct():
         assert len(set(line)) == t
 
 
+def cube_cells(t, n):
+    """Oracle: each word of [t]^n, as its letters, to its place in
+    itertools' lexicographic enumeration of the cube."""
+    return {letters: k for k, letters in enumerate(itertools.product(range(1, t + 1), repeat=n))}
+
+
+def oracle_lines(t, n):
+    """Every line of [t]^n as a list of oracle cell indices."""
+    cell = cube_cells(t, n)
+    return [[cell[w.letters] for w in line_of(vw)] for vw in variable_words(t, n)]
+
+
 def test_word_enumeration_counts():
     for t, n in ((2, 3), (3, 2), (2, 4)):
-        assert len(list(words(t, n))) == t**n
+        assert len(list(multi_indices(t, n))) == t**n
         assert len(list(variable_words(t, n))) == (t + 1) ** n - t**n
 
 
 def test_word_index_matches_enumeration_order():
-    for t, n in ((2, 3), (3, 2)):
-        for k, w in enumerate(words(t, n)):
-            assert word_index(w) == k
+    """The cube search indexes each word at its place in the lexicographic
+    enumeration of [t]^n."""
+    for t, n in ((1, 3), (2, 3), (3, 2), (4, 1)):
+        assert [list(line) for line in _line_cells(t, n)] == oracle_lines(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +115,8 @@ def test_word_index_matches_enumeration_order():
 
 def mono_line_in_every_coloring(t, n, r):
     """Oracle: plain double loop over all colorings x all lines."""
-    cells = list(words(t, n))
-    lines = [line_of(vw) for vw in variable_words(t, n)]
-    line_idx = [[word_index(w) for w in line] for line in lines]
-    for colors in itertools.product(range(1, r + 1), repeat=len(cells)):
+    line_idx = oracle_lines(t, n)
+    for colors in itertools.product(range(1, r + 1), repeat=t**n):
         if not any(
             len({colors[i] for i in idx}) == 1 for idx in line_idx
         ):
@@ -153,9 +163,8 @@ def test_forced_propagates_upward():
 def test_avoiding_colorings_verify_against_oracle():
     got = find_avoiding_coloring(2, 3, 1)
     assert got is not None
-    lines = [line_of(vw) for vw in variable_words(3, 1)]
-    for line in lines:
-        assert len({got[word_index(w)] for w in line}) > 1
+    for idx in oracle_lines(3, 1):
+        assert len({got[i] for i in idx}) > 1
 
 
 def test_work_cap_guard():

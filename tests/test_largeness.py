@@ -9,6 +9,7 @@ import pytest
 from monochrome import (
     FS_LENGTH_CAP,
     PSWitness,
+    UfpSequence,
     WindowParams,
     dilate_set,
     dilation_transport,
@@ -16,7 +17,6 @@ from monochrome import (
     division_transport,
     enumerate_window,
     exact_divide,
-    finite_products,
     finite_sums,
     ipstar_refute,
     parse_ring_spec,
@@ -180,11 +180,6 @@ def test_finite_sums_repeated_generator():
     assert {e.val for e in fs.sums} == {2, 4}
 
 
-def test_finite_products_example():
-    fp = finite_products([Z.integer(2), Z.integer(3)])
-    assert {e.val for e in fp} == {2, 3, 6}
-
-
 def test_finite_sums_arithmetic_progression():
     for n in (1, 3, 6):
         fs = finite_sums([Z.integer(5)] * n)
@@ -207,14 +202,12 @@ def test_sums_and_products_match_subset_oracle():
         for _ in range(40):
             seq = [rand_elem(spec, rng) for _ in range(rng.randint(1, 5))]
             assert finite_sums(seq).sums == subset_folds(seq, lambda a, b: a + b)
-            assert finite_products(seq) == subset_folds(seq, lambda a, b: a * b)
+            assert UfpSequence(seq).fp_set() == subset_folds(seq, operator.mul)
 
 
 def test_sequence_caps_and_empty():
     with pytest.raises(ValueError):
         finite_sums([])
-    with pytest.raises(ValueError):
-        finite_products([])
     too_long = [Z.integer(1)] * (FS_LENGTH_CAP + 1)
     with pytest.raises(ValueError):
         finite_sums(too_long)

@@ -71,3 +71,73 @@ def test_benchmark_instrumentation_binds():
                if not hasattr(owner, name) and not (dataclasses.is_dataclass(owner) and name in
                                                     {f.name for f in dataclasses.fields(owner)})]
     assert not missing
+
+
+# Public API that nothing in src/, demos/ or bench/ calls, kept on purpose
+_UNCALLED_KEPT = {
+    "pattern_color": "test_patterns' abundance oracle compares against it as the reference",
+    "PatternInstance.degenerate": "the same oracle's reference degeneracy test",
+    "RingSpec.gaussian": "the Zi constructor, beside integer and poly",
+}
+
+
+def _public_definitions(package: pathlib.Path) -> set:
+    """'name' for each public module-level function of the package, and
+    'Class.name' for each public method or property of a public class."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.add(node.name)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+    return found
+
+
+class _References(ast.NodeVisitor):
+    """The names a file loads, other than those a function binds locally
+    (a local `words` is not a call of halesjewett's), and the attribute
+    names it reads."""
+
+    def __init__(self):
+        self.names, self.attrs, self._scopes = set(), set(), []
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        bound = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg) if a is not None}
+        bound |= {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        self._scopes.append(bound)
+        self.generic_visit(node)
+        self._scopes.pop()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and not any(node.id in s for s in self._scopes):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.attrs.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_helper_has_a_caller():
+    """A public function, method or property that only tests reach is a
+    second implementation waiting to drift: each must be referenced from
+    src/ (the __init__.py re-exports do not count), demos/ or bench/.
+    A method counts as referenced when some file reads an attribute of
+    its name."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = pathlib.Path(monochrome.__file__).parent
+    refs = _References()
+    for path in [*sorted(package.glob("*.py")), *sorted((root / "demos").rglob("*.py")),
+                 *sorted((root / "bench").rglob("*.py"))]:
+        if path != package / "__init__.py":
+            refs.visit(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = {name for name in _public_definitions(package)
+                if name.rpartition(".")[2] not in refs.attrs
+                and ("." in name or name not in refs.names)}
+    only_tests = sorted(uncalled - set(_UNCALLED_KEPT))
+    assert not only_tests, f"only tests reach {', '.join(only_tests)}"
+    assert set(_UNCALLED_KEPT) <= uncalled, "an allowlisted name has a caller now: drop it"

@@ -246,7 +246,7 @@ def test_scan_order_is_y_outer_x_inner():
     w = enumerate_window(Z, WindowParams(30))
     c = random_coloring(w, 2, 3)
     fam = parse_family(Z, "t")
-    keys = [(w.position(wit.y), w.position(wit.x)) for wit in witness_scan(c, fam)]
+    keys = [(w.index[wit.y], w.index[wit.x]) for wit in witness_scan(c, fam)]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -569,7 +569,7 @@ def profile_by_pattern_color(coloring, family, y, constraints):
             continue
         color = pattern_color(coloring, x, y, family)
         if color is PatternVerdict.OUT_OF_WINDOW and not constraints.require_in_window:
-            visible = {colors[window.position(e)] for e in inst.elements if e in window}
+            visible = {colors[window.index[e]] for e in inst.elements if e in window}
             color = visible.pop() if len(visible) == 1 else None
         if isinstance(color, int):
             profile[color].add(x)

@@ -347,7 +347,7 @@ def test_index_inverts_position():
     ):
         w = enumerate_window(spec, params)
         for k, e in enumerate(w.elements):
-            assert w.position(e) == k
+            assert w.index[e] == k
             assert e in w
         keys = [e.sort_key() for e in w.elements]
         assert keys == sorted(keys)

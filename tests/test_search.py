@@ -215,7 +215,7 @@ def test_empty_instance_single_color_found():
 def test_unconstrained_elements_get_first_color():
     res = avoidance_backtrack(build_instance(zwindow(4), 2, LINEAR))
     # element 1 occurs in no candidate at N=4
-    assert res.coloring.color_of(Z.integer(1)) == 1
+    assert res.coloring.colors[res.coloring.window.index[Z.integer(1)]] == 1
 
 
 def test_found_colorings_never_leave_witnesses():

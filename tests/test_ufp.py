@@ -43,6 +43,14 @@ def subset_products(seq):
     return out
 
 
+def bitmask_products(seq):
+    """The oracle's raw products in bitmask order: entry m-1 is the product
+    over the positions of the set bits of m (bit i for position i+1)."""
+    by_set = subset_products(seq)
+    return [by_set[frozenset(i + 1 for i in range(len(seq)) if m >> i & 1)].val
+            for m in range(1, 2 ** len(seq))]
+
+
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -90,14 +98,16 @@ def test_product_map_matches_oracle():
                     spec.poly([rng.randrange(3) for _ in range(rng.randint(0, 2))])
                     for _ in range(rng.randint(1, 5))
                 ]
-            assert UfpSequence(seq).fp_map() == subset_products(seq)
+            assert UfpSequence(seq)._raw_products() == bitmask_products(seq)
 
 
 def test_extended_reuses_parent_products():
     base = UfpSequence(zints(2, 3))
-    base.fp_map()
+    base._raw_products()
     child = base.extended(Z.integer(5))
-    assert child.fp_map() == subset_products(zints(2, 3, 5))
+    assert child._products is not None  # continued from the parent's cache
+    assert child._raw_products() == UfpSequence(zints(2, 3, 5))._raw_products()
+    assert child._raw_products() == bitmask_products(zints(2, 3, 5))
 
 
 def test_length_cap_enforced():
