@@ -15,7 +15,9 @@ IP*-refutation search is evidence-only: failing to find a finite-sums
 set disjoint from A proves nothing, finding one refutes "A meets every
 IP set" at this scale.
 Sums are formed in the ambient ring, never clipped: a sum that escapes A
-simply counts as "not in A".
+simply counts as "not in A".  The walks run on raw values, and an
+element of another ring is never a member of A (a gap or block element
+of another ring is a ValueError at the call).
 """
 
 from __future__ import annotations
@@ -46,13 +48,33 @@ def validate_ps_witness(witness: PSWitness, target: frozenset) -> bool:
     return all(any(t + b + x in target for t in gaps) for b in witness.block)
 
 
+def _raw_target(target, window: Window) -> frozenset:
+    """The raw values of the target's elements of the window's ring: raw
+    values collide across rings (Zi i and GF(3)[x] x are both (0, 1))."""
+    spec = window.spec
+    return frozenset(e.val for e in target
+                     if isinstance(e, RingElement) and (e.spec is spec or e.spec == spec))
+
+
+def _raw_operands(elements, window: Window) -> list:
+    """The raw values of gap or block elements, which must all be of the
+    window's ring: RingElement's ring-mismatch ValueError otherwise."""
+    first, raw = window.elements[0], []
+    for e in elements:
+        e._check(first)
+        raw.append(e.val)
+    return raw
+
+
 def syndetic_check(target, gaps, window: Window) -> Optional[RingElement]:
     """None if the G-translates of the target cover the whole window,
     otherwise the first uncovered window element (a counterexample)."""
-    target = frozenset(target)
-    gaps = tuple(gaps)
+    raw_target = _raw_target(target, window)
+    gaps_v = _raw_operands(gaps, window)
+    add = window.spec.add
     for w in window.elements:
-        if not any(t + w in target for t in gaps):
+        wv = w.val
+        if not any(add(t, wv) in raw_target for t in gaps_v):
             return w
     return None
 
@@ -60,11 +82,14 @@ def syndetic_check(target, gaps, window: Window) -> Optional[RingElement]:
 def ps_witness_search(target, gaps, block, window: Window) -> Optional[PSWitness]:
     """The least anchor (in canonical window order) making (gaps, block)
     a valid witness for the target, or None."""
-    target = frozenset(target)
-    gaps_t = tuple(gaps)
-    block_t = tuple(block)
+    raw_target = _raw_target(target, window)
+    gaps_v = _raw_operands(gaps, window)
+    add = window.spec.add
+    # per b, each t + b formed once
+    sums = [[add(t, b) for t in gaps_v] for b in _raw_operands(block, window)]
     for x in window.elements:
-        if all(any(t + b + x in target for t in gaps_t) for b in block_t):
+        xv = x.val
+        if all(any(add(s, xv) in raw_target for s in row) for row in sums):
             return PSWitness(frozenset(gaps), frozenset(block), x)
     return None
 
@@ -128,7 +153,7 @@ def ipstar_refute(
         raise ValueError(f"sequence length {seq_len} exceeds the enumeration cap {FS_LENGTH_CAP}")
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
-    raw_target = {e.val for e in target}
+    raw_target = _raw_target(target, window)
     size = len(window)
     for s in range(samples):
         seq = tuple(

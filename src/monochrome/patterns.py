@@ -275,24 +275,25 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     element outside it has position None.  In partial mode an x outside
     the run has x*y outside the window, so its positions are those of the
     x + f(y) alone (repeats kept), with no product and no degenerate
-    test: each visible x + f(y) differs from x*y."""
-    index = window.index
+    test: each visible x + f(y) differs from x*y.  They are computed per
+    y as one column per f over the x outside the run, zipped into one
+    positions tuple per x."""
     elements = window.elements
     position = window.raw_index
     add, mul = window.spec.add, window.spec.mul
     f_values = _raw_evaluator(family)
-    skip = {index[x] for x in constraints.exclude_x if x in index}
+    skip = {position[x.val] for x in constraints.exclude_x if x in window}
     whole = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
     if ys is None:
         ys = (y for y in elements if constraints.admits_y(y))
 
     def outside_run(y, fvs, start, stop):
-        for pos in range(start, stop):
-            if pos not in skip:
-                x = elements[pos]
-                xv = x.val
-                yield y, x, [position.get(add(xv, fv)) for fv in fvs]
+        span = [pos for pos in range(start, stop) if pos not in skip]
+        xvs = [elements[pos].val for pos in span]
+        columns = [[position.get(add(xv, fv)) for xv in xvs] for fv in fvs]
+        for pos, positions in zip(span, zip(*columns)):
+            yield y, elements[pos], positions
 
     for y in ys:
         yv = y.val

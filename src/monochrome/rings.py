@@ -14,9 +14,9 @@ equality is ring equality and elements are usable as dict keys.  No
 other module knows these representations: each ring's spec is an
 instance of one :class:`RingSpec` subclass per ring kind (``_Integers``,
 ``_Gaussian``, ``_Poly``), which holds that raw format.
-``RingElement``'s operators, the subset folds of ``largeness`` and the
-candidate kernel of ``patterns`` run on the spec's raw ``add``, ``neg``
-and ``mul``, treating raw values as opaque.
+``RingElement``'s operators, the subset folds and walks of ``largeness``
+and the candidate kernel of ``patterns`` run on the spec's raw ``add``,
+``neg`` and ``mul``, treating raw values as opaque.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -465,11 +465,13 @@ class Window:
     """A canonically ordered finite slice of a ring with O(1) position lookup.
 
     Identity (equality, hashing) is (spec, params); the element list is
-    derived deterministically from those.  ``index`` maps elements and
-    ``raw_index`` their raw values to positions.
+    derived deterministically from those.  ``raw_index`` maps raw values
+    to positions; the scan kernel and ``in`` read it, checking the ring.
+    ``index`` maps elements to positions and is built on first use.
     """
 
-    __slots__ = ("spec", "params", "elements", "index", "raw_index")
+    __slots__ = ("spec", "params", "elements", "raw_index", "__dict__")  # __dict__ caches index
+    index = cached_property(lambda self: {e: k for k, e in enumerate(self.elements)})
 
     def __init__(self, spec: RingSpec, params: WindowParams):
         spec.check_signed(params.signed)
@@ -479,7 +481,6 @@ class Window:
         self.params = params
         values = spec.values(params.size, params.signed)
         self.elements: tuple = tuple([RingElement(spec, v) for v in values])
-        self.index: dict = {e: k for k, e in enumerate(self.elements)}
         self.raw_index: dict = {v: k for k, v in enumerate(values)}
 
     def __len__(self) -> int:
@@ -489,7 +490,7 @@ class Window:
         return iter(self.elements)
 
     def __contains__(self, e) -> bool:
-        return e in self.index
+        return isinstance(e, RingElement) and e.spec == self.spec and e.val in self.raw_index
 
     def __eq__(self, other) -> bool:
         return (
@@ -606,4 +607,6 @@ def _ideal_preset(spec: RingSpec, gen_literal: str, window: Window) -> frozenset
     gen = parse_element(spec, gen_literal)
     if gen.is_zero():
         raise ValueError("ideal(m) needs m != 0")
-    return frozenset(e for e in window if exact_divide(e, gen) is not None)
+    window.elements[0]._check(gen)  # the ring check exact_divide made per element
+    divide, m = spec.divide, gen.val
+    return frozenset(e for e in window.elements if divide(e.val, m) is not None)

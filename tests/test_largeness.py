@@ -9,6 +9,7 @@ import pytest
 from monochrome import (
     FS_LENGTH_CAP,
     PSWitness,
+    RingElement,
     UfpSequence,
     WindowParams,
     dilate_set,
@@ -19,6 +20,8 @@ from monochrome import (
     exact_divide,
     finite_sums,
     ipstar_refute,
+    parse_element,
+    parse_element_set,
     parse_ring_spec,
     ps_witness_search,
     syndetic_check,
@@ -166,6 +169,80 @@ def test_syndetic_cover_yields_witness_for_small_blocks():
 
 
 # ---------------------------------------------------------------------------
+# The raw-value walks and presets against RingElement arithmetic
+
+
+def syndetic_oracle(target, gaps, window):
+    for w in window.elements:
+        if not any(t + w in target for t in gaps):
+            return w
+    return None
+
+
+def ps_anchor_oracle(target, gaps, block, window):
+    for x in window.elements:
+        if all(any(t + b + x in target for t in gaps) for b in block):
+            return x
+    return None
+
+
+# ring, window, the window that holds every quotient c of an ideal(m)
+# member m*c, an element of another ring (raw values collide across
+# rings: GF(3)[x] x and Zi i are both (0, 1), Zi 1+1i and GF(2)[x] x+1
+# both (1, 1); no other ring shares Z's ints), and ideal generators
+RAW_RINGS = [
+    (Z, WindowParams(30), WindowParams(30, signed=True), GF3.poly((0, 1)), ("3", "-4")),
+    (Z, WindowParams(12, signed=True), WindowParams(12, signed=True), ZI.gaussian(0, 1), ("3",)),
+    (ZI, WindowParams(2), WindowParams(4), GF3.poly((0, 1)), ("1+1i", "2-1i")),
+    (GF2, WindowParams(4), WindowParams(4), ZI.gaussian(1, 1), ("x", "x^2+x+1")),
+    (GF3, WindowParams(3), WindowParams(3), ZI.gaussian(0, 1), ("x", "2x+1")),
+]
+
+
+@pytest.mark.parametrize("case", range(len(RAW_RINGS)))
+def test_raw_largeness_matches_element_oracle(case):
+    spec, params, quotients, foreign, generators = RAW_RINGS[case]
+    window = enumerate_window(spec, params)
+    # the window's element with foreign's raw value, where there is one
+    twin = RingElement(spec, foreign.val)
+    rng = random.Random(case)
+    for _ in range(40):
+        target = {e for e in window.elements if rng.random() < 0.6} - {twin} | {foreign}
+        gaps = set(rng.sample(window.elements, rng.randint(1, 3)))
+        block = set(rng.sample(window.elements, rng.randint(1, 3)))
+        assert syndetic_check(target, gaps, window) == syndetic_oracle(target, gaps, window)
+        got = ps_witness_search(target, gaps, block, window)
+        want = ps_anchor_oracle(target, gaps, block, window)
+        assert (None if got is None else got.anchor) == want
+        assert got is None or (got.gaps, got.block) == (gaps, block)
+    if twin in window:
+        cover = frozenset(window.elements) - {twin} | {foreign}
+        assert syndetic_check(cover, {spec.zero}, window) == twin
+        assert ps_witness_search({foreign}, {spec.zero}, {spec.zero}, window) is None
+
+    texts = [f"ideal({g})" for g in generators]
+    if not spec.from_int(2).is_zero():
+        texts.append("evens")
+    for text in texts:
+        m = spec.from_int(2) if text == "evens" else parse_element(spec, text[6:-1])
+        multiples = {m * c for c in enumerate_window(spec, quotients).elements}
+        want = frozenset(e for e in window.elements if e in multiples)
+        assert parse_element_set(spec, text, window) == want, text
+
+
+def test_gap_or_block_of_another_ring_rejected_at_call():
+    # the walk would meet GF(3)[x]'s 1 only after the gap 0 covers w = 1
+    w = enumerate_window(Z, WindowParams(5))
+    cover = frozenset(w.elements)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        syndetic_check(cover, [Z.zero, GF3.one], w)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        ps_witness_search(cover, [Z.zero], [Z.one, GF3.one], w)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        ps_witness_search(cover, [], [GF3.one], w)
+
+
+# ---------------------------------------------------------------------------
 # Finite sums and products
 
 
@@ -280,6 +357,15 @@ def test_ipstar_sums_leave_window_uncLipped():
     # no drawn singleton nor pair-sum inside {1..100} can hit it unless summed
     seq = ipstar_refute(target, w100, 1, 3, 2)
     assert seq is not None  # single draws never reach 185
+
+
+def test_ipstar_ignores_target_elements_of_another_ring():
+    # sample 0 of seed 7 draws i from Zi B=1; GF(3)[x]'s x has i's raw
+    # value (0, 1) but is no element of Zi, so it leaves the draw unrefuted
+    w = enumerate_window(ZI, WindowParams(1))
+    i = ZI.gaussian(0, 1)
+    assert ipstar_refute(frozenset(), w, 1, 1, 7) == (i,)
+    assert ipstar_refute({GF3.poly((0, 1))}, w, 1, 1, 7) == (i,)
 
 
 def test_ipstar_length_validation():

@@ -531,6 +531,11 @@ KERNEL_RINGS = [
 ]
 
 
+# an element of another ring whose raw value a window element shares:
+# GF(3)[x] x and Zi i are both (0, 1), Zi 1+1i and GF(2)[x] x+1 both (1, 1)
+COLLIDING = {ZI: GF3.poly((0, 1)), GF2: ZI.gaussian(1, 1), GF3: ZI.gaussian(0, 1)}
+
+
 def kernel_cases(spec, window, seed):
     """Named constraint sets: the fixed modes, then seeded random ones.
     An empty exclude_y admits y = 0 and 1, y = -1 in signed Z, the units
@@ -545,6 +550,10 @@ def kernel_cases(spec, window, seed):
         "partial": ScanConstraints(defaults.exclude_y, defaults.exclude_x, require_in_window=False),
         "partial_open": ScanConstraints(frozenset(), frozenset(), False, False),
     }
+    if spec in COLLIDING:
+        # excludes the window's zero, never its element of the same raw value
+        cases["exclude_other_ring"] = ScanConstraints(
+            defaults.exclude_y, defaults.exclude_x | {COLLIDING[spec]}, require_in_window=False)
     rng = random.Random(seed)
     for k in range(4):
         cases[f"random{k}"] = ScanConstraints(
@@ -624,6 +633,33 @@ def test_kernel_matches_full_window_loop(ring_case):
         inst = build_instance(window, r, family, constraints)
         assert [(c.x, c.y, c.elements) for c in inst.candidates] == cands, label
         assert list(inst.index_sets) == index_sets, label
+
+
+def test_scans_leave_window_index_unbuilt(monkeypatch):
+    """witness_scan, abundance_profile, build_instance and moreira_number
+    read raw_index alone: Window.index is built only once read, and then
+    maps each element to its position."""
+    from monochrome import Window, build_instance, moreira_number
+
+    built = []
+    lazy = Window.__dict__["index"]
+    monkeypatch.setattr(Window, "index", property(lambda w: built.append(w) or lazy.__get__(w)))
+    for spec, params, text in ((Z, WindowParams(60), "0;t"), (ZI, WindowParams(3), "t"),
+                               (GF2, WindowParams(4), "t;t^2")):
+        window = enumerate_window(spec, params)
+        family = parse_family(spec, text)
+        coloring = random_coloring(window, 2, 5)
+        defaults = ScanConstraints.defaults_for(spec)
+        for constraints in (defaults, ScanConstraints(defaults.exclude_y, defaults.exclude_x, False)):
+            list(witness_scan(coloring, family, constraints))
+            abundance_profile(coloring, family, window.elements[-1], constraints)
+        build_instance(window, 2, family)
+        moreira_number(2, family, 3)
+        assert built == [] and "index" not in vars(window), spec
+        assert window.elements[2] in window and COLLIDING.get(spec, ZI.one) not in window
+    monkeypatch.undo()
+    assert window.index == {e: k for k, e in enumerate(window.elements)}
+    assert vars(window)["index"] is window.index
 
 
 def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
