@@ -46,7 +46,6 @@ from datetime import datetime, timezone
 
 from .colorings import (
     Coloring,
-    ColoringFormatError,
     load_coloring,
     random_coloring,
     store_coloring,
@@ -193,9 +192,9 @@ def _hj_flags(p):
 
 def _sigma_flags(p):
     _add_common(p, ring=True, window=True, family=True, seed=True)
-    p.add_argument("--n", type=integer, help="side of the layered space (default 2)")
+    p.add_argument("--n", type=integer, default=2, help="side of the layered space (default 2)")
     p.add_argument("--depth", type=integer, help="levels d (default: family top degree)")
-    p.add_argument("--trials", type=integer, help="default 100")
+    p.add_argument("--trials", type=integer, default=100, help="default 100")
 
 
 def _avoid_flags(p):
@@ -216,7 +215,8 @@ def _export_flags(p):
     _add_common(p, ring=True, window=True, colors=True, family=True, constraints=True,
                 output=False)
     p.add_argument("--format", choices=("json", "text", "csv"), help="report format")
-    p.add_argument("-o", "--output", help="CNF file path (default: raw DIMACS on stdout)")
+    p.add_argument("-o", "--output", dest="cnf_file", metavar="OUTPUT",
+                   help="CNF file path (default: raw DIMACS on stdout)")
 
 
 def _decode_flags(p):
@@ -439,10 +439,15 @@ def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _is_table(value) -> bool:
+    """Whether a payload entry is a table: a nonempty list of row dicts."""
+    return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
+
+
 def _render_text(report: dict) -> str:
     lines = [f"# {report['command']}", f"status: {report['status']}"]
     for key, value in report["payload"].items():
-        if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        if _is_table(value):
             lines.append(f"{key}:")
             for row in value:
                 lines.append("  " + "  ".join(f"{k}={_plain(v)}" for k, v in row.items()))
@@ -465,15 +470,11 @@ def _plain(value) -> str:
 
 def _render_csv(report: dict) -> str:
     payload = report["payload"]
-    tables = [
-        (k, v)
-        for k, v in payload.items()
-        if isinstance(v, list) and v and all(isinstance(x, dict) for x in v)
-    ]
+    tables = [v for v in payload.values() if _is_table(v)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if len(tables) == 1:
-        rows = tables[0][1]
+        rows = tables[0]
         cols = list(dict.fromkeys(key for row in rows for key in row))
         writer.writerow(cols)
         for row in rows:
@@ -615,16 +616,15 @@ def _cmd_sigma(args) -> tuple:
     spec = parse_ring_spec(args.ring)
     pool = _window(spec, args.window)
     family = parse_family(spec, args.F)
-    n = args.n if args.n is not None else 2
-    trials = args.trials if args.trials is not None else 100
     seed = args.seed if args.seed is not None else 0
-    oks = [check.ok for trial in sigma_trials(family, pool, n, args.depth, trials, seed) for check in trial]
+    oks = [check.ok for trial in sigma_trials(family, pool, args.n, args.depth, args.trials, seed)
+           for check in trial]
     failures = oks.count(False)
     return "ok" if failures == 0 else "failed", {
         "ring": format_ring_spec(spec),
         "family": format_family(family),
-        "n": n,
-        "trials": trials,
+        "n": args.n,
+        "trials": args.trials,
         "checks": len(oks),
         "failures": failures,
         "all_ok": failures == 0,
@@ -673,17 +673,15 @@ def _cmd_cnf(args) -> tuple | None:
     inst = build_instance(window, r, family, constraints)
     if args.sub == "export":
         doc = cnf_export(inst)
-        _write(args.output, to_dimacs(doc))
-        if args.output is None:
+        _write(args.cnf_file, to_dimacs(doc))
+        if args.cnf_file is None:
             return None
-        payload = {
-            "path": args.output,
+        return "ok", {
+            "path": args.cnf_file,
             "vars": doc.num_vars,
             "clauses": len(doc.clauses),
             "candidates": len(inst.candidates),
         }
-        args.output = None  # -o named the CNF file; the report goes to stdout
-        return "ok", payload
     # decode
     if args.model == "-":
         text = sys.stdin.read()
@@ -742,6 +740,8 @@ def _cmd_report(args) -> None:
             raise CliError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise CliError(f"{path}: not valid JSON (nested too deeply)") from None
         if not isinstance(data, dict):
             raise CliError(f"{path}: not a report (the top level is not a JSON object)")
         for key in ("command", "timestamp", "status", "payload"):
@@ -808,7 +808,7 @@ def dispatch(argv) -> int:
     except RuntimeError as exc:  # InternalError, RecursionError: a fault of the package
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ColoringFormatError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -163,33 +164,29 @@ def pattern_elements(x: RingElement, y: RingElement, family: PolyFamily) -> Patt
     if x.spec != y.spec or x.spec != family.spec:
         raise ValueError("x, y and family must come from the same ring")
     spec = x.spec
-    f_values = _raw_evaluator(family)(y.val)
-    vals, _ = _raw_instance(x.val, y.val, f_values, spec.add, spec.mul, {}, False)
-    return PatternInstance(x, y, tuple(RingElement(spec, v) for v in vals))
+    xv = x.val
+    vals = [spec.mul(xv, y.val)] + [spec.add(xv, fv) for fv in _raw_evaluator(family)(y.val)]
+    return PatternInstance(x, y, tuple(RingElement(spec, v) for v in dict.fromkeys(vals)))
 
 
-def _raw_instance(xv, yv, f_values: list, add, mul, position: dict, whole: bool):
-    """The instance at raw x and y as (values, positions): the raw values of
-    [x*y] ++ [x + f(y) for f(y) in f_values] deduplicated keeping first
-    occurrence, and their positions in position (None for a value it
-    lacks).  Each value is looked up as soon as it is computed, the
-    product first; with whole, the result is None at the first value
-    outside position, and the rest are never computed."""
-    v = mul(xv, yv)
-    p = position.get(v)
-    if p is None and whole:
+def _raw_instance(xv, yv, f_values: list, add, mul, position: dict):
+    """The positions in position of the instance at raw x and y, whose
+    raw values are [x*y] ++ [x + f(y) for f(y) in f_values], deduplicated
+    keeping first occurrence (position is one-to-one, so equal values are
+    equal positions), or None when some value lies outside position.
+    Each value is looked up as soon as it is computed, the product first,
+    and the rest are never computed after the first miss."""
+    p = position.get(mul(xv, yv))
+    if p is None:
         return None
-    vals, positions = [v], [p]
+    positions = [p]
     for fv in f_values:
-        v = add(xv, fv)
-        if v in vals:
-            continue
-        p = position.get(v)
-        if p is None and whole:
+        p = position.get(add(xv, fv))
+        if p is None:
             return None
-        vals.append(v)
-        positions.append(p)
-    return vals, positions
+        if p not in positions:
+            positions.append(p)
+    return positions
 
 
 @dataclass(frozen=True)
@@ -266,18 +263,16 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     search.build_instance: for each y of ys (default: the admitted y in
     canonical order) it evaluates every f(y) once, from y's raw powers
     (_raw_evaluator), and yields (y, x, positions) for the admitted x in
-    canonical order, dropping degenerate instances unless allowed.  Each
-    instance is computed on raw values by _raw_instance, so the kernel
-    builds no RingElement; positions follow the instance's element order.
-    With require_in_window, x runs only over window.product_run(y) and an
-    instance is dropped at its first element outside the window, before
-    the rest is computed; otherwise x runs over the whole window and an
-    element outside it has position None.  In partial mode an x outside
-    the run has x*y outside the window, so its positions are those of the
-    x + f(y) alone (repeats kept), with no product and no degenerate
-    test: each visible x + f(y) differs from x*y.  They are computed per
-    y as one column per f over the x outside the run, zipped into one
-    positions tuple per x."""
+    canonical order, dropping degenerate instances unless allowed.  It
+    works on raw values and builds no RingElement.  With
+    require_in_window, x runs over window.product_run(y), and
+    _raw_instance drops an instance at its first element outside the
+    window.  Otherwise x runs over the window, and each y builds columns
+    over it: the position of x*y for the x of product_run(y) (None for
+    the others, whose x*y lies outside), then one column per f.  An x's
+    row is its positions, None outside the window and repeats kept; it
+    is degenerate when its product is visible and every entry equals it
+    (with the product outside, a degenerate instance shows nothing)."""
     elements = window.elements
     position = window.raw_index
     add, mul = window.spec.add, window.spec.mul
@@ -285,33 +280,30 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     skip = {position[x.val] for x in constraints.exclude_x if x in window}
     whole = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
+    if not whole:
+        span = [pos for pos in range(len(elements)) if pos not in skip]
+        xvs = [elements[pos].val for pos in span]
     if ys is None:
         ys = (y for y in elements if constraints.admits_y(y))
-
-    def outside_run(y, fvs, start, stop):
-        span = [pos for pos in range(start, stop) if pos not in skip]
-        xvs = [elements[pos].val for pos in span]
-        columns = [[position.get(add(xv, fv)) for xv in xvs] for fv in fvs]
-        for pos, positions in zip(span, zip(*columns)):
-            yield y, elements[pos], positions
-
     for y in ys:
         yv = y.val
         fvs = f_values(yv)
         lo, hi = window.product_run(y)
-        if not whole:
-            yield from outside_run(y, fvs, 0, lo)
-        run = [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]
-        for x in run:
-            instance = _raw_instance(x.val, yv, fvs, add, mul, position, whole)
-            if instance is None:
+        if whole:
+            for x in [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]:
+                positions = _raw_instance(x.val, yv, fvs, add, mul, position)
+                if positions is None or forbid_degenerate and len(positions) == 1:
+                    continue
+                yield y, x, positions
+            continue
+        a, b = bisect_left(span, lo), bisect_left(span, hi)
+        products = [None] * a + [position.get(mul(xv, yv)) for xv in xvs[a:b]] + [None] * (len(span) - b)
+        columns = [[position.get(add(xv, fv)) for xv in xvs] for fv in fvs]
+        for pos, row in zip(span, zip(products, *columns)):
+            p = row[0]
+            if forbid_degenerate and p is not None and row.count(p) == len(row):
                 continue
-            positions = instance[1]
-            if forbid_degenerate and len(positions) == 1:
-                continue
-            yield y, x, positions
-        if not whole:
-            yield from outside_run(y, fvs, hi, len(elements))
+            yield y, elements[pos], row
 
 
 def witness_scan(

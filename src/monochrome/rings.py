@@ -92,9 +92,13 @@ def tokens(text: str) -> list:
 def integers(text: str) -> list:
     """The WHITESPACE-separated decimals of a text, each as _decimal takes
     it; the common all-ASCII case is checked once, not per token (bytes
-    split at WHITESPACE only)."""
+    split at WHITESPACE only), and its failure is retried per token for
+    the same message as in any other text."""
     if text.isascii() and "_" not in text:
-        return [int(tok) for tok in text.encode().split()]
+        try:
+            return [int(tok) for tok in text.encode().split()]
+        except ValueError:
+            pass
     return [_decimal(tok) for tok in tokens(text)]
 
 
@@ -591,6 +595,8 @@ def parse_element_set(spec: RingSpec, text: str, window: Window) -> frozenset:
     """
     text = text.strip(WHITESPACE)
     if text == "evens":
+        if parse_element(spec, "2").is_zero():
+            raise ValueError(f"evens is ideal(2), and 2 = 0 in {format_ring_spec(spec)}")
         return _ideal_preset(spec, "2", window)
     m = re.match(r"^ideal\((.+)\)$", text)
     if m:

@@ -176,11 +176,19 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
     as without propagation.  Each decision costs one node against the
     budget (None = unlimited); propagated assignments are free.
     backtracks counts dead ends: conflicts and slots whose colors ran out.
+    With one color or a one-element index set, every coloring fails: that
+    is decided up front (FORCED, no node, one backtrack), so the search
+    loop's exhaustion is the only other FORCED exit.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    total = len(order)
+    if total == 0:
+        return AvoidanceStatus.FOUND, (1,) * size, 0, 0
     slot_of = {i: k for k, i in enumerate(order)}
     cands = [tuple(slot_of[i] for i in idxs) for idxs in index_sets]
+    if r == 1 or any(len(c) == 1 for c in cands):
+        return AvoidanceStatus.FORCED, None, 0, 1
     # per slot: (candidate, its slots, the index of its color-0 counter)
     stride = r + 1
     member_cands = [[] for _ in order]
@@ -188,19 +196,12 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
         for s in c:
             member_cands[s].append((ci, c, ci * stride))
 
-    total = len(order)
-    if total == 0:
-        return AvoidanceStatus.FOUND, (1,) * size, 0, 0
-
     colors = [0] * total
     domain = [(1 << stride) - 2] * total  # bit c set: color c still open
     open_count = [len(c) for c in cands]
     counts = [0] * (len(cands) * stride)  # counts[ci*stride + c]: members of ci colored c
     trail = []  # slots in assignment order
     removed = []  # (slot, bit) domain removals in order
-    for c in cands:
-        if len(c) == 1:
-            domain[c[0]] = 0  # a one-element candidate is monochromatic under every coloring
 
     def assign(slot: int, color: int) -> bool:
         """Color slot and propagate; False on a conflict."""
@@ -247,14 +248,6 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
 
     nodes = 0
     backtracks = 0
-    forced = (AvoidanceStatus.FORCED, None, 0, 1)
-    for s in range(total):
-        d = domain[s]
-        if not d:
-            return forced
-        if not d & (d - 1) and not colors[s] and not assign(s, d.bit_length() - 1):
-            return forced
-
     frames = []  # (slot, color, trail length, removed length) per decision
     k = 0
     tried = 0  # the color last decided at slot k; 0 when k is fresh
@@ -479,24 +472,20 @@ def coloring_to_model(coloring: Coloring) -> list:
     return model
 
 
-def dual_engine_check(inst: AvoidanceInstance, budget: Optional[int] = None) -> dict:
-    """Run the backtracker and the reference DPLL (through the CNF
-    encoding) on one instance.  agree is None when the backtracker timed
-    out — the CNF side alone cannot adjudicate a timeout."""
+def dual_engine_check(inst: AvoidanceInstance) -> dict:
+    """Run the backtracker, unbudgeted, and the reference DPLL (through
+    the CNF encoding) on one instance; agree says whether the
+    backtracker's FOUND or FORCED matches the CNF's satisfiability."""
     from .dpll import dpll_sat
 
-    res = avoidance_backtrack(inst, budget)
+    res = avoidance_backtrack(inst)
     doc = cnf_export(inst)
     model = dpll_sat(doc.num_vars, doc.clauses)
     sat = model is not None
-    if res.status is AvoidanceStatus.TIMEOUT:
-        agree = None
-    else:
-        agree = (res.status is AvoidanceStatus.FOUND) == sat
     return {
         "backtrack": res.status.value,
         "cnf_sat": sat,
-        "agree": agree,
+        "agree": (res.status is AvoidanceStatus.FOUND) == sat,
         "nodes": res.nodes,
         "vars": doc.num_vars,
         "clauses": len(doc.clauses),

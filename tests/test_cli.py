@@ -195,6 +195,13 @@ def test_syndetic_holds(capsys):
     assert report["status"] == "holds"
 
 
+def test_evens_names_itself_in_characteristic_2(capsys):
+    code = dispatch(["largeness", "syndetic", "--ring", "GF(2)[x]", "--window", "d=3",
+                     "--target", "evens", "--gaps", "{0}"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: evens is ideal(2), and 2 = 0 in GF(2)[x]\n"
+
+
 def test_syndetic_refuted(capsys):
     code, report = run_json(
         capsys,
@@ -644,10 +651,11 @@ def test_report_merges_json_to_csv(capsys, tmp_path):
 def test_report_rejects_non_report_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for text in ("{}", '"command timestamp status payload"', "null",
-                 '{"command": "scan", "timestamp": "t", "status": "ok", "payload": 5}'):
+                 '{"command": "scan", "timestamp": "t", "status": "ok", "payload": 5}',
+                 "[" * 100000 + "]" * 100000):
         bad.write_text(text)
-        assert dispatch(["report", str(bad)]) == 2, text
-        assert capsys.readouterr().err.startswith(f"error: {bad}: "), text
+        assert dispatch(["report", str(bad)]) == 2, text[:80]
+        assert capsys.readouterr().err.startswith(f"error: {bad}: "), text[:80]
 
 
 def test_json_report_is_one_compact_line(capsys, tmp_path):

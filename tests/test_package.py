@@ -141,3 +141,49 @@ def test_every_public_helper_has_a_caller():
     only_tests = sorted(uncalled - set(_UNCALLED_KEPT))
     assert not only_tests, f"only tests reach {', '.join(only_tests)}"
     assert set(_UNCALLED_KEPT) <= uncalled, "an allowlisted name has a caller now: drop it"
+
+
+# Optional parameters that nothing in src/, demos/ or bench/ passes, kept on purpose
+_UNPASSED_KEPT = {
+    "moreira_number.constraints": "restricts y to an ideal (ROADMAP direction 6), and "
+                                  "test_zi_threshold_probes_the_least_box needs it",
+}
+
+
+def test_every_optional_parameter_has_a_caller():
+    """A parameter with a default that no caller passes is a knob whose
+    other setting only tests run: for each public module-level function
+    of the package, each such parameter must be passed, by position or
+    by keyword, by some call of that name in src/ (not __init__.py),
+    demos/ or bench/.  A call with *args or **kwargs counts as passing
+    every parameter of its kind."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = pathlib.Path(monochrome.__file__).parent
+    optional = {}  # (function, parameter) -> its position, None for keyword-only
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                first = len(positional) - len(args.defaults)
+                optional.update(((node.name, a.arg), i) for i, a in enumerate(positional) if i >= first)
+                optional.update(((node.name, a.arg), None)
+                                for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    passed = set()
+    for path in [*sorted(package.glob("*.py")), *sorted((root / "demos").rglob("*.py")),
+                 *sorted((root / "bench").rglob("*.py"))]:
+        if path == package / "__init__.py":
+            continue
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            passed.update((fn, param) for (fn, param), i in optional.items() if fn == name and (
+                param in keywords or None in keywords
+                or i is not None and (starred or i < len(call.args))))
+    unpassed = {f"{fn}.{param}" for fn, param in set(optional) - passed}
+    only_tests = sorted(unpassed - set(_UNPASSED_KEPT))
+    assert not only_tests, f"no caller passes {', '.join(only_tests)}"
+    assert set(_UNPASSED_KEPT) <= unpassed, "an allowlisted parameter has a caller now: drop it"

@@ -20,7 +20,7 @@ from monochrome import (
     parse_ring_spec,
     parse_window_params,
 )
-from monochrome.rings import _Poly
+from monochrome.rings import _Poly, integers
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -458,6 +458,14 @@ def test_bad_element_literals():
     for text in ("{1,\u30002}", "\u3000{1}", "{\u3000}"):
         with pytest.raises(ValueError):
             parse_element_set(Z, text, w)
+
+
+def test_integers_reports_a_bad_token_alike_in_any_text():
+    """The all-ASCII fast path and the per-token path give one message."""
+    for text in ("1 x", "1 x \u00e9"):
+        with pytest.raises(ValueError) as err:
+            integers(text)
+        assert str(err.value) == "bad decimal 'x'", text
 
 
 def test_element_set_literals():

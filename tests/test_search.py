@@ -388,12 +388,6 @@ def test_engines_agree_on_small_sweep():
             assert report["agree"] is True
 
 
-def test_dual_engine_timeout_leaves_agreement_open():
-    report = dual_engine_check(build_instance(zwindow(6), 2, LINEAR), budget=0)
-    assert report["backtrack"] == "timeout"
-    assert report["agree"] is None
-
-
 # ---------------------------------------------------------------------------
 # Least forced window
 
