@@ -638,7 +638,7 @@ def _cmd_search(args) -> tuple:
         res = avoidance_backtrack(inst, args.budget)
         payload = {
             **_header(spec, window, r, family),
-            "candidates": len(inst.candidates),
+            "candidates": len(inst.index_sets),
             "status": res.status.value,
             "nodes": res.nodes,
             "backtracks": res.backtracks,
@@ -680,7 +680,7 @@ def _cmd_cnf(args) -> tuple | None:
             "path": args.cnf_file,
             "vars": doc.num_vars,
             "clauses": len(doc.clauses),
-            "candidates": len(inst.candidates),
+            "candidates": len(inst.index_sets),
         }
     # decode
     if args.model == "-":

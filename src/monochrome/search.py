@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from itertools import chain, compress
 from typing import Callable, Optional, Sequence
 
 from .colorings import Coloring
@@ -41,26 +43,37 @@ from .rings import (
 
 
 class AvoidanceInstance:
-    """A window, a color count and the deduplicated candidate list: every
+    """A window, a color count and the deduplicated candidates: every
     pattern instance fully inside the window that passes the constraints,
     in canonical scan order (y outer, x inner), one per element set.  As
     candidates lie inside the window, x runs only over Window.product_run(y)
     (Z {1..N}: x <= N//y; signed Z: |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y);
-    GF(q)[x]: deg x < d - deg y; y = 0: all), even in partial mode."""
+    GF(q)[x]: deg x < d - deg y; y = 0: all), even in partial mode.
+    It holds window positions: index_sets (sorted) and picks (x, y and the
+    elements in first-occurrence order); candidates, the PatternInstance
+    tuple that no search or CNF step reads, is built on first read."""
 
-    __slots__ = ("window", "r", "candidates", "index_sets")
-
-    def __init__(self, window: Window, r: int, candidates: tuple, index_sets: tuple):
+    def __init__(self, window: Window, r: int, index_sets: tuple, picks: tuple):
         self.window = window
         self.r = r
-        self.candidates = candidates
         self.index_sets = index_sets
+        self.picks = picks
 
     def __repr__(self) -> str:
         return (
             f"<avoidance instance |W|={len(self.window)} r={self.r} "
-            f"candidates={len(self.candidates)}>"
+            f"candidates={len(self.index_sets)}>"
         )
+
+    def candidate(self, k: int) -> PatternInstance:
+        """Candidate #k as a PatternInstance."""
+        elements = self.window.elements
+        x, y, order = self.picks[k]
+        return PatternInstance(elements[x], elements[y], tuple([elements[p] for p in order]))
+
+    @cached_property
+    def candidates(self) -> tuple:
+        return tuple(map(self.candidate, range(len(self.picks))))
 
     def prefix(self, window: Window) -> "AvoidanceInstance":
         """This instance restricted to window, whose elements must be the
@@ -77,11 +90,9 @@ class AvoidanceInstance:
         if not _is_prefix(window, self.window):
             raise ValueError(f"{window!r} is not a prefix of {self.window!r}")
         n = len(window)
-        inside = window.raw_index
-        kept = [(c, idxs) for c, idxs in zip(self.candidates, self.index_sets)
-                if idxs[-1] < n and c.y.val in inside]
-        return AvoidanceInstance(window, self.r, tuple(c for c, _ in kept),
-                                 tuple(idxs for _, idxs in kept))
+        keep = [idxs[-1] < n and pick[1] < n for idxs, pick in zip(self.index_sets, self.picks)]
+        return AvoidanceInstance(window, self.r, tuple(compress(self.index_sets, keep)),
+                                 tuple(compress(self.picks, keep)))
 
 
 def _is_prefix(window: Window, of: Window) -> bool:
@@ -105,18 +116,18 @@ def build_instance(window: Window, r: int, family: PolyFamily,
     if constraints is None:
         constraints = ScanConstraints.defaults_for(window.spec)
     seen = set()
-    candidates = []
     index_sets = []
+    picks = []
     whole = replace(constraints, require_in_window=True)
-    elements = window.elements
+    position = window.raw_index
     for y, x, positions in _instances(window, family, whole):
         key = frozenset(positions)
         if key in seen:
             continue
         seen.add(key)
-        candidates.append(PatternInstance(x, y, tuple([elements[p] for p in positions])))
         index_sets.append(tuple(sorted(key)))
-    return AvoidanceInstance(window, r, tuple(candidates), tuple(index_sets))
+        picks.append((position[x.val], position[y.val], positions))
+    return AvoidanceInstance(window, r, tuple(index_sets), tuple(picks))
 
 
 class AvoidanceStatus(Enum):
@@ -150,8 +161,8 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
     budget (None = unlimited, negative = ValueError); propagated
     assignments are free.
     """
-    weight = Counter(i for idxs in inst.index_sets for i in idxs)
-    order = sorted(weight, key=lambda i: (-weight[i], i))
+    weight = Counter(chain.from_iterable(inst.index_sets))
+    order = sorted(sorted(weight), key=weight.__getitem__, reverse=True)  # stable: (-weight, index)
     status, colors, nodes, backtracks = _avoid(inst.index_sets, order, len(inst.window),
                                                inst.r, budget)
     coloring = None if colors is None else Coloring(inst.window, inst.r, colors)
@@ -186,7 +197,7 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
     if total == 0:
         return AvoidanceStatus.FOUND, (1,) * size, 0, 0
     slot_of = {i: k for k, i in enumerate(order)}
-    cands = [tuple(slot_of[i] for i in idxs) for idxs in index_sets]
+    cands = [tuple(map(slot_of.__getitem__, idxs)) for idxs in index_sets]
     if r == 1 or any(len(c) == 1 for c in cands):
         return AvoidanceStatus.FORCED, None, 0, 1
     # per slot: (candidate, its slots, the index of its color-0 counter)
@@ -385,16 +396,13 @@ def cnf_export(inst: AvoidanceInstance) -> CnfDocument:
     Satisfiable exactly when an avoidance coloring exists."""
     r = inst.r
     n = len(inst.window)
-    clauses = []
-    for i in range(n):
-        clauses.append(tuple(cnf_var(i, c, r) for c in range(r)))
-    for i in range(n):
-        for c1 in range(r):
-            for c2 in range(c1 + 1, r):
-                clauses.append((-cnf_var(i, c1, r), -cnf_var(i, c2, r)))
-    for idxs in inst.index_sets:
-        for c in range(r):
-            clauses.append(tuple(-cnf_var(i, c, r) for i in idxs))
+    firsts = range(1, n * r + 1, r)  # cnf_var(i, 0, r) for i in 0..n-1
+    clauses = [tuple(range(v, v + r)) for v in firsts]
+    pairs = [(c1, c2) for c1 in range(r) for c2 in range(c1 + 1, r)]
+    clauses += [(-v - c1, -v - c2) for v in firsts for c1, c2 in pairs]
+    # per color c, position i -> -cnf_var(i, c, r)
+    negated = [[-v - c for v in firsts].__getitem__ for c in range(r)]
+    clauses += [tuple(map(lit, idxs)) for idxs in inst.index_sets for lit in negated]
     mapping = tuple((format_element(e), i) for i, e in enumerate(inst.window.elements))
     return CnfDocument(n * r, tuple(clauses), mapping)
 
@@ -404,40 +412,43 @@ def to_dimacs(doc: CnfDocument) -> str:
     the `p cnf` header, then one `lits 0` line per clause, LF newlines."""
     lines = [f"c map {lit} {idx}" for lit, idx in doc.mapping]
     lines.append(f"p cnf {doc.num_vars} {len(doc.clauses)}")
-    for clause in doc.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in doc.clauses]
     return "\n".join(lines) + "\n"
 
 
 def parse_dimacs(text: str) -> CnfDocument:
-    """The document of DIMACS text; lines end at \n only (a \r before it is whitespace)."""
+    """The document of DIMACS text; lines end at \n only (a \r before it is
+    whitespace).  The clause lines are read as one run, split at its zeros;
+    the first fault in text order is the error."""
     mapping = []
     num_vars = None
     expected = None
-    lits: list = []
-    clauses: list = []
+    body = []  # the clause lines
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip(WHITESPACE)
-        if not line:
+        if not line.startswith(("c", "p")):
+            body.append(line)
             continue
-        if line.startswith("c"):
+        try:
             parts = tokens(line)
-            if len(parts) == 4 and parts[1] == "map":
-                mapping.append((parts[2], integer(parts[3])))
-            continue
-        if line.startswith("p"):
-            parts = tokens(line)
+            if line[0] == "c":
+                if len(parts) == 4 and parts[1] == "map":
+                    mapping.append((parts[2], integer(parts[3])))
+                continue
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {lineno}: bad problem line {line!r}")
             num_vars, expected = integer(parts[2]), integer(parts[3])
-            continue
-        for lit in integers(line):
-            if lit == 0:
-                clauses.append(tuple(lits))
-                lits = []
-            else:
-                lits.append(lit)
-    if lits:
+        except ValueError:
+            integers(" ".join(body))  # a bad literal above is the first error
+            raise
+    lits = integers(" ".join(body))
+    clauses = []
+    start = 0
+    for _ in range(lits.count(0)):
+        end = lits.index(0, start)
+        clauses.append(tuple(lits[start:end]))
+        start = end + 1
+    if start < len(lits):
         raise ValueError("unterminated clause at end of input")
     if num_vars is None:
         raise ValueError("missing problem line")
@@ -498,22 +509,20 @@ def cnf_model_decode(model: Sequence[int], inst: AvoidanceInstance) -> Coloring:
     the candidate."""
     r = inst.r
     n = len(inst.window)
-    true_vars = set()
     for lit in model:
         if lit == 0 or abs(lit) > n * r:
             raise ValueError(f"literal {lit} out of range")
-        if lit > 0:
-            true_vars.add(lit)
+    true_vars = set(filter((0).__lt__, model))
     colors = []
-    for i in range(n):
-        chosen = [c for c in range(r) if cnf_var(i, c, r) in true_vars]
+    for i, v in enumerate(range(1, n * r + 1, r)):  # v = cnf_var(i, 0, r)
+        chosen = [c for c in range(r) if v + c in true_vars]
         if len(chosen) != 1:
             raise ValueError(
                 f"element #{i} carries {len(chosen)} colors; model violates the one-color clauses"
             )
         colors.append(chosen[0] + 1)
-    for cand, idxs in zip(inst.candidates, inst.index_sets):
-        if len({colors[i] for i in idxs}) == 1:
-            elems = ", ".join(map(format_element, cand.elements))
+    for k, idxs in enumerate(inst.index_sets):
+        if len(set(map(colors.__getitem__, idxs))) == 1:
+            elems = ", ".join(map(format_element, inst.candidate(k).elements))
             raise ValueError(f"model leaves the candidate {{{elems}}} monochromatic")
     return Coloring(inst.window, r, tuple(colors))

@@ -2,16 +2,22 @@
 differential oracles for the tests: the plain backtracker (most
 constrained slot first, ascending colors, no propagation), the
 rescanning DPLL (unit propagation by full-clause rescans) and the
-Hales-Jewett cube search (a base-r counter over the cells).  Only tests
-import this module; the package never does."""
+Hales-Jewett cube search (a base-r counter over the cells).  Beside
+them, plain readers and writers of the instance formats: an eager
+candidate build over every (x, y) pair, the DIMACS encoder as cnf_var
+loops and a DIMACS parser that reads one line and one token at a time.
+Only tests import this module; the package never does."""
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 from monochrome.colorings import Coloring
 from monochrome.halesjewett import DEFAULT_WORK_CAP, WorkCapExceeded, _line_cells
-from monochrome.search import AvoidanceResult, AvoidanceStatus, _is_avoiding
+from monochrome.patterns import pattern_elements
+from monochrome.rings import format_element
+from monochrome.search import AvoidanceResult, AvoidanceStatus, CnfDocument, _is_avoiding, cnf_var
 
 
 def reference_backtrack(inst, budget: Optional[int] = None) -> AvoidanceResult:
@@ -207,3 +213,94 @@ def reference_find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[
             colors[k] = 1
         else:
             colors[k] += 1
+
+
+def reference_candidates(window, family, constraints) -> list:
+    """(x, y, elements) of build_instance's candidates, from every (x, y)
+    pair of the window in canonical order (y outer, x inner): the
+    instances wholly inside the window that pass the constraints, the
+    first of each element set."""
+    seen, out = set(), []
+    for y in window.elements:
+        if not constraints.admits_y(y):
+            continue
+        for x in window.elements:
+            if not constraints.admits_x(x):
+                continue
+            elems = pattern_elements(x, y, family).elements
+            if any(e not in window for e in elems):
+                continue
+            if constraints.forbid_degenerate and len(elems) == 1:
+                continue
+            if frozenset(elems) not in seen:
+                seen.add(frozenset(elems))
+                out.append((x, y, elems))
+    return out
+
+
+def reference_dimacs(inst) -> str:
+    """DIMACS text of the instance's CNF, one cnf_var call per literal:
+    the map lines, the header, the at-least-one clause of each element,
+    its pairwise at-most-one clauses, then per candidate and color the
+    clause "not all of these that color"."""
+    r, n = inst.r, len(inst.window)
+    clauses = [[cnf_var(i, c, r) for c in range(r)] for i in range(n)]
+    for i in range(n):
+        for c1 in range(r):
+            for c2 in range(c1 + 1, r):
+                clauses.append([-cnf_var(i, c1, r), -cnf_var(i, c2, r)])
+    for idxs in inst.index_sets:
+        for c in range(r):
+            clauses.append([-cnf_var(i, c, r) for i in idxs])
+    text = "".join(f"c map {format_element(e)} {i}\n" for i, e in enumerate(inst.window.elements))
+    text += f"p cnf {n * r} {len(clauses)}\n"
+    for clause in clauses:
+        for lit in clause:
+            text += f"{lit} "
+        text += "0\n"
+    return text
+
+
+_BLANKS = "[ \t\n\r\f\v]+"
+
+
+def _reference_decimal(word: str) -> int:
+    if not re.fullmatch("[+-]?[0-9]+", word):
+        raise ValueError(f"bad decimal {word!r}")
+    return int(word)
+
+
+def reference_parse_dimacs(text: str) -> CnfDocument:
+    """The document of DIMACS text, read one line and one token at a
+    time: lines end at \\n, tokens are separated by ASCII whitespace, a
+    number is an optionally signed run of ASCII digits, and the first
+    fault in text order is the error."""
+    mapping, clauses, lits = [], [], []
+    num_vars = expected = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = re.sub(f"^{_BLANKS}|{_BLANKS}$", "", line)
+        if not line:
+            continue
+        words = re.split(_BLANKS, line)
+        if line[0] == "c":
+            if len(words) == 4 and words[1] == "map":
+                mapping.append((words[2], _reference_decimal(words[3])))
+        elif line[0] == "p":
+            if len(words) != 4 or words[1] != "cnf":
+                raise ValueError(f"line {lineno}: bad problem line {line!r}")
+            num_vars, expected = _reference_decimal(words[2]), _reference_decimal(words[3])
+        else:
+            for word in words:
+                lit = _reference_decimal(word)
+                if lit:
+                    lits.append(lit)
+                else:
+                    clauses.append(tuple(lits))
+                    lits = []
+    if lits:
+        raise ValueError("unterminated clause at end of input")
+    if num_vars is None:
+        raise ValueError("missing problem line")
+    if expected != len(clauses):
+        raise ValueError(f"problem line promises {expected} clauses, found {len(clauses)}")
+    return CnfDocument(num_vars, tuple(clauses), tuple(mapping))

@@ -4,6 +4,7 @@ and the reference DPLL used for cross-checking."""
 import functools
 import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -31,11 +32,15 @@ from monochrome import (
 )
 from monochrome import search
 from monochrome.dpll import dpll_sat, model_satisfies
-from _reference_engines import reference_backtrack, reference_dpll
+from _reference_engines import (
+    reference_backtrack, reference_candidates, reference_dimacs, reference_dpll,
+    reference_parse_dimacs,
+)
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
 GF2 = parse_ring_spec("GF(2)[x]")
+GF3 = parse_ring_spec("GF(3)[x]")
 
 LINEAR = parse_family(Z, "t")
 TRIPLE = parse_family(Z, "0;t")
@@ -173,6 +178,64 @@ def test_degenerates_included_when_allowed():
     inst = build_instance(zwindow(4), 2, LINEAR, k)
     sizes = sorted(len(c.elements) for c in inst.candidates)
     assert sizes[0] == 1  # the collapsed pair at x = y = 2
+
+
+def _lazy_cases():
+    """(window, family, constraints) over Z, Zi and GF(3)[x], with the
+    default constraints and with degenerates kept and y = 0 admitted."""
+    for spec, sizes, fams in ((Z, (1, 12, 30), ("t", "0;t", "t;t^2")),
+                              (ZI, (0, 1, 2), ("t", "0;(1+i)t")),
+                              (GF3, (1, 2, 3), ("t", "0;xt"))):
+        for n in sizes:
+            window = enumerate_window(spec, WindowParams(n))
+            for fam_text in fams:
+                for constraints in (ScanConstraints.defaults_for(spec),
+                                    ScanConstraints(frozenset({spec.one}), frozenset({spec.zero}),
+                                                    forbid_degenerate=False)):
+                    yield window, parse_family(spec, fam_text), constraints
+
+
+def test_candidates_equal_an_eager_build():
+    for window, fam, constraints in _lazy_cases():
+        inst = build_instance(window, 2, fam, constraints)
+        want = reference_candidates(window, fam, constraints)
+        assert [(c.x, c.y, c.elements) for c in inst.candidates] == want, (window, fam)
+        assert len(inst.index_sets) == len(want)
+        assert inst.candidates is inst.candidates  # built once, on the first read
+
+
+def test_searches_and_cnf_build_no_candidate_objects(monkeypatch, capsys, tmp_path):
+    """moreira_number, prefix, cnf_export, DIMACS text, the searches and
+    the decoding of a valid model read positions only: no PatternInstance
+    is made until candidates is read."""
+    made = []
+    real = search.PatternInstance
+    monkeypatch.setattr(search, "PatternInstance", lambda *a: made.append(a) or real(*a))
+    for spec, fam_text, max_n in ((Z, "0;t", 40), (ZI, "t", 3), (GF3, "t", 3)):
+        res = moreira_number(2, parse_family(spec, fam_text), max_n)
+        inst = res.instance_at(res.n)
+        below = res.instance_at(res.n - 1) if res.n > spec.least else inst
+        whole = build_instance(inst.window, 3, parse_family(spec, fam_text))
+        whole.prefix(below.window)
+        avoider = avoidance_backtrack(below).coloring
+        cnf_model_decode(coloring_to_model(avoider), below)
+        parse_dimacs(to_dimacs(cnf_export(whole)))
+        dual_engine_check(inst)
+    assert made == []
+    assert len(whole.candidates) == len(made) == len(whole.index_sets) > 0
+
+    from monochrome.cli import dispatch
+    made.clear()
+    for argv, want in ((["search", "avoid", "--ring", "Z", "--window", "N=44", "--colors", "2",
+                         "--F", "0;3t"], 93),
+                       (["cnf", "export", "--ring", "Z", "--window", "N=44", "--colors", "3",
+                         "--F", "0;3t", "-o", str(tmp_path / "inst.cnf")], 93)):
+        assert dispatch(argv) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out.splitlines()[-1])["payload"]
+        assert payload["candidates"] == want == len(reference_candidates(
+            zwindow(44), parse_family(Z, "0;3t"), ScanConstraints.defaults_for(Z)))
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +388,106 @@ def test_dimacs_parse_errors():
                  "p cnf 2 2\n1 0\u20282 0\n"):  # U+2028 ends no line
         with pytest.raises(ValueError):
             parse_dimacs(text)
+
+
+def test_dimacs_text_equals_the_cnf_var_loops():
+    for window, fam, constraints in _lazy_cases():
+        for r in (1, 2, 3, 4):
+            inst = build_instance(window, r, fam, constraints)
+            assert to_dimacs(cnf_export(inst)) == reference_dimacs(inst), (window, fam, r)
+
+
+def test_threshold_dimacs_bytes():
+    # frozen from the per-literal cnf_var encoder: the threshold
+    # workload's CNF round-trip instance
+    inst = build_instance(zwindow(120), 3, TRIPLE)
+    text = to_dimacs(cnf_export(inst)).encode()
+    assert hashlib.sha256(text).hexdigest() == (
+        "a74db25fb558245b56f4220f365590ee89883ee03a019ca93df032f0bb4fe96f"
+    )
+
+
+def _relaid(doc, rng) -> str:
+    """DIMACS text of doc in a random layout: clauses split across lines
+    or several on a line, comments and blank lines among them, CRLF line
+    ends and trailing whitespace here and there."""
+    lines = [f"c map {lit} {idx}" for lit, idx in doc.mapping]
+    lines.append(f"c free comment\np cnf {doc.num_vars} {len(doc.clauses)}")
+    words = [str(lit) for clause in doc.clauses for lit in clause + (0,)]
+    while words:
+        take = words[:rng.randint(1, 7)]
+        words = words[len(take):]
+        lines.append(rng.choice(" \t").join(take))
+        if rng.random() < 0.2:
+            lines.append(rng.choice(("", "c between clauses", "   ", "c")))
+    return "".join(line + rng.choice(("\n", "\r\n", " \n", "\t\r\n")) for line in lines)
+
+
+_DIMACS_FAULTS = (
+    "p cnf 1 1\n1 2\n",  # unterminated clause
+    "p cnf 2 2\n1 2 0\n",  # count mismatch
+    "1 2 0\n",  # missing problem line
+    "",
+    "c only a comment\n",
+    "p cnf 2\n1 0\n",
+    "c x\n\np dnf 1 1\n1 0\n",
+    "p cnf 1 1 1\n1 0\n",
+    "pcnf 1 1\n1 0\n",
+    "p cnf 1 1\n1_000 0\n",
+    "p cnf 1_000 1\n1 0\n",
+    "c map 5 1_0\np cnf 1 1\n1 0\n",
+    "p cnf 1 1\n\u0661 0\n",
+    "p cnf \uff12 1\n1 0\n",
+    "p cnf 1 1\n1\u30000\n",
+    "p cnf 1 1\n1 x 0\n",
+    "p cnf 1 1\n1 0 c\n",
+    # two faults: the first in text order is reported
+    "p cnf 1 1\n1 x 0\np cnf\n",
+    "p cnf 1 1\n1 x 0\nc map a \u0663\n",
+    "p bad\n1 x 0\n",
+    "c map a \u0663\n1 x 0\np cnf 1 1\n",
+    "1 y 0\n2 z\n",
+    "p cnf 2 5\n1 2\n",
+    "1 2\n",
+    "p cnf 1 1\n1 0\np cnf 1 x\n",
+    "p cnf 1 1\n1 0\r\n2 \u00a0\n",
+)
+
+
+def _dimacs_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_parse_dimacs_matches_the_line_reader():
+    rng = random.Random(24)
+    texts = list(_DIMACS_FAULTS)
+    for n, r, fam in ((1, 2, LINEAR), (8, 2, TRIPLE), (15, 3, TRIPLE), (30, 1, LINEAR)):
+        doc = cnf_export(build_instance(zwindow(n), r, fam))
+        for _ in range(5):
+            text = _relaid(doc, rng)
+            assert parse_dimacs(text) == reference_parse_dimacs(text) == doc
+            texts.append(text)
+    # each laid-out text with one or two of its tokens or lines broken
+    for text in texts[len(_DIMACS_FAULTS):]:
+        for _ in range(6):
+            lines = text.split("\n")
+            for _ in range(rng.randint(1, 2)):
+                k = rng.randrange(len(lines))
+                lines[k] = rng.choice((
+                    lines[k] + " q", lines[k].replace("0", "\u0660", 1), "p cnf 1",
+                    lines[k].replace(" ", "_", 1), lines[k][:-1], "7", "c map a b",
+                    "p cnf 9 9"))
+            texts.append("\n".join(lines))
+    for text in texts:
+        want = _dimacs_outcome(reference_parse_dimacs, text)
+        assert _dimacs_outcome(parse_dimacs, text) == want, text
+    outcomes = {_dimacs_outcome(parse_dimacs, t) for t in _DIMACS_FAULTS}
+    assert all(isinstance(o, str) for o in outcomes)
+    assert "ValueError: bad decimal 'x'" in outcomes
+    assert "ValueError: line 3: bad problem line 'p dnf 1 1'" in outcomes
 
 
 def test_model_text_forms():
