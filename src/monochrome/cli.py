@@ -726,7 +726,7 @@ def _cmd_ufp(args) -> tuple:
     return "ok", {
         "length": len(seq),
         "sequence": [format_element(e) for e in seq.elements],
-        "products": len(seq.fp_set()),
+        "products": len(set(seq._raw_products())),
     }
 
 
@@ -756,9 +756,10 @@ def _cmd_report(args) -> None:
         for k, v in data["payload"].items()
         if not isinstance(v, (dict, list))
     })
+    fixed = ["file", "command", "timestamp", "status"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["file", "command", "timestamp", "status", *keys])
+    writer.writerow([*fixed, *(f"payload.{k}" if k in fixed else k for k in keys)])
     for path, data in reports:
         payload = data["payload"]
         writer.writerow([

@@ -360,7 +360,7 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
         raise ValueError(f"trial count must be >= 0, got {trials}")
     d = family.max_degree if depth is None else depth
     alphabet = coefficient_alphabet(family, d)
-    size = len(pool.elements)
+    size = len(pool)
     counter = 0
 
     def draw(bound: int) -> int:

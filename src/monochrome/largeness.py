@@ -59,9 +59,9 @@ def _raw_target(target, window: Window) -> frozenset:
 def _raw_operands(elements, window: Window) -> list:
     """The raw values of gap or block elements, which must all be of the
     window's ring: RingElement's ring-mismatch ValueError otherwise."""
-    first, raw = window.elements[0], []
+    zero, raw = window.spec.zero, []
     for e in elements:
-        e._check(first)
+        e._check(zero)
         raw.append(e.val)
     return raw
 
@@ -72,10 +72,9 @@ def syndetic_check(target, gaps, window: Window) -> Optional[RingElement]:
     raw_target = _raw_target(target, window)
     gaps_v = _raw_operands(gaps, window)
     add = window.spec.add
-    for w in window.elements:
-        wv = w.val
+    for wv in window.raw_index:
         if not any(add(t, wv) in raw_target for t in gaps_v):
-            return w
+            return RingElement(window.spec, wv)
     return None
 
 
@@ -87,10 +86,9 @@ def ps_witness_search(target, gaps, block, window: Window) -> Optional[PSWitness
     add = window.spec.add
     # per b, each t + b formed once
     sums = [[add(t, b) for t in gaps_v] for b in _raw_operands(block, window)]
-    for x in window.elements:
-        xv = x.val
+    for xv in window.raw_index:
         if all(any(add(s, xv) in raw_target for s in row) for row in sums):
-            return PSWitness(frozenset(gaps), frozenset(block), x)
+            return PSWitness(frozenset(gaps), frozenset(block), RingElement(window.spec, xv))
     return None
 
 

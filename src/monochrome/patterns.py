@@ -23,6 +23,7 @@ import enum
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
@@ -337,18 +338,10 @@ def witness_scan(
         constraints = ScanConstraints.defaults_for(spec)
     if limit is not None and limit < 0:
         raise ValueError(f"witness limit must be >= 0, got {limit}")
-    if limit == 0:
-        return
-    colors = coloring.colors
-    emitted = 0
-    for y, x, positions in _instances(window, family, constraints):
-        color = _common_color(positions, colors)
-        if color is None:
-            continue
-        yield Witness(x, y, color)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    colors, new = coloring.colors, tuple.__new__  # Witness(x, y, c) without its Python-level __new__
+    instances = _instances(window, family, constraints)
+    yield from islice((new(Witness, (x, y, color)) for y, x, positions in instances
+                       if (color := _common_color(positions, colors)) is not None), limit)
 
 
 def abundance_profile(

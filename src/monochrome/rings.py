@@ -35,6 +35,9 @@ of signed ``Z``, the norm prefix ``N(x) <= 2B^2 // N(y)`` of ``Zi``, the
 first ``q^(d - deg y)`` elements of ``GF(q)[x]``, and for ``y = 0`` the
 whole window.  Scans that need whole configurations visit only these
 runs: about ``|W| log |W|`` pairs over ``Z`` instead of ``|W|^2``.
+A window holds raw values, and builds its RingElements on the first
+read of ``elements``: readers that need only raw values, such as
+``len``, the largeness walks and distinct-product growth, build none.
 
 Spec strings accepted by :func:`parse_ring_spec`: ``Z``, ``Zi``,
 ``GF(q)[x]`` with q a decimal prime.  Window parameter strings accepted
@@ -470,11 +473,14 @@ class Window:
 
     Identity (equality, hashing) is (spec, params); the element list is
     derived deterministically from those.  ``raw_index`` maps raw values
-    to positions; the scan kernel and ``in`` read it, checking the ring.
-    ``index`` maps elements to positions and is built on first use.
+    to positions, in window order; ``len``, ``in``, the scan kernel and
+    the raw-value walks read it, checking the ring.  ``elements`` (the
+    RingElements in order) and ``index`` (elements to positions) are
+    built on first read.
     """
 
-    __slots__ = ("spec", "params", "elements", "raw_index", "__dict__")  # __dict__ caches index
+    __slots__ = ("spec", "params", "raw_index", "__dict__")  # __dict__ caches elements and index
+    elements = cached_property(lambda self: tuple([RingElement(self.spec, v) for v in self.raw_index]))
     index = cached_property(lambda self: {e: k for k, e in enumerate(self.elements)})
 
     def __init__(self, spec: RingSpec, params: WindowParams):
@@ -483,12 +489,10 @@ class Window:
             raise ValueError(f"window of {spec.name} needs {spec.size_key} >= {spec.least}, got {params.size}")
         self.spec = spec
         self.params = params
-        values = spec.values(params.size, params.signed)
-        self.elements: tuple = tuple([RingElement(spec, v) for v in values])
-        self.raw_index: dict = {v: k for k, v in enumerate(values)}
+        self.raw_index: dict = {v: k for k, v in enumerate(spec.values(params.size, params.signed))}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.raw_index)
 
     def __iter__(self) -> Iterator[RingElement]:
         return iter(self.elements)
@@ -514,7 +518,7 @@ class Window:
         x*y in the window, by the per-ring rule in the module docstring;
         y may lie outside the window."""
         if y.is_zero():
-            return 0, len(self.elements)
+            return 0, len(self.raw_index)
         return self.spec.run(y.val, self)
 
 
@@ -613,6 +617,6 @@ def _ideal_preset(spec: RingSpec, gen_literal: str, window: Window) -> frozenset
     gen = parse_element(spec, gen_literal)
     if gen.is_zero():
         raise ValueError("ideal(m) needs m != 0")
-    window.elements[0]._check(gen)  # the ring check exact_divide made per element
+    window.spec.zero._check(gen)  # the ring check exact_divide made per element
     divide, m = spec.divide, gen.val
-    return frozenset(e for e in window.elements if divide(e.val, m) is not None)
+    return frozenset(RingElement(window.spec, v) for v in window.raw_index if divide(v, m) is not None)

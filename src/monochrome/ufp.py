@@ -14,11 +14,17 @@ with the equivalent membership predicate "some x*alpha lands in B u {1}"
 (O(|B|) multiplications each), which is the same condition read forward.
 exclusion_set materializes C for callers that want the set itself, such
 as the largeness demo.
+
+The extension and growth loops run on raw values: B is the raw product
+list of UfpSequence, and grow_ufp makes a RingElement only of the window
+values it reaches, each once, since every step resumes after the last
+pick.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import partial
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalError
 from .largeness import FS_LENGTH_CAP
@@ -109,8 +115,11 @@ def has_ufp(seq: Union[UfpSequence, Sequence[RingElement]]) -> Optional[UfpViola
     first colliding pair (h earlier than k in bitmask subset order)."""
     if not isinstance(seq, UfpSequence):
         seq = UfpSequence(seq)
+    products = seq._raw_products()
+    if len(set(products)) == len(products):  # no collision to locate
+        return None
     first: dict = {}
-    for mask, prod in enumerate(seq._raw_products(), start=1):
+    for mask, prod in enumerate(products, start=1):
         prev = first.setdefault(prod, mask)
         if prev != mask:
             return UfpViolation(_index_set(prev), _index_set(mask), RingElement(seq.spec, prod))
@@ -140,38 +149,39 @@ def exclusion_set(b) -> frozenset:
     return frozenset(out)
 
 
-def _fp_precondition(seq: UfpSequence) -> frozenset:
-    """has_ufp holds and no product is 0 or 1; returns the product set."""
+def _fp_precondition(seq: UfpSequence) -> set:
+    """has_ufp holds and no product is 0 or 1; returns the raw product set."""
     violation = has_ufp(seq)
     if violation is not None:
         raise ValueError(f"sequence lacks UFP: {violation!r}")
-    fp = seq.fp_set()
-    spec = seq.spec
-    if spec.zero in fp or spec.one in fp:
+    fp = set(seq._raw_products())
+    if seq.spec.zero.val in fp or seq.spec.one.val in fp:
         raise ValueError("product set touches {0, 1}")
     return fp
 
 
-def extend_ufp(seq: UfpSequence, pool: Sequence[RingElement]) -> UfpSequence:
+def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
     """Append the first pool element that is neither 0, 1, nor excluded
     by the current product set; the result provably keeps UFP and a
-    {0,1}-free product set, and is re-verified as a guard."""
-    fp = _fp_precondition(seq)
+    {0,1}-free product set, and is re-verified as a guard.  The pool is
+    read up to the pick, and each candidate is tested on raw values."""
+    base = _fp_precondition(seq)
     spec = seq.spec
-    zero, one = spec.zero, spec.one
-    base = set(fp)
-    base.add(one)
+    one, trivial, mul = spec.one, {spec.zero.val, spec.one.val}, spec.mul
+    base.add(one.val)
     for x in pool:
-        if x == zero or x == one:
+        if not (isinstance(x, RingElement) and (x.spec is spec or x.spec == spec)):
+            x * one  # the TypeError or ring-mismatch ValueError of any x * alpha
+        v = x.val
+        if v in trivial:
             continue
         # x excluded  <=>  x*alpha in B u {1} for some alpha in B u {1}
-        if any(x * alpha in base for alpha in base):
+        if any(mul(v, alpha) in base for alpha in base):
             continue
         child = seq.extended(x)
         if has_ufp(child) is not None:
             raise InternalError("extension guard tripped: UFP lost after an admissible pick")
-        child_fp = child.fp_set()
-        if zero in child_fp or one in child_fp:
+        if not trivial.isdisjoint(child._raw_products()):
             raise InternalError("extension guard tripped: product set touches {0, 1}")
         return child
     raise PoolExhaustedError("every pool element is excluded or trivial")
@@ -188,9 +198,13 @@ def grow_ufp(start: RingElement, pool_window: Window, m: int) -> UfpSequence:
     if pool_window.spec != spec:
         raise ValueError("window and start element from different rings")
     seq = UfpSequence((start,))
+    # One pass over the window for every step: a candidate trivial or
+    # excluded at one step stays so (the product set only grows and takes
+    # in each pick), so each step resumes after the last pick.
+    pool = map(partial(RingElement, pool_window.spec), pool_window.raw_index)
     for step in range(2, m + 1):
         try:
-            seq = extend_ufp(seq, pool_window.elements)
+            seq = extend_ufp(seq, pool)
         except PoolExhaustedError:
             raise PoolExhaustedError(f"pool exhausted at step {step}", step=step) from None
     return seq

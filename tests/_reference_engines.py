@@ -6,6 +6,9 @@ Hales-Jewett cube search (a base-r counter over the cells).  Beside
 them, plain readers and writers of the instance formats: an eager
 candidate build over every (x, y) pair, the DIMACS encoder as cnf_var
 loops and a DIMACS parser that reads one line and one token at a time.
+Last, distinct-product extension and growth on RingElements: the
+product set as elements, and every growth step scanning the whole
+window from its first element.
 Only tests import this module; the package never does."""
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from monochrome.halesjewett import DEFAULT_WORK_CAP, WorkCapExceeded, _line_cell
 from monochrome.patterns import pattern_elements
 from monochrome.rings import format_element
 from monochrome.search import AvoidanceResult, AvoidanceStatus, CnfDocument, _is_avoiding, cnf_var
+from monochrome.ufp import GROW_CAP, PoolExhaustedError, UfpSequence, has_ufp
 
 
 def reference_backtrack(inst, budget: Optional[int] = None) -> AvoidanceResult:
@@ -304,3 +308,44 @@ def reference_parse_dimacs(text: str) -> CnfDocument:
     if expected != len(clauses):
         raise ValueError(f"problem line promises {expected} clauses, found {len(clauses)}")
     return CnfDocument(num_vars, tuple(clauses), tuple(mapping))
+
+
+def reference_extend(seq: UfpSequence, pool) -> UfpSequence:
+    """The first pool element that is neither 0, 1 nor excluded by the
+    product set B, appended: x is excluded when x*alpha lies in B u {1}
+    for some alpha there, all in RingElement arithmetic (a pool element
+    of another ring raises its ring-mismatch ValueError there)."""
+    violation = has_ufp(seq)
+    if violation is not None:
+        raise ValueError(f"sequence lacks UFP: {violation!r}")
+    spec = seq.spec
+    zero, one = spec.zero, spec.one
+    fp = seq.fp_set()
+    if zero in fp or one in fp:
+        raise ValueError("product set touches {0, 1}")
+    base = set(fp) | {one}
+    for x in pool:
+        if x == zero or x == one:
+            continue
+        if any(x * alpha in base for alpha in base):
+            continue
+        return UfpSequence(seq.elements + (x,))
+    raise PoolExhaustedError("every pool element is excluded or trivial")
+
+
+def reference_grow(start, pool_window, m: int) -> UfpSequence:
+    """m-1 reference_extend steps, each over the whole window in order."""
+    if not 1 <= m <= GROW_CAP:
+        raise ValueError(f"target length must lie in 1..{GROW_CAP}")
+    spec = start.spec
+    if start == spec.zero or start == spec.one:
+        raise ValueError("start element must avoid {0, 1}")
+    if pool_window.spec != spec:
+        raise ValueError("window and start element from different rings")
+    seq = UfpSequence((start,))
+    for step in range(2, m + 1):
+        try:
+            seq = reference_extend(seq, pool_window.elements)
+        except PoolExhaustedError:
+            raise PoolExhaustedError(f"pool exhausted at step {step}", step=step) from None
+    return seq

@@ -648,6 +648,26 @@ def test_report_merges_json_to_csv(capsys, tmp_path):
     assert merged("old.json", "r1.json") == compact
 
 
+def test_report_names_colliding_payload_columns(capsys, tmp_path):
+    """hj and search payloads carry a scalar status: its column is headed
+    payload.status, beside the report's own status column."""
+    import csv
+
+    for name, argv in (("h.json", ["hj", "--colors", "2", "--alphabet", "2", "--maxN", "3"]),
+                       ("u.json", ["ufp", "grow", "--ring", "Z", "--window", "N=100", "--start", "2",
+                                   "--length", "4"])):
+        assert dispatch([*argv, "-o", str(tmp_path / name)]) == 0
+    code, out = run(capsys, "report", str(tmp_path / "h.json"), str(tmp_path / "u.json"))
+    assert code == 0
+    header, hj_row, ufp_row = csv.reader(out.splitlines())
+    assert header == ["file", "command", "timestamp", "status", "N", "length", "products", "r",
+                      "payload.status", "t"]
+    assert len(set(header)) == len(header)
+    hj = json.loads((tmp_path / "h.json").read_text())
+    assert hj_row[3] == hj["status"] and hj_row[8] == hj["payload"]["status"]
+    assert ufp_row[1:4:2] == ["ufp grow", "ok"] and ufp_row[8] == ""
+
+
 def test_report_rejects_non_report_json(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for text in ("{}", '"command timestamp status payload"', "null",

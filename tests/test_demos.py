@@ -1,5 +1,7 @@
 """Every script in demos/ runs to completion against the package as it
-stands, so an API change cannot break a demo unseen."""
+stands and prints its recorded output (tests/demo_output/<demo>.txt)
+under two hash seeds, so neither an API change nor a changed result
+can pass a demo unseen."""
 
 import os
 import subprocess
@@ -18,8 +20,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
+    expected = (ROOT / "tests" / "demo_output" / f"{demo.stem}.txt").read_text(encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected, f"{demo.name} output differs (PYTHONHASHSEED={hash_seed})"

@@ -662,6 +662,65 @@ def test_scans_leave_window_index_unbuilt(monkeypatch):
     assert vars(window)["index"] is window.index
 
 
+def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
+    """Readers that need only raw values read raw_index: grow_ufp,
+    syndetic_check, ps_witness_search, the ideal presets, len, random
+    colorings and moreira_number's sliced probes leave Window.elements
+    unbuilt (the probes that build an instance read it), and elements is
+    built once read, from raw_index in window order."""
+    from monochrome import (
+        Window, grow_ufp, moreira_number, parse_element_set, ps_witness_search, syndetic_check,
+        validate_ps_witness,
+    )
+
+    built = []
+    lazy = Window.__dict__["elements"]
+    monkeypatch.setattr(Window, "elements", property(lambda w: built.append(w) or lazy.__get__(w)))
+    window = enumerate_window(Z, WindowParams(10000))
+    assert [e.val for e in grow_ufp(Z.integer(2), window, 10).elements] == [2, 3, 4, 5, 7, 9, 11, 13, 16, 17]
+    assert len(window) == 10000 and len(random_coloring(window, 3, 1).colors) == 10000
+    for spec, params in ((Z, WindowParams(30)), (Z, WindowParams(12, signed=True)), (ZI, WindowParams(2)),
+                         (GF2, WindowParams(4)), (GF3, WindowParams(2))):
+        w = enumerate_window(spec, params)
+        ideal = parse_element_set(spec, "ideal(1+1i)" if spec is ZI else "ideal(x)" if spec.q else "evens", w)
+        gaps = {spec.zero, spec.one}
+        assert syndetic_check(ideal, {spec.zero}, w) in w
+        witness = ps_witness_search(ideal, gaps, {spec.one}, w)
+        assert witness.anchor in w and validate_ps_witness(witness, ideal)
+        assert ps_witness_search(ideal, {spec.zero}, {spec.zero, spec.one}, w) is None
+    assert built == [] and not any("elements" in vars(w) for w in (window, w))
+    for spec, max_n in ((Z, 20), (GF2, 5)):
+        res = moreira_number(2, parse_family(spec, "t"), max_n)
+        assert len(res.trace) > res.builds
+        assert len({w.params for w in built}) == res.builds, spec
+        built.clear()
+    monkeypatch.undo()
+    assert window.elements == tuple(RingElement(Z, v) for v in range(1, 10001))
+    assert vars(window)["elements"] is window.elements
+
+
+def test_witness_scan_yields_witness_instances():
+    """witness_scan yields exact Witness tuples in both modes, honours a
+    limit of None, 0 and 1, and refuses a negative limit at the first
+    next()."""
+    from monochrome import Witness
+
+    window = enumerate_window(Z, WindowParams(40))
+    coloring = random_coloring(window, 2, 3)
+    family = parse_family(Z, "0;t")
+    defaults = ScanConstraints.defaults_for(Z)
+    for constraints in (defaults, ScanConstraints(defaults.exclude_y, defaults.exclude_x, False)):
+        every = list(witness_scan(coloring, family, constraints))
+        assert every and all(type(w) is Witness for w in every)
+        assert every[0] == Witness(every[0].x, every[0].y, every[0].color)
+        assert list(witness_scan(coloring, family, constraints, 0)) == []
+        assert list(witness_scan(coloring, family, constraints, 1)) == every[:1]
+        assert list(witness_scan(coloring, family, constraints, None)) == every
+        scan = witness_scan(coloring, family, constraints, -1)
+        with pytest.raises(ValueError, match=r"^witness limit must be >= 0, got -1$"):
+            next(scan)
+
+
 def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
     """witness_scan, abundance_profile and build_instance compute every
     instance, f(y) included, on raw values: they build no RingElement,

@@ -18,8 +18,11 @@ from monochrome import (
     format_element,
     grow_ufp,
     has_ufp,
+    parse_element,
     parse_ring_spec,
 )
+
+from _reference_engines import reference_extend, reference_grow
 
 Z = parse_ring_spec("Z")
 ZI = parse_ring_spec("Zi")
@@ -344,3 +347,67 @@ def test_grown_elements_avoid_exclusion_chain():
         nxt = seq.elements[cut]
         assert nxt not in c
         assert not nxt.is_zero() and not nxt.is_one()
+
+
+# ---------------------------------------------------------------------------
+# Differential: raw-value extension and growth against the element-level
+# reference (tests/_reference_engines.py)
+
+
+def _outcome(fn, *args):
+    """The picks of a call, or its exception's type, text and step."""
+    try:
+        return [format_element(e) for e in fn(*args).elements]
+    except (ValueError, TypeError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+
+
+DIFF_WINDOWS = (
+    (Z, WindowParams(60)),
+    (Z, WindowParams(25, signed=True)),
+    (ZI, WindowParams(3)),
+    (GF2, WindowParams(5)),
+    (GF3, WindowParams(3)),
+)
+
+
+def test_grow_matches_the_element_reference():
+    rng = random.Random(29)
+    exhausted = 0
+    for spec, params in DIFF_WINDOWS:
+        w = enumerate_window(spec, params)
+        for start in [spec.zero, spec.one, *rng.sample(w.elements, 6)]:
+            for m in (1, 2, 4, 7, 11):
+                got = _outcome(grow_ufp, start, w, m)
+                assert got == _outcome(reference_grow, start, w, m), (spec, params, start, m)
+                exhausted += got[0] is PoolExhaustedError
+        other = enumerate_window(ZI if spec != ZI else Z, WindowParams(2))
+        assert _outcome(grow_ufp, w.elements[-1], other, 3) == _outcome(reference_grow, w.elements[-1], other, 3)
+    assert exhausted
+
+
+def test_extend_matches_the_element_reference():
+    """Pools holding 0 and 1, and a foreign-ring element placed before
+    and after the pick: same pick, same exception and text."""
+    rng = random.Random(31)
+    seen = set()
+    for spec, params in DIFF_WINDOWS:
+        w = enumerate_window(spec, params)
+        foreign = enumerate_window(ZI if spec != ZI else GF3, WindowParams(2)).elements[-1]
+        for _ in range(40):
+            pool = rng.sample(w.elements, rng.randint(0, 8)) + [spec.zero, spec.one]
+            rng.shuffle(pool)
+            if rng.random() < 0.7:
+                pool.insert(rng.randint(0, len(pool)), foreign)
+            seq = UfpSequence(rng.sample([e for e in w.elements if not (e.is_zero() or e.is_one())],
+                                         rng.randint(1, 3)))
+            got = _outcome(extend_ufp, seq, pool)
+            assert got == _outcome(reference_extend, seq, pool), (spec, pool, seq)
+            if isinstance(got, tuple):
+                seen.add(got[1].partition(":")[0])
+            elif any(e is foreign for e in pool):
+                pick = parse_element(spec, got[-1])
+                seen.add("foreign after the pick")
+                assert [e for e in pool if e is foreign or e == pick][0] == pick
+    assert {"ring mismatch", "foreign after the pick", "sequence lacks UFP",
+            "every pool element is excluded or trivial"} <= seen, seen
