@@ -7,6 +7,7 @@ for pairs (x, y) whose pattern {x*y, x + f(y)} lands in a single color.
 """
 
 from monochrome import (
+    ScanConstraints,
     WindowParams,
     abundance_profile,
     enumerate_window,
@@ -29,19 +30,24 @@ print(f"window: {format_window_params(Z, window.params)} "
 coloring = random_coloring(window, 2, 7)
 print("first ten colors:", list(coloring.colors[:10]))
 
-# the single-polynomial family f(t) = t gives the classic {xy, x+y} shape
+# the single-polynomial family f(t) = t gives the classic {xy, x+y} shape;
+# the scan constraints, spelled out here as their defaults, skip y in
+# {0, 1} and x = 0 (they trivialize the pattern), skip single-element
+# (degenerate) instances and keep only instances inside the window
 family = parse_family(Z, "t")
-witnesses = list(witness_scan(coloring, family))
+defaults = ScanConstraints.defaults_for(Z)
+witnesses = list(witness_scan(coloring, family, defaults))
 print(f"monochromatic (x, y) pairs found: {len(witnesses)}")
 
-first = witnesses[0]
+# a limit stops the scan early: here at the first witness
+first, = witness_scan(coloring, family, defaults, limit=1)
 print(f"first witness: x={format_element(first.x)} "
       f"y={format_element(first.y)} color={first.color}")
 inst = pattern_elements(first.x, first.y, family)
 print("  pattern elements:", [format_element(e) for e in inst.elements])
 
 # fix y = 2 and split the x side by color: the two "abundance" classes
-profile = abundance_profile(coloring, family, Z.integer(2))
+profile = abundance_profile(coloring, family, Z.integer(2), defaults)
 for color, xs in sorted(profile.items()):
     vals = sorted(x.val for x in xs)
     print(f"x values working for y=2 in color {color}: {vals}")

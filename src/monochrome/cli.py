@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
+from collections import Counter
 from datetime import datetime, timezone
+from itertools import islice
 
 from .colorings import (
     Coloring,
@@ -62,13 +63,7 @@ from .largeness import (
     syndetic_check,
     validate_ps_witness,
 )
-from .patterns import (
-    ScanConstraints,
-    abundance_profile,
-    format_family,
-    parse_family,
-    witness_scan,
-)
+from .patterns import ScanConstraints, _witness_triples, format_family, parse_family
 from .rings import (
     WHITESPACE,
     WindowParams,
@@ -518,11 +513,17 @@ def _write(dest, text: str) -> None:
 def _cmd_scan(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
-    name = functools.cache(spec.text)  # raw value -> literal, formatted at first use
-    witnesses = [
-        {"x": name(w.x.val), "y": name(w.y.val), "color": w.color}
-        for w in witness_scan(coloring, family, constraints, limit=args.limit)
-    ]
+    if args.limit is not None and args.limit < 0:
+        raise CliError(f"witness limit must be >= 0, got {args.limit}")
+    values, names = list(window.raw_index), [None] * len(window)  # literals by position, made at first use
+    witnesses, last = [], None
+    for y, pos, color in islice(_witness_triples(coloring, family, constraints), args.limit):
+        if y is not last:
+            last, y_name = y, format_element(y)
+        x_name = names[pos]
+        if x_name is None:
+            x_name = names[pos] = spec.text(values[pos])
+        witnesses.append({"x": x_name, "y": y_name, "color": color})
     return "ok", {**_header(spec, window, r, family), "seed": args.seed,
                   "count": len(witnesses), "witnesses": witnesses}
 
@@ -532,14 +533,13 @@ def _cmd_abundance(args) -> tuple:
     coloring = _coloring_for(args, spec, window, r)
     if args.y is not None:
         ys = [parse_element(spec, args.y)]
+        if not constraints.admits_y(ys[0]):
+            raise CliError(f"y = {format_element(ys[0])} is excluded by the scan constraints")
     else:
         ys = [y for y in window.elements if constraints.admits_y(y)]
-    rows = []
-    for y in ys:
-        profile = abundance_profile(coloring, family, y, constraints)
-        for c in range(1, r + 1):
-            rows.append({"y": format_element(y), "color": c,
-                         "count": len(profile.get(c, ()))})
+    counts = Counter((y.val, color) for y, _, color in _witness_triples(coloring, family, constraints, ys))
+    rows = [{"y": format_element(y), "color": c, "count": counts[y.val, c]}
+            for y in ys for c in range(1, r + 1)]
     return "ok", {**_header(spec, window, r, family), "rows": rows}
 
 

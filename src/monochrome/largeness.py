@@ -113,12 +113,10 @@ def _ring_of(seq: tuple):
     return spec
 
 
-def _subset_sums(seq) -> set:
-    """Raw values of the sums of seq over all nonempty index subsets."""
-    add = seq[0].spec.add
+def _subset_sums(values, add) -> set:
+    """The sums of the raw values over all nonempty index subsets."""
     acc = set()
-    for e in seq:
-        v = e.val
+    for v in values:
         acc |= {add(prev, v) for prev in acc}
         acc.add(v)
     return acc
@@ -127,7 +125,8 @@ def _subset_sums(seq) -> set:
 def finite_sums(seq: Sequence[RingElement]) -> FSSet:
     seq = tuple(seq)
     spec = _ring_of(seq)
-    return FSSet(seq, frozenset(RingElement(spec, v) for v in _subset_sums(seq)))
+    sums = _subset_sums([e.val for e in seq], spec.add)
+    return FSSet(seq, frozenset(RingElement(spec, v) for v in sums))
 
 
 def ipstar_refute(
@@ -152,14 +151,11 @@ def ipstar_refute(
     if samples < 0:
         raise ValueError(f"sample count must be >= 0, got {samples}")
     raw_target = _raw_target(target, window)
-    size = len(window)
+    values, add = list(window.raw_index), window.spec.add  # drawn raw; only the answer is built
     for s in range(samples):
-        seq = tuple(
-            window.elements[stream_below(seed, s * seq_len + p, size)]
-            for p in range(seq_len)
-        )
-        if raw_target.isdisjoint(_subset_sums(seq)):
-            return seq
+        seq = [values[stream_below(seed, s * seq_len + p, len(values))] for p in range(seq_len)]
+        if raw_target.isdisjoint(_subset_sums(seq, add)):
+            return tuple(RingElement(window.spec, v) for v in seq)
     return None
 
 

@@ -14,7 +14,9 @@ Scans run on raw values and build no RingElement: the family is evaluated
 once per y from y's raw powers, and each instance is placed element by
 element, the product first, so a scan that needs whole instances drops
 one at its first element outside the window.  A partial scan visits
-every pair but computes the product only for the x of product_run(y).
+every pair but computes the product only for the x of product_run(y),
+and decides each y over whole color columns.  Witnesses leave the kernel
+as (y, x position, color) triples; only the public API builds elements.
 """
 
 from __future__ import annotations
@@ -227,15 +229,11 @@ class PatternVerdict(enum.Enum):
 
 
 def _common_color(positions: list, colors: tuple) -> Optional[int]:
-    """The one color of the positions in the window (None entries are
-    elements outside it), or None at a color clash or with none visible."""
-    color = None
+    """The one color of the positions, or None at a color clash."""
+    color = colors[positions[0]]
     for pos in positions:
-        if pos is not None:
-            if color is None:
-                color = colors[pos]
-            elif colors[pos] != color:
-                return None
+        if colors[pos] != color:
+            return None
     return color
 
 
@@ -260,51 +258,80 @@ class Witness(NamedTuple):
 
 def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
                ys=None) -> Iterator[tuple]:
-    """The candidate kernel of witness_scan, abundance_profile and
-    search.build_instance: for each y of ys (default: the admitted y in
-    canonical order) it evaluates every f(y) once, from y's raw powers
-    (_raw_evaluator), and yields (y, x, positions) for the admitted x in
-    canonical order, dropping degenerate instances unless allowed.  It
-    works on raw values and builds no RingElement.  With
-    require_in_window, x runs over window.product_run(y), and
-    _raw_instance drops an instance at its first element outside the
-    window.  Otherwise x runs over the window, and each y builds columns
-    over it: the position of x*y for the x of product_run(y) (None for
-    the others, whose x*y lies outside), then one column per f.  An x's
-    row is its positions, None outside the window and repeats kept; it
-    is degenerate when its product is visible and every entry equals it
-    (with the product outside, a degenerate instance shows nothing)."""
-    elements = window.elements
+    """The whole-window kernel of build_instance and whole-mode scans: for
+    each y of ys (default: the admitted y in canonical order) it
+    evaluates every f(y) once, from y's raw powers (_raw_evaluator), and
+    yields (y, x position, positions) for the admitted x of
+    window.product_run(y) in canonical order; _raw_instance drops an
+    instance at its first element outside the window, and degenerate
+    instances are dropped unless allowed.  It works on raw values and
+    builds no RingElement."""
     position = window.raw_index
+    values = list(position)
     add, mul = window.spec.add, window.spec.mul
     f_values = _raw_evaluator(family)
     skip = {position[x.val] for x in constraints.exclude_x if x in window}
-    whole = constraints.require_in_window
     forbid_degenerate = constraints.forbid_degenerate
-    if not whole:
-        span = [pos for pos in range(len(elements)) if pos not in skip]
-        xvs = [elements[pos].val for pos in span]
     if ys is None:
-        ys = (y for y in elements if constraints.admits_y(y))
+        ys = (y for y in window.elements if constraints.admits_y(y))
     for y in ys:
         yv = y.val
         fvs = f_values(yv)
         lo, hi = window.product_run(y)
-        if whole:
-            for x in [x for pos, x in enumerate(elements[lo:hi], lo) if pos not in skip]:
-                positions = _raw_instance(x.val, yv, fvs, add, mul, position)
-                if positions is None or forbid_degenerate and len(positions) == 1:
-                    continue
-                yield y, x, positions
-            continue
-        a, b = bisect_left(span, lo), bisect_left(span, hi)
-        products = [None] * a + [position.get(mul(xv, yv)) for xv in xvs[a:b]] + [None] * (len(span) - b)
-        columns = [[position.get(add(xv, fv)) for xv in xvs] for fv in fvs]
-        for pos, row in zip(span, zip(products, *columns)):
-            p = row[0]
-            if forbid_degenerate and p is not None and row.count(p) == len(row):
+        for pos, xv in enumerate(values[lo:hi], lo):
+            if pos in skip:
                 continue
-            yield y, elements[pos], row
+            positions = _raw_instance(xv, yv, fvs, add, mul, position)
+            if positions is None or forbid_degenerate and len(positions) == 1:
+                continue
+            yield y, pos, positions
+
+
+def _witness_triples(coloring: Coloring, family: PolyFamily, constraints: ScanConstraints,
+                     ys=None) -> Iterator[tuple]:
+    """witness_scan's witnesses as (y, x position, color) triples, in scan
+    order, for each y of ys (default: the admitted y); partial mode is
+    decided here.  Whole mode keeps _instances' one-color instances.
+    Partial mode folds whole color columns over the admitted x (0 for an
+    element outside the window): x*y's, computed only in product_run(y),
+    and x + f(y)'s per distinct f(y) (x's own where f(y) is zero), into
+    each x's common color, 0 with none visible and -1 at a clash.  A row
+    is degenerate when its visible product equals every x + f(y), so
+    only where every f(y) is one value are positions compared."""
+    window, colors = coloring.window, coloring.colors
+    if constraints.require_in_window:
+        for y, pos, positions in _instances(window, family, constraints, ys):
+            color = _common_color(positions, colors)
+            if color is not None:
+                yield y, pos, color
+        return
+    position, n, spec = window.raw_index, len(window), window.spec
+    get, ext, zero = position.get, colors + (0,), spec.zero.val
+    add, mul, f_values = spec.add, spec.mul, _raw_evaluator(family)
+    skip = {position[x.val] for x in constraints.exclude_x if x in window}
+    span = [pos for pos in range(n) if pos not in skip]
+    xvs = [xv for pos, xv in enumerate(position) if pos not in skip]
+    own = [colors[pos] for pos in span]
+    if ys is None:
+        ys = (y for y in window.elements if constraints.admits_y(y))
+    for y in ys:
+        yv = y.val
+        fvs = set(f_values(yv))  # the distinct f(y)
+        a, b = (bisect_left(span, end) for end in window.product_run(y))
+        run = xvs[a:b]
+        products = [get(mul(xv, yv), n) for xv in run]
+        # a common color m meets a color c: m where c equals it or is 0, c where m is 0, else -1
+        common = own if zero in fvs else [0] * len(span)
+        head = [m if (c := ext[p]) == m or c == 0 else c if m == 0 else -1
+                for m, p in zip(common[a:b], products)]
+        if constraints.forbid_degenerate and len(fvs) == 1:
+            fv, = fvs
+            head = [-1 if p < n and p == get(add(xv, fv)) else m for p, m, xv in zip(products, head, run)]
+        common = common[:a] + head + common[b:]
+        for fv in fvs - {zero}:  # in any order: the fold is commutative
+            common = [m if (c := ext[get(add(xv, fv), n)]) == m or c == 0 else c if m == 0 else -1
+                      for m, xv in zip(common, xvs)]
+        yield from [(y, pos, color) for pos, color in zip(span, common) if color > 0]
 
 
 def witness_scan(
@@ -326,9 +353,9 @@ def witness_scan(
     every pair, but computes the product x*y only for the x in
     Window.product_run(y).
 
-    This is a generator function: its ValueError checks (family ring
-    against the coloring's ring, negative limit) run at the first
-    next(), not at the call.
+    It wraps _witness_triples.  This is a generator function: its
+    ValueError checks (family ring against the coloring's ring, negative
+    limit) run at the first next(), not at the call.
     """
     window = coloring.window
     spec = window.spec
@@ -338,10 +365,9 @@ def witness_scan(
         constraints = ScanConstraints.defaults_for(spec)
     if limit is not None and limit < 0:
         raise ValueError(f"witness limit must be >= 0, got {limit}")
-    colors, new = coloring.colors, tuple.__new__  # Witness(x, y, c) without its Python-level __new__
-    instances = _instances(window, family, constraints)
-    yield from islice((new(Witness, (x, y, color)) for y, x, positions in instances
-                       if (color := _common_color(positions, colors)) is not None), limit)
+    elements, new = window.elements, tuple.__new__  # Witness(x, y, c) without its Python-level __new__
+    yield from islice((new(Witness, (elements[pos], y, color))
+                       for y, pos, color in _witness_triples(coloring, family, constraints)), limit)
 
 
 def abundance_profile(
@@ -365,10 +391,9 @@ def abundance_profile(
     if not constraints.admits_y(y):
         raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
     profile: dict = {i: set() for i in range(1, coloring.r + 1)}
-    for _, x, positions in _instances(coloring.window, family, constraints, (y,)):
-        color = _common_color(positions, coloring.colors)
-        if color is not None:
-            profile[color].add(x)
+    elements = coloring.window.elements
+    for _, pos, color in _witness_triples(coloring, family, constraints, (y,)):
+        profile[color].add(elements[pos])
     return profile
 
 

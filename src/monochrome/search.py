@@ -120,13 +120,13 @@ def build_instance(window: Window, r: int, family: PolyFamily,
     picks = []
     whole = replace(constraints, require_in_window=True)
     position = window.raw_index
-    for y, x, positions in _instances(window, family, whole):
+    for y, pos, positions in _instances(window, family, whole):
         key = frozenset(positions)
         if key in seen:
             continue
         seen.add(key)
         index_sets.append(tuple(sorted(key)))
-        picks.append((position[x.val], position[y.val], positions))
+        picks.append((pos, position[y.val], positions))
     return AvoidanceInstance(window, r, tuple(index_sets), tuple(picks))
 
 

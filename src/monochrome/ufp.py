@@ -46,7 +46,7 @@ class UfpSequence:
     raw values in bitmask order: entry m-1 is the product over the
     positions of the set bits of m (bit i for position i+1)."""
 
-    __slots__ = ("elements", "_products")
+    __slots__ = ("elements", "_products", "_base")
 
     def __init__(self, elements: Sequence[RingElement]):
         elements = tuple(elements)
@@ -58,6 +58,7 @@ class UfpSequence:
                 raise ValueError("mixed rings in sequence")
         self.elements = elements
         self._products = None
+        self._base = None  # the raw product set, once checked by _fp_precondition
 
     @property
     def spec(self):
@@ -150,14 +151,17 @@ def exclusion_set(b) -> frozenset:
 
 
 def _fp_precondition(seq: UfpSequence) -> set:
-    """has_ufp holds and no product is 0 or 1; returns the raw product set."""
-    violation = has_ufp(seq)
-    if violation is not None:
-        raise ValueError(f"sequence lacks UFP: {violation!r}")
-    fp = set(seq._raw_products())
-    if seq.spec.zero.val in fp or seq.spec.one.val in fp:
-        raise ValueError("product set touches {0, 1}")
-    return fp
+    """has_ufp holds and no product is 0 or 1; returns the raw product set,
+    checked once per sequence (extend_ufp's guard checks a child)."""
+    if seq._base is None:
+        violation = has_ufp(seq)
+        if violation is not None:
+            raise ValueError(f"sequence lacks UFP: {violation!r}")
+        fp = set(seq._raw_products())
+        if seq.spec.zero.val in fp or seq.spec.one.val in fp:
+            raise ValueError("product set touches {0, 1}")
+        seq._base = fp
+    return seq._base
 
 
 def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
@@ -165,10 +169,9 @@ def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
     by the current product set; the result provably keeps UFP and a
     {0,1}-free product set, and is re-verified as a guard.  The pool is
     read up to the pick, and each candidate is tested on raw values."""
-    base = _fp_precondition(seq)
     spec = seq.spec
     one, trivial, mul = spec.one, {spec.zero.val, spec.one.val}, spec.mul
-    base.add(one.val)
+    base = _fp_precondition(seq) | {one.val}
     for x in pool:
         if not (isinstance(x, RingElement) and (x.spec is spec or x.spec == spec)):
             x * one  # the TypeError or ring-mismatch ValueError of any x * alpha
@@ -181,7 +184,8 @@ def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
         child = seq.extended(x)
         if has_ufp(child) is not None:
             raise InternalError("extension guard tripped: UFP lost after an admissible pick")
-        if not trivial.isdisjoint(child._raw_products()):
+        child._base = set(child._raw_products())  # the next extension starts from it
+        if not trivial.isdisjoint(child._base):
             raise InternalError("extension guard tripped: product set touches {0, 1}")
         return child
     raise PoolExhaustedError("every pool element is excluded or trivial")

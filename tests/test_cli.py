@@ -3,6 +3,7 @@ the 0/1/2 contract, config files merge under flags."""
 
 import argparse
 import ast
+import gzip
 import json
 import os
 import pathlib
@@ -21,8 +22,10 @@ from monochrome import (
     dual_engine_check,
     enumerate_window,
     format_element,
+    format_window_params,
     hj_number_exhaustive,
     load_coloring,
+    parse_element,
     parse_family,
     parse_ring_spec,
     parse_window_params,
@@ -32,6 +35,8 @@ from monochrome import (
 )
 from monochrome import cli
 from monochrome.cli import dispatch
+
+from test_patterns import KERNEL_RINGS, kernel_cases
 
 Z = parse_ring_spec("Z")
 
@@ -179,6 +184,72 @@ def test_abundance_partial_flag(capsys):
     rows = report["payload"]["rows"]
     assert rows == [{"y": "5", "color": c, "count": len(profile[c])} for c in (1, 2)]
     assert sum(row["count"] for row in rows) == 23  # the x values of the partial scan
+
+
+def _set_literal(elements) -> str:
+    return "{" + ",".join(sorted(format_element(e) for e in elements)) + "}"
+
+
+@pytest.mark.parametrize("ring_case", range(len(KERNEL_RINGS)))
+def test_scan_and_abundance_mirror_the_library_in_every_mode(capsys, ring_case):
+    """For each constraint set of the kernel differential that flags can
+    name (all but an element of another ring), passed as --exclude-y,
+    --exclude-x, --allow-degenerate and --partial, on Z, signed Z, Zi,
+    GF(2)[x] and GF(3)[x]: scan under no --limit, 0 and 1 reports
+    witness_scan's witnesses, abundance reports abundance_profile's
+    counts at every admitted y and at a --y outside the window, and an
+    excluded --y is a usage error."""
+    spec, params, family_texts, outside = KERNEL_RINGS[ring_case]
+    window = enumerate_window(spec, params)
+    y_out = parse_element(spec, outside)
+    base = ["--ring", spec.name, "--window", format_window_params(spec, params)]
+    modes = witnessed = 0
+    for k, (name, constraints) in enumerate(kernel_cases(spec, window, ring_case).items()):
+        if name == "exclude_other_ring":
+            continue
+        family_text = family_texts[k % len(family_texts)]
+        family = parse_family(spec, family_text)
+        r, seed = 2 + k % 2, 10 * ring_case + k
+        coloring = random_coloring(window, r, seed)
+        argv = [*base, "--colors", str(r), "--seed", str(seed), "--F", family_text,
+                "--exclude-y", _set_literal(constraints.exclude_y),
+                "--exclude-x", _set_literal(constraints.exclude_x),
+                *["--allow-degenerate"] * (not constraints.forbid_degenerate),
+                *["--partial"] * (not constraints.require_in_window)]
+        label = f"{spec.name} {name} F={family_text}"
+        for limit in (None, 0, 1):
+            want = [{"x": format_element(w.x), "y": format_element(w.y), "color": w.color}
+                    for w in witness_scan(coloring, family, constraints, limit)]
+            extra = [] if limit is None else ["--limit", str(limit)]
+            code, report = run_json(capsys, "scan", *argv, *extra)
+            assert code == 0 and report["payload"]["witnesses"] == want, (label, limit)
+        modes += 1
+        witnessed += len(want)
+        ys = [y for y in window.elements if constraints.admits_y(y)]
+        for y_flag, y_list in (([], ys), ([f"--y={outside}"], [y_out])):
+            want = [{"y": format_element(y), "color": c, "count": len(profile[c])}
+                    for y in y_list
+                    for profile in [abundance_profile(coloring, family, y, constraints)]
+                    for c in range(1, r + 1)]
+            code, report = run_json(capsys, "abundance", *argv, *y_flag)
+            assert code == 0 and report["payload"]["rows"] == want, (label, y_flag)
+        for y in sorted(constraints.exclude_y & set(window.elements), key=window.elements.index)[:1]:
+            assert dispatch(["abundance", *argv, f"--y={format_element(y)}"]) == 2, label
+            assert (f"error: y = {format_element(y)} is excluded by the scan constraints"
+                    in capsys.readouterr().err), label
+    assert witnessed > modes // 2  # most modes find a witness
+
+
+def test_scan_partial_golden_report(tmp_path):
+    """The report of the benchmark toolkit's partial scan (Z N=200, two
+    colors, seed 7, F = 0;t: 29,701 witnesses) is byte for byte the
+    committed one, its timestamp blanked."""
+    out = tmp_path / "scan_partial.json"
+    assert dispatch(["scan", "--ring", "Z", "--window", "N=200", "--colors", "2", "--seed", "7",
+                     "--F", "0;t", "--partial", "-o", str(out)]) == 0
+    got = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes(), count=1)
+    golden = pathlib.Path(__file__).parent / "golden" / "scan_partial_seed7.json.gz"
+    assert got == gzip.decompress(golden.read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -664,14 +664,26 @@ def test_scans_leave_window_index_unbuilt(monkeypatch):
 
 def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
     """Readers that need only raw values read raw_index: grow_ufp,
-    syndetic_check, ps_witness_search, the ideal presets, len, random
-    colorings and moreira_number's sliced probes leave Window.elements
-    unbuilt (the probes that build an instance read it), and elements is
-    built once read, from raw_index in window order."""
+    syndetic_check, ps_witness_search, ipstar_refute, the ideal presets,
+    len, random colorings and moreira_number's sliced probes leave
+    Window.elements unbuilt (the probes that build an instance read it),
+    and elements is built once read, from raw_index in window order.
+    ipstar_refute still returns the sequence its documented draw rule
+    gives."""
     from monochrome import (
-        Window, grow_ufp, moreira_number, parse_element_set, ps_witness_search, syndetic_check,
-        validate_ps_witness,
+        Window, grow_ufp, ipstar_refute, moreira_number, parse_element_set, ps_witness_search,
+        syndetic_check, validate_ps_witness,
     )
+    from monochrome.prng import stream_below
+
+    def replay_ipstar(target, w, seq_len, samples, seed):
+        for s in range(samples):
+            seq = tuple(w.elements[stream_below(seed, s * seq_len + p, len(w))] for p in range(seq_len))
+            sums = {sum(sub[1:], sub[0]) for k in range(1, seq_len + 1)
+                    for sub in itertools.combinations(seq, k)}
+            if not sums & target:
+                return seq
+        return None
 
     built = []
     lazy = Window.__dict__["elements"]
@@ -679,6 +691,7 @@ def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
     window = enumerate_window(Z, WindowParams(10000))
     assert [e.val for e in grow_ufp(Z.integer(2), window, 10).elements] == [2, 3, 4, 5, 7, 9, 11, 13, 16, 17]
     assert len(window) == 10000 and len(random_coloring(window, 3, 1).colors) == 10000
+    refuted = []  # (target, window, length, samples, seed, ipstar_refute's answer)
     for spec, params in ((Z, WindowParams(30)), (Z, WindowParams(12, signed=True)), (ZI, WindowParams(2)),
                          (GF2, WindowParams(4)), (GF3, WindowParams(2))):
         w = enumerate_window(spec, params)
@@ -688,6 +701,8 @@ def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
         witness = ps_witness_search(ideal, gaps, {spec.one}, w)
         assert witness.anchor in w and validate_ps_witness(witness, ideal)
         assert ps_witness_search(ideal, {spec.zero}, {spec.zero, spec.one}, w) is None
+        refuted.extend((target, w, 3, 8, seed, ipstar_refute(target, w, 3, 8, seed))
+                       for target in (ideal, frozenset({spec.one})) for seed in (1, 2))
     assert built == [] and not any("elements" in vars(w) for w in (window, w))
     for spec, max_n in ((Z, 20), (GF2, 5)):
         res = moreira_number(2, parse_family(spec, "t"), max_n)
@@ -695,6 +710,9 @@ def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
         assert len({w.params for w in built}) == res.builds, spec
         built.clear()
     monkeypatch.undo()
+    assert any(got is None for *_, got in refuted) and any(got for *_, got in refuted)
+    for *call, got in refuted:
+        assert got == replay_ipstar(*call), call
     assert window.elements == tuple(RingElement(Z, v) for v in range(1, 10001))
     assert vars(window)["elements"] is window.elements
 

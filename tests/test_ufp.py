@@ -248,6 +248,26 @@ def test_grow_integer_sequence_frozen():
     assert has_ufp(seq) is None
 
 
+def test_grow_checks_each_sequence_once(monkeypatch):
+    """grow_ufp runs has_ufp on the start and then once per step, in
+    extend_ufp's guard: each step starts from the product set the last
+    guard verified.  extend_ufp checks a sequence it has not seen before,
+    and checks it only once."""
+    import monochrome.ufp as ufp
+
+    calls = []
+    monkeypatch.setattr(ufp, "has_ufp", lambda seq: calls.append(len(seq)) or has_ufp(seq))
+    w = enumerate_window(Z, WindowParams(10000))
+    seq = grow_ufp(Z.integer(2), w, 12)
+    assert calls == list(range(1, 13))
+    assert [e.val for e in seq.elements] == [2, 3, 4, 5, 7, 9, 11, 13, 16, 17, 19, 23]
+    calls.clear()
+    fresh = UfpSequence(seq.elements[:5])
+    assert [e.val for e in extend_ufp(fresh, w).elements] == [2, 3, 4, 5, 7, 9]
+    assert [e.val for e in extend_ufp(fresh, w).elements] == [2, 3, 4, 5, 7, 9]
+    assert calls == [5, 6, 6]
+
+
 def test_grow_poly_sequence_frozen():
     w = enumerate_window(GF2, WindowParams(8))
     seq = grow_ufp(GF2.poly((0, 1)), w, 10)
