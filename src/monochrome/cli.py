@@ -9,16 +9,22 @@ command is the subcommand's words.  A JSON report is one compact line
 (no spaces between tokens, keys in that order, non-ASCII escaped), so
 the C encoder writes it, without a cycle check (a cyclic report is an
 internal error, exit 3); pipe it through ``python3 -m json.tool`` to
-read it.  Exit codes: 0 for the positive statuses in POSITIVE_STATUSES
-(ok, found, holds, counterexample, avoidance_found), 1 for every other
-status (a definite negative: nothing found, refuted, timeout, work cap
-exceeded, pool exhausted), 2 for usage, parse and input errors, 3 for
+read it.  Text, CSV and ``report`` flatten a report one way, _cells:
+command, timestamp, status, then the payload fields, a payload key that
+repeats an earlier column headed payload.<key>.  A command whose
+payload holds a table declares its key and columns in _COMMANDS: its
+CSV is that header and the rows, and text lists the rows.  Exit codes:
+0 for the positive statuses in POSITIVE_STATUSES (ok, found, holds,
+counterexample, avoidance_found), 1 for every other status (a definite
+negative: nothing found, refuted, timeout, work cap exceeded, pool
+exhausted), 2 for usage, parse and input errors (a ValueError, the one
+type the CLI raises for them, an OSError or a ZeroDivisionError), 3 for
 internal errors (a tripped guard, a recursion overflow or any other
 RuntimeError: a bug in the package, not in the input).
 
 argparse alone checks flags: their values, and the required ones,
 which --help shows without brackets.  Each command is declared once, in
-the ordered table _COMMANDS of its words, help text and flags, and
+the ordered table _COMMANDS of its words, help text, flags and table, and
 ``dispatch`` builds only the parser path that argv names: the top
 parser, the group parser if any, and the one leaf.  It builds the full
 tree only for argv that names no leaf (top-level or group help, a
@@ -93,10 +99,6 @@ BUDGET_ENV = "MONOCHROME_BUDGET"
 
 # report statuses that exit 0; every other status exits 1
 POSITIVE_STATUSES = frozenset({"ok", "found", "holds", "counterexample", "avoidance_found"})
-
-
-class CliError(Exception):
-    """Usage-level problem: reported to stderr, exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +247,28 @@ _GROUPS = {
     "ufp": ("uniqueness-of-finite-products tools", "action"),
 }
 
-# leaf words -> (help, flag adder), in --help order; a group is listed
-# where its first leaf is
+# leaf words -> (help, flag adder, table), in --help order; a group is
+# listed where its first leaf is.  table is (key, columns) of the payload
+# list whose rows --format csv and text print, or None
 _COMMANDS = {
-    ("scan",): ("list monochromatic instances of a coloring", _scan_flags),
-    ("abundance",): ("per-y color profile of admissible x values", _abundance_flags),
-    ("largeness", "syndetic"): ("do the gap translates of a set cover the window?", _syndetic_flags),
-    ("largeness", "ps-witness"): ("least anchor making (gaps, block) a witness", _ps_witness_flags),
-    ("largeness", "ipstar"): ("search seeded sequences whose finite sums miss a set", _ipstar_flags),
-    ("largeness", "transport"): ("dilate or divide a witness exactly", _transport_flags),
-    ("hj",): ("exhaustive cube-coloring search for forced lines", _hj_flags),
-    ("sigma",): ("randomized exact checks of the embedding identity", _sigma_flags),
-    ("search", "avoid"): ("search one window for an avoidance coloring", _avoid_flags),
+    ("scan",): ("list monochromatic instances of a coloring", _scan_flags,
+                ("witnesses", ("x", "y", "color"))),
+    ("abundance",): ("per-y color profile of admissible x values", _abundance_flags,
+                     ("rows", ("y", "color", "count"))),
+    ("largeness", "syndetic"): ("do the gap translates of a set cover the window?", _syndetic_flags, None),
+    ("largeness", "ps-witness"): ("least anchor making (gaps, block) a witness", _ps_witness_flags, None),
+    ("largeness", "ipstar"): ("search seeded sequences whose finite sums miss a set", _ipstar_flags, None),
+    ("largeness", "transport"): ("dilate or divide a witness exactly", _transport_flags, None),
+    ("hj",): ("exhaustive cube-coloring search for forced lines", _hj_flags, None),
+    ("sigma",): ("randomized exact checks of the embedding identity", _sigma_flags, None),
+    ("search", "avoid"): ("search one window for an avoidance coloring", _avoid_flags, None),
     ("search", "moreira"): ("least window size at which avoidance becomes impossible",
-                            _moreira_flags),
-    ("cnf", "export"): ("write the avoidance instance as DIMACS CNF", _export_flags),
-    ("cnf", "decode"): ("turn a satisfying model back into a coloring", _decode_flags),
-    ("ufp", "verify"): ("check pairwise distinctness of subset products", _verify_flags),
-    ("ufp", "grow"): ("extend a sequence over a window pool", _grow_flags),
-    ("report",): ("merge report JSON files into one CSV table", _report_flags),
+                            _moreira_flags, ("trace", ("N", "status"))),
+    ("cnf", "export"): ("write the avoidance instance as DIMACS CNF", _export_flags, None),
+    ("cnf", "decode"): ("turn a satisfying model back into a coloring", _decode_flags, None),
+    ("ufp", "verify"): ("check pairwise distinctness of subset products", _verify_flags, None),
+    ("ufp", "grow"): ("extend a sequence over a window pool", _grow_flags, None),
+    ("report",): ("merge report JSON files into one CSV table", _report_flags, None),
 }
 
 
@@ -278,7 +283,7 @@ def _build_parser(words: tuple | None = None) -> tuple:
     sub = parser.add_subparsers(dest="cmd", metavar="subcommand", required=True)
     groups = {}
     leaves = {}
-    for path, (help_text, add_flags) in _COMMANDS.items():
+    for path, (help_text, add_flags, _) in _COMMANDS.items():
         if words not in (None, path):
             continue
         if len(path) == 2 and path[0] not in groups:
@@ -304,11 +309,11 @@ def _load_config(path: str) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key = value, got {raw.strip(WHITESPACE)!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip(WHITESPACE)!r}")
                 key, value = line.split("=", 1)
                 entries[key.strip(WHITESPACE).replace("-", "_")] = value.strip(WHITESPACE)
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     return entries
 
 
@@ -341,13 +346,13 @@ def _with_config(leaf: argparse.ArgumentParser, words: tuple, argv: list) -> lis
         flag = "--" + key.replace("_", "-")
         action = options.get(flag)
         if action is None or action.dest in ("help", "config"):
-            raise CliError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         if action.nargs != 0:
             flags.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
             flags.append(flag)
         elif value.lower() not in ("0", "false", "no", "off"):
-            raise CliError(f"config key {key}: expected a boolean, got {value!r}")
+            raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
     return [*words, *flags, *argv[len(words):]]
 
 
@@ -360,7 +365,7 @@ def _apply_env(args: argparse.Namespace) -> None:
                 try:
                     setattr(args, dest, integer(env))
                 except ValueError:
-                    raise CliError(f"${BUDGET_ENV} must be an integer, got {env!r}") from None
+                    raise ValueError(f"${BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +413,14 @@ def _coloring_for(args, spec, window, r) -> Coloring:
     if args.coloring is None:
         return random_coloring(window, r, args.seed if args.seed is not None else 0)
     if args.seed is not None:
-        raise CliError("--coloring and --seed exclude each other: the file fixes every color")
+        raise ValueError("--coloring and --seed exclude each other: the file fixes every color")
     coloring = load_coloring(args.coloring)
     if coloring.window.spec != spec:
-        raise CliError("coloring file ring differs from --ring")
+        raise ValueError("coloring file ring differs from --ring")
     if coloring.window != window:
-        raise CliError("coloring file window differs from --window")
+        raise ValueError("coloring file window differs from --window")
     if coloring.r != r:
-        raise CliError("coloring file colors differ from --colors")
+        raise ValueError("coloring file colors differ from --colors")
     return coloring
 
 
@@ -434,20 +439,27 @@ def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _is_table(value) -> bool:
-    """Whether a payload entry is a table: a nonempty list of row dicts."""
-    return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
+_REPORT_KEYS = ("command", "timestamp", "status")
 
 
-def _render_text(report: dict) -> str:
-    lines = [f"# {report['command']}", f"status: {report['status']}"]
+def _cells(report: dict) -> dict:
+    """A report's cells by column: its fields before the payload, then each
+    payload field, headed payload.<key> where an earlier column has its key."""
+    cells = {key: value for key, value in report.items() if key != "payload"}
     for key, value in report["payload"].items():
-        if _is_table(value):
-            lines.append(f"{key}:")
-            for row in value:
-                lines.append("  " + "  ".join(f"{k}={_plain(v)}" for k, v in row.items()))
+        cells[f"payload.{key}" if key in cells else key] = value
+    return cells
+
+
+def _render_text(cells: dict, table) -> str:
+    lines = [f"# {cells.pop('command')}"]
+    del cells["timestamp"]
+    for column, value in cells.items():
+        if table is not None and column == table[0] and value:
+            lines.append(f"{column}:")
+            lines.extend("  " + "  ".join(f"{k}={_plain(row[k])}" for k in table[1]) for row in value)
         else:
-            lines.append(f"{key}: {_plain(value)}")
+            lines.append(f"{column}: {_plain(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -463,36 +475,34 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _render_csv(report: dict) -> str:
-    payload = report["payload"]
-    tables = [v for v in payload.values() if _is_table(v)]
+def _csv(columns, rows) -> str:
+    """A CSV table: the header, then each row's cells under it (blank where it has none)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if len(tables) == 1:
-        rows = tables[0]
-        cols = list(dict.fromkeys(key for row in rows for key in row))
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_plain(row.get(c, "")) for c in cols])
-    else:
-        scalars = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-        writer.writerow(["command", "timestamp", "status", *scalars])
-        writer.writerow([report["command"], report["timestamp"], report["status"],
-                         *[_plain(v) for v in scalars.values()]])
+    writer.writerow(columns)
+    writer.writerows([_plain(row.get(c, "")) for c in columns] for row in rows)
     return buf.getvalue()
+
+
+def _scalar_columns(cells: dict) -> list:
+    return [column for column, value in cells.items() if not isinstance(value, (dict, list))]
 
 
 def _emit(args, status: str, payload: dict) -> int:
     """Write the report of a handler's outcome and return its exit code."""
-    command = " ".join(filter(None, (args.cmd, getattr(args, "sub", None))))
-    report = {"command": command, "timestamp": _now(), "status": status, "payload": payload}
+    words = tuple(filter(None, (args.cmd, getattr(args, "sub", None))))
+    report = {"command": " ".join(words), "timestamp": _now(), "status": status, "payload": payload}
     fmt = getattr(args, "format", None) or "json"
     if fmt == "json":
         text = _json(report) + "\n"
-    elif fmt == "text":
-        text = _render_text(report)
     else:
-        text = _render_csv(report)
+        cells, table = _cells(report), _COMMANDS[words][2]
+        if fmt == "text":
+            text = _render_text(cells, table)
+        elif table is not None:
+            text = _csv(table[1], payload[table[0]])
+        else:
+            text = _csv(_scalar_columns(cells), [cells])
     _write(getattr(args, "output", None), text)
     return 0 if status in POSITIVE_STATUSES else 1
 
@@ -514,7 +524,7 @@ def _cmd_scan(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
     if args.limit is not None and args.limit < 0:
-        raise CliError(f"witness limit must be >= 0, got {args.limit}")
+        raise ValueError(f"witness limit must be >= 0, got {args.limit}")
     values, names = list(window.raw_index), [None] * len(window)  # literals by position, made at first use
     witnesses, last = [], None
     for y, pos, color in islice(_witness_triples(coloring, family, constraints), args.limit):
@@ -534,7 +544,7 @@ def _cmd_abundance(args) -> tuple:
     if args.y is not None:
         ys = [parse_element(spec, args.y)]
         if not constraints.admits_y(ys[0]):
-            raise CliError(f"y = {format_element(ys[0])} is excluded by the scan constraints")
+            raise ValueError(f"y = {format_element(ys[0])} is excluded by the scan constraints")
     else:
         ys = [y for y in window.elements if constraints.admits_y(y)]
     counts = Counter((y.val, color) for y, _, color in _witness_triples(coloring, family, constraints, ys))
@@ -690,7 +700,7 @@ def _cmd_cnf(args) -> tuple | None:
             with open(args.model, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliError(f"cannot read model {args.model}: {exc}") from None
+            raise ValueError(f"cannot read model {args.model}: {exc}") from None
     coloring = cnf_model_decode(parse_model(text), inst)
     payload = {"colors": list(coloring.colors), "valid": True}
     _save_coloring(args, coloring, payload)
@@ -702,7 +712,7 @@ def _cmd_ufp(args) -> tuple:
     if args.sub == "verify":
         literals = [tok.strip(WHITESPACE) for tok in args.elements.split(",") if tok.strip(WHITESPACE)]
         if not literals:
-            raise CliError("--elements needs at least one literal")
+            raise ValueError("--elements needs at least one literal")
         seq = UfpSequence([parse_element(spec, tok) for tok in literals])
         violation = has_ufp(seq)
         payload = {
@@ -731,42 +741,31 @@ def _cmd_ufp(args) -> tuple:
 
 
 def _cmd_report(args) -> None:
-    reports = []
+    rows = []
     for path in args.inputs:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {path}: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: not valid JSON ({exc})") from None
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
         except RecursionError:
-            raise CliError(f"{path}: not valid JSON (nested too deeply)") from None
+            raise ValueError(f"{path}: not valid JSON (nested too deeply)") from None
         if not isinstance(data, dict):
-            raise CliError(f"{path}: not a report (the top level is not a JSON object)")
-        for key in ("command", "timestamp", "status", "payload"):
+            raise ValueError(f"{path}: not a report (the top level is not a JSON object)")
+        for key in (*_REPORT_KEYS, "payload"):
             if key not in data:
-                raise CliError(f"{path}: missing report key {key!r}")
+                raise ValueError(f"{path}: missing report key {key!r}")
         if not isinstance(data["payload"], dict):
-            raise CliError(f"{path}: report payload is not a JSON object")
-        reports.append((path, data))
-    keys = sorted({
-        k
-        for _, data in reports
-        for k, v in data["payload"].items()
-        if not isinstance(v, (dict, list))
-    })
-    fixed = ["file", "command", "timestamp", "status"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*fixed, *(f"payload.{k}" if k in fixed else k for k in keys)])
-    for path, data in reports:
-        payload = data["payload"]
-        writer.writerow([
-            path, data["command"], data["timestamp"], data["status"],
-            *[_plain(payload[k]) if k in payload else "" for k in keys],
-        ])
-    _write(args.output, buf.getvalue())
+            raise ValueError(f"{path}: report payload is not a JSON object")
+        rows.append(_cells({"file": path, **{key: data[key] for key in (*_REPORT_KEYS, "payload")}}))
+    fixed = ["file", *_REPORT_KEYS]
+    renamed = {f"payload.{key}": key for key in fixed}
+    # the payload columns, in the order of the payload keys they head
+    payload_columns = sorted({c for cells in rows for c in _scalar_columns(cells)}.difference(fixed),
+                             key=lambda c: renamed.get(c, c))
+    _write(args.output, _csv([*fixed, *payload_columns], rows))
 
 
 _HANDLERS = {
@@ -803,9 +802,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:  # InternalError, RecursionError: a fault of the package
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -144,12 +144,12 @@ class AvoidanceResult:
     backtracks: int = 0
 
 
-def _is_avoiding(colors: Sequence[int], index_sets) -> bool:
-    for idxs in index_sets:
-        first = colors[idxs[0]]
-        if all(colors[i] == first for i in idxs[1:]):
-            return False
-    return True
+def _first_monochromatic(colors: Sequence[int], index_sets) -> Optional[int]:
+    """The position of the first index set that colors gives one color, or None."""
+    for k, idxs in enumerate(index_sets):
+        if len(set(map(colors.__getitem__, idxs))) == 1:
+            return k
+    return None
 
 
 def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -> AvoidanceResult:
@@ -291,7 +291,7 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
     full = [1] * size
     for i, slot in slot_of.items():
         full[i] = colors[slot]
-    if not _is_avoiding(full, index_sets):
+    if _first_monochromatic(full, index_sets) is not None:
         raise InternalError("backtracker guard tripped: completed coloring not avoiding")
     return AvoidanceStatus.FOUND, tuple(full), nodes, backtracks
 
@@ -521,8 +521,8 @@ def cnf_model_decode(model: Sequence[int], inst: AvoidanceInstance) -> Coloring:
                 f"element #{i} carries {len(chosen)} colors; model violates the one-color clauses"
             )
         colors.append(chosen[0] + 1)
-    for k, idxs in enumerate(inst.index_sets):
-        if len(set(map(colors.__getitem__, idxs))) == 1:
-            elems = ", ".join(map(format_element, inst.candidate(k).elements))
-            raise ValueError(f"model leaves the candidate {{{elems}}} monochromatic")
+    k = _first_monochromatic(colors, inst.index_sets)
+    if k is not None:
+        elems = ", ".join(map(format_element, inst.candidate(k).elements))
+        raise ValueError(f"model leaves the candidate {{{elems}}} monochromatic")
     return Coloring(inst.window, r, tuple(colors))

@@ -20,7 +20,7 @@ from monochrome.colorings import Coloring
 from monochrome.halesjewett import DEFAULT_WORK_CAP, WorkCapExceeded, _line_cells
 from monochrome.patterns import pattern_elements
 from monochrome.rings import format_element
-from monochrome.search import AvoidanceResult, AvoidanceStatus, CnfDocument, _is_avoiding, cnf_var
+from monochrome.search import AvoidanceResult, AvoidanceStatus, CnfDocument, _first_monochromatic, cnf_var
 from monochrome.ufp import GROW_CAP, PoolExhaustedError, UfpSequence, has_ufp
 
 
@@ -80,7 +80,7 @@ def reference_backtrack(inst, budget: Optional[int] = None) -> AvoidanceResult:
             full = [1] * len(window)
             for i, slot in slot_of.items():
                 full[i] = colors[slot]
-            if not _is_avoiding(full, inst.index_sets):
+            if _first_monochromatic(full, inst.index_sets) is not None:
                 raise RuntimeError("backtracker guard tripped: completed coloring not avoiding")
             coloring = Coloring(window, r, tuple(full))
             return AvoidanceResult(AvoidanceStatus.FOUND, coloring, nodes, backtracks)

@@ -3,6 +3,7 @@ the 0/1/2 contract, config files merge under flags."""
 
 import argparse
 import ast
+import csv
 import gzip
 import json
 import os
@@ -23,6 +24,7 @@ from monochrome import (
     enumerate_window,
     format_element,
     format_window_params,
+    grow_ufp,
     hj_number_exhaustive,
     load_coloring,
     parse_element,
@@ -167,6 +169,52 @@ def test_abundance_csv_format(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "y,color,count"
     assert len(lines) == 3
+
+
+def test_table_commands_print_their_declared_csv_header(capsys):
+    """scan and abundance print under --format csv their declared header,
+    then one line per row of the JSON report's table, also when the
+    table is empty (text then says key: [])."""
+    problem = ["--ring", "Z", "--colors", "2", "--F", "t"]
+    cases = [(["scan", "--window", "N=3", "--seed", "1"], "witnesses", ["x", "y", "color"]),
+             (["scan", "--window", "N=50", "--seed", "7"], "witnesses", ["x", "y", "color"]),
+             (["abundance", "--window", "N=3", "--seed", "1", "--exclude-y", "{0,1,2,3}"], "rows",
+              ["y", "color", "count"]),
+             (["abundance", "--window", "N=50", "--seed", "7", "--y", "2"], "rows", ["y", "color", "count"])]
+    sizes = []
+    for argv, key, header in cases:
+        code, report = run_json(capsys, *argv, *problem)
+        assert code == 0, argv
+        rows = report["payload"][key]
+        sizes.append(len(rows))
+        code, out = run(capsys, *argv, *problem, "--format", "csv")
+        assert code == 0, argv
+        assert list(csv.reader(out.splitlines())) == [header, *([str(row[c]) for c in header] for row in rows)]
+        code, out = run(capsys, *argv, *problem, "--format", "text")
+        assert (f"\n{key}: []\n" in out) is not rows, argv
+    assert sizes[0] == sizes[2] == 0 and sizes[1] > 0 and sizes[3] > 0
+
+
+def test_negative_element_literals_join_their_flag(capsys):
+    """A literal that begins with - and is not a plain negative number is
+    given as --flag=value; with a space, argparse takes it for a flag."""
+    zi = parse_ring_spec("Zi")
+    window = enumerate_window(zi, parse_window_params(zi, "B=3"))
+    argv = ["abundance", "--ring", "Zi", "--window", "B=3", "--colors", "2", "--seed", "1", "--F", "t"]
+    code, report = run_json(capsys, *argv, "--y=-1i")
+    assert code == 0
+    y = parse_element(zi, "-1i")
+    profile = abundance_profile(random_coloring(window, 2, 1), parse_family(zi, "t"), y,
+                                ScanConstraints.defaults_for(zi))
+    assert report["payload"]["rows"] == [{"y": "-1i", "color": c, "count": len(profile[c])} for c in (1, 2)]
+    grow = ["ufp", "grow", "--ring", "Zi", "--window", "B=3", "--length", "3"]
+    code, report = run_json(capsys, *grow, "--start=-1+1i")
+    assert code == 0
+    want = grow_ufp(parse_element(zi, "-1+1i"), window, 3)
+    assert report["payload"]["sequence"] == [format_element(e) for e in want.elements]
+    for spaced, flag in (([*argv, "--y", "-1i"], "--y"), ([*grow, "--start", "-1+1i"], "--start")):
+        assert dispatch(spaced) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
 
 def test_abundance_partial_flag(capsys):
@@ -602,7 +650,7 @@ def test_cnf_decode_monochromatic_model_is_an_input_error(capsys, tmp_path):
 def test_tripped_guard_exits_three(capsys, monkeypatch):
     import monochrome.search
 
-    monkeypatch.setattr(monochrome.search, "_is_avoiding", lambda colors, index_sets: False)
+    monkeypatch.setattr(monochrome.search, "_first_monochromatic", lambda colors, index_sets: 0)
     code = dispatch(["search", "avoid", "--ring", "Z", "--window", "N=7", "--colors", "2",
                      "--F", "t"])
     assert code == 3
@@ -722,8 +770,6 @@ def test_report_merges_json_to_csv(capsys, tmp_path):
 def test_report_names_colliding_payload_columns(capsys, tmp_path):
     """hj and search payloads carry a scalar status: its column is headed
     payload.status, beside the report's own status column."""
-    import csv
-
     for name, argv in (("h.json", ["hj", "--colors", "2", "--alphabet", "2", "--maxN", "3"]),
                        ("u.json", ["ufp", "grow", "--ring", "Z", "--window", "N=100", "--start", "2",
                                    "--length", "4"])):
@@ -747,6 +793,52 @@ def test_report_rejects_non_report_json(capsys, tmp_path):
         bad.write_text(text)
         assert dispatch(["report", str(bad)]) == 2, text[:80]
         assert capsys.readouterr().err.startswith(f"error: {bad}: "), text[:80]
+
+
+# fixed reports, written by hand in the CLI's forms (one indented), covering a
+# payload status, an empty table, a nested value in a scalar column, a null,
+# a false, CSV quoting and an escaped non-ASCII text
+REPORT_INPUTS = {
+    "scan.json": '{"command":"scan","timestamp":"2026-01-02T03:04:05Z","status":"ok","payload":'
+                 '{"ring":"Z","window":"N=3","colors":2,"family":"t","seed":1,"count":0,"witnesses":[]}}',
+    "hj.json": '{"command":"hj","timestamp":"2026-01-02T03:04:06Z","status":"work_cap_exceeded","payload":'
+               '{"error":"search for t^n=9, r=2 needs more than 5 decisions"}}',
+    "hj22.json": '{"command":"hj","timestamp":"2026-01-02T03:04:07Z","status":"found","payload":'
+                 '{"r":2,"t":2,"N":2,"status":"found"}}',
+    "decode.json": '{"command":"cnf decode","timestamp":"2026-01-02T03:04:08Z","status":"ok","payload":'
+                   '{"colors":[1,2,1],"valid":true}}',
+    "ipstar.json": '{\n  "command": "largeness ipstar",\n  "timestamp": "2026-01-02T03:04:09Z",\n'
+                   '  "status": "none_found",\n  "payload": {"seq_len": 3, "samples": 50, "seed": 1,'
+                   ' "found": false, "sequence": null}\n}\n',
+    "moreira.json": '{"command":"search moreira","timestamp":"2026-01-02T03:04:10Z","status":"found",'
+                    '"payload":{"ring":"Zi","colors":2,"family":"t","maxN":3,"status":"found","N":2,'
+                    '"trace":[{"N":1,"status":"avoidance_found"},{"N":2,"status":"forced"}]}}',
+    "syndetic.json": '{"command":"largeness syndetic","timestamp":"2026-01-02T03:04:11Z","status":"refuted",'
+                     '"payload":{"holds":false,"counterexample":"caf\\u00e9 \\"7\\""}}',
+}
+
+REPORT_CSV = (
+    "file,command,timestamp,status,N,colors,count,counterexample,error,family,found,holds,maxN,r,ring,"
+    "samples,seed,seq_len,sequence,payload.status,t,valid,window\n"
+    "scan.json,scan,2026-01-02T03:04:05Z,ok,,2,0,,,t,,,,,Z,,1,,,,,,N=3\n"
+    'hj.json,hj,2026-01-02T03:04:06Z,work_cap_exceeded,,,,,"search for t^n=9, r=2 needs more than 5 '
+    'decisions",,,,,,,,,,,,,,\n'
+    "hj22.json,hj,2026-01-02T03:04:07Z,found,2,,,,,,,,,2,,,,,,found,2,,\n"
+    'decode.json,cnf decode,2026-01-02T03:04:08Z,ok,,"[1,2,1]",,,,,,,,,,,,,,,,True,\n'
+    "ipstar.json,largeness ipstar,2026-01-02T03:04:09Z,none_found,,,,,,,False,,,,,50,1,3,None,,,,\n"
+    "moreira.json,search moreira,2026-01-02T03:04:10Z,found,2,2,,,,t,,,3,,Zi,,,,,found,,,\n"
+    'syndetic.json,largeness syndetic,2026-01-02T03:04:11Z,refuted,,,,"caf\u00e9 ""7""",,,,False,,,,,,,,,,,\n'
+)
+
+
+def test_report_of_fixed_reports_is_stable(capsys, tmp_path, monkeypatch):
+    """report over fixed input files prints the same bytes to stdout and to -o."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in REPORT_INPUTS.items():
+        pathlib.Path(name).write_text(text, encoding="utf-8")
+    assert run(capsys, "report", *REPORT_INPUTS) == (0, REPORT_CSV)
+    assert dispatch(["report", *REPORT_INPUTS, "-o", "summary.csv"]) == 0
+    assert pathlib.Path("summary.csv").read_text(encoding="utf-8") == REPORT_CSV
 
 
 def test_json_report_is_one_compact_line(capsys, tmp_path):
@@ -964,6 +1056,30 @@ def test_config_file_gives_the_flags_answer(capsys, tmp_path, monkeypatch):
             results[mode] = outcome([*words, "--config", str(cfg), *explicit])
         assert results["config"] == results["flags"], argv
         assert results["config+flag"] == results["flags"], argv
+
+
+def test_csv_and_text_never_repeat_a_column(capsys, tmp_path, monkeypatch):
+    """Under --format csv and text, no report of GOLDEN_COMMANDS repeats a
+    CSV header cell or a text key: a payload field named like a report
+    field is headed payload.<key>."""
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("model.txt").write_text("v 1 -2 -3 4 5 -6 0\n")
+    seen = set()
+    for argv in GOLDEN_COMMANDS:
+        if argv[:2] == ["cnf", "export"] and "-o" not in argv:
+            continue  # raw DIMACS, no report
+        for fmt in ("csv", "text"):
+            code, out = run(capsys, *argv, "--format", fmt)  # the last --format wins
+            assert code in (0, 1), argv
+            if "-o" in argv and argv[0] != "cnf":
+                out = pathlib.Path(argv[argv.index("-o") + 1]).read_text()
+            if fmt == "csv":
+                names = next(csv.reader(out.splitlines()))
+            else:
+                names = [line.split(":", 1)[0] for line in out.splitlines()[1:] if not line.startswith("  ")]
+            assert names and len(names) == len(set(names)), (argv, fmt, names)
+            seen.update(names)
+    assert "payload.status" in seen
 
 
 def test_empty_value_is_an_error(capsys, tmp_path, monkeypatch):
