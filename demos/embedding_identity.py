@@ -31,7 +31,7 @@ for vw in variable_words(2, 2):
     print("line:", [w.letters for w in line_of(vw)])
 
 # with 2 colors and alphabet {1,2}, side 1 is avoidable but side 2 is not
-avoider = find_avoiding_coloring(2, 2, 1)
+_, avoider = find_avoiding_coloring(2, 2, 1)
 print("side-1 coloring with no one-color line:", avoider)
 res = hj_number_exhaustive(2, 2, 3)
 print(f"least forcing side length: {res.n} (status {res.status})")

@@ -23,7 +23,6 @@ from .halesjewett import (
     WILDCARD,
     WildcardSet,
     Word,
-    WorkCapExceeded,
     coefficient_alphabet,
     find_avoiding_coloring,
     flat_index,
@@ -108,7 +107,6 @@ from .search import (
 )
 from .ufp import (
     GROW_CAP,
-    PoolExhaustedError,
     UfpSequence,
     UfpViolation,
     exclusion_set,

@@ -2,14 +2,14 @@
 
 Every subcommand is a thin shell over one library entry point: its
 handler returns ``(status, payload)``, or None when it wrote its own
-output (``report``, and ``cnf export`` without -o).  ``dispatch`` alone
-turns an outcome into a report with the fixed shape {command,
-timestamp, status, payload} as JSON (default), flat text, or CSV; the
-command is the subcommand's words.  A JSON report is one compact line
-(no spaces between tokens, keys in that order, non-ASCII escaped), so
-the C encoder writes it, without a cycle check (a cyclic report is an
-internal error, exit 3); pipe it through ``python3 -m json.tool`` to
-read it.  Text, CSV and ``report`` flatten a report one way, _cells:
+output (``report``, and ``cnf export`` without -o, which therefore
+takes no --format).  ``dispatch`` alone turns an outcome into a report
+with the fixed shape {command, timestamp, status, payload} as JSON
+(default), flat text, or CSV; the command is the subcommand's words.
+A JSON report is one compact line (no spaces between tokens, keys in
+that order, non-ASCII escaped), so the C encoder writes it, without a
+cycle check (a cyclic report is an internal error, exit 3); pipe it
+through ``python3 -m json.tool`` to read it.  Text, CSV and ``report`` flatten a report one way, _cells:
 command, timestamp, status, then the payload fields, a payload key that
 repeats an earlier column headed payload.<key>.  A command whose
 payload holds a table declares its key and columns in _COMMANDS: its
@@ -17,9 +17,10 @@ CSV is that header and the rows, and text lists the rows.  Exit codes:
 0 for the positive statuses in POSITIVE_STATUSES (ok, found, holds,
 counterexample, avoidance_found), 1 for every other status (a definite
 negative: nothing found, refuted, timeout, work cap exceeded, pool
-exhausted), 2 for usage, parse and input errors (a ValueError, the one
-type the CLI raises for them, an OSError or a ZeroDivisionError), 3 for
-internal errors (a tripped guard, a recursion overflow or any other
+exhausted; the library returns each as a value, never raises it), 2
+for usage, parse and input errors (a ValueError, the one type the CLI
+raises for them, an OSError or a ZeroDivisionError), 3 for internal
+errors (a tripped guard, a recursion overflow or any other
 RuntimeError: a bug in the package, not in the input).
 
 argparse alone checks flags: their values, and the required ones,
@@ -57,7 +58,7 @@ from .colorings import (
     random_coloring,
     store_coloring,
 )
-from .halesjewett import WorkCapExceeded, hj_number_exhaustive, sigma_trials
+from .halesjewett import hj_number_exhaustive, sigma_trials
 from .largeness import (
     PSWitness,
     dilate_set,
@@ -93,7 +94,7 @@ from .search import (
     parse_model,
     to_dimacs,
 )
-from .ufp import PoolExhaustedError, UfpSequence, grow_ufp, has_ufp
+from .ufp import UfpSequence, grow_ufp, has_ufp
 
 BUDGET_ENV = "MONOCHROME_BUDGET"
 
@@ -263,7 +264,7 @@ _COMMANDS = {
     ("sigma",): ("randomized exact checks of the embedding identity", _sigma_flags, None),
     ("search", "avoid"): ("search one window for an avoidance coloring", _avoid_flags, None),
     ("search", "moreira"): ("least window size at which avoidance becomes impossible",
-                            _moreira_flags, ("trace", ("N", "status"))),
+                            _moreira_flags, None),
     ("cnf", "export"): ("write the avoidance instance as DIMACS CNF", _export_flags, None),
     ("cnf", "decode"): ("turn a satisfying model back into a coloring", _decode_flags, None),
     ("ufp", "verify"): ("check pairwise distinctness of subset products", _verify_flags, None),
@@ -612,10 +613,7 @@ def _cmd_largeness(args) -> tuple:
 
 
 def _cmd_hj(args) -> tuple:
-    try:
-        res = hj_number_exhaustive(args.colors, args.alphabet, args.maxN, args.work_cap)
-    except WorkCapExceeded as exc:
-        return "work_cap_exceeded", {"error": str(exc)}
+    res = hj_number_exhaustive(args.colors, args.alphabet, args.maxN, args.work_cap)
     payload = {"r": res.r, "t": res.t, "N": res.n, "status": res.status}
     if res.avoiding is not None:
         payload["avoiding_coloring"] = list(res.avoiding)
@@ -679,6 +677,8 @@ def _cmd_search(args) -> tuple:
 
 
 def _cmd_cnf(args) -> tuple | None:
+    if args.sub == "export" and args.cnf_file is None and args.format is not None:
+        raise ValueError("--format sets the report's form, and cnf export writes a report only with -o")
     spec, window, r, family, constraints = _problem(args)
     inst = build_instance(window, r, family, constraints)
     if args.sub == "export":
@@ -728,16 +728,16 @@ def _cmd_ufp(args) -> tuple:
         return "holds" if violation is None else "violated", payload
     # grow
     window = _window(spec, args.window)
-    start = parse_element(spec, args.start)
-    try:
-        seq = grow_ufp(start, window, args.length)
-    except PoolExhaustedError as exc:
-        return "pool_exhausted", {"error": str(exc), "step": exc.step}
-    return "ok", {
+    seq = grow_ufp(parse_element(spec, args.start), window, args.length)
+    payload = {
         "length": len(seq),
         "sequence": [format_element(e) for e in seq.elements],
         "products": len(set(seq._raw_products())),
     }
+    if len(seq) < args.length:
+        payload["step"] = len(seq) + 1  # the first step with no admissible element
+        return "pool_exhausted", payload
+    return "ok", payload
 
 
 def _cmd_report(args) -> None:

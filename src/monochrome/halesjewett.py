@@ -36,10 +36,6 @@ WILDCARD = 0
 DEFAULT_WORK_CAP = 10**8
 
 
-class WorkCapExceeded(RuntimeError):
-    """The search needed more decisions than the configured cap."""
-
-
 def _check_letters(t: int, letters: tuple, low: int) -> None:
     """A nonempty word over the letters low..t of an alphabet of size t >= 1."""
     if t < 1:
@@ -97,47 +93,49 @@ def _line_cells(t: int, n: int):
     return [tuple(flat_index(w.letters, t) for w in line_of(vw)) for vw in variable_words(t, n)]
 
 
-def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> Optional[tuple]:
-    """An r-coloring of [t]^n (flat tuple, colors 1..r) in which no line
-    is monochromatic, or None when every coloring contains one.
+def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> tuple:
+    """(status, colors): FOUND with an r-coloring of [t]^n (flat tuple,
+    colors 1..r) in which no line is monochromatic, FORCED with None when
+    every coloring contains one, TIMEOUT with None when the search needs
+    more than work_cap decisions.
 
     Runs the avoidance search of search.py with the lines as index sets
     and the cells in canonical order 0..t^n-1, so a found coloring is the
     lexicographically first avoider.  Every decision (a color tried at a
     cell; colors forced by propagation are free) counts one unit of
-    work; passing work_cap (default DEFAULT_WORK_CAP) raises
-    WorkCapExceeded, and a negative work_cap raises ValueError.
+    work against work_cap (default DEFAULT_WORK_CAP); a negative work_cap
+    raises ValueError.
     """
     if r < 1 or t < 1 or n < 1:
         raise ValueError("colors, alphabet size and length must be >= 1")
     cap = DEFAULT_WORK_CAP if work_cap is None else work_cap
     cells = t**n
-    status, colors, _, _ = _avoid(_line_cells(t, n), range(cells), cells, r, cap)
-    if status is AvoidanceStatus.TIMEOUT:
-        raise WorkCapExceeded(f"search for t^n={cells}, r={r} needs more than {cap} decisions")
-    return colors
+    return _avoid(_line_cells(t, n), range(cells), cells, r, cap)[:2]
 
 
 @dataclass(frozen=True)
 class HjResult:
     r: int
     t: int
-    status: str  # "found" | "not_found_within"
-    n: int  # least cube length when found, else the largest probed
-    avoiding: Optional[tuple] = None  # explicit avoiding coloring at n otherwise
+    status: str  # "found" | "not_found_within" | "work_cap_exceeded"
+    n: int  # least cube length when found, the side that hit the cap, else the largest probed
+    avoiding: Optional[tuple] = None  # explicit avoiding coloring at n when not_found_within
 
 
 def hj_number_exhaustive(r: int, t: int, max_n: int, work_cap: Optional[int] = None) -> HjResult:
     """Least n <= max_n at which every r-coloring of [t]^n contains a
     monochromatic line, by exhaustive search; otherwise the explicit
-    avoiding coloring found at max_n."""
+    avoiding coloring found at max_n, or the first side whose search
+    needed more than work_cap decisions."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     avoiding = None
     for n in range(1, max_n + 1):
-        avoiding = find_avoiding_coloring(r, t, n, work_cap)
-        if avoiding is None:
+        status, avoiding = find_avoiding_coloring(r, t, n, work_cap)
+        if status is AvoidanceStatus.FORCED:
             return HjResult(r, t, "found", n)
+        if status is AvoidanceStatus.TIMEOUT:
+            return HjResult(r, t, "work_cap_exceeded", n)
     return HjResult(r, t, "not_found_within", max_n, avoiding)
 
 
@@ -341,16 +339,15 @@ def verify_sigma_line_identity(family: PolyFamily, y_assign: dict, gamma: Wildca
 
 
 def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
-                 trials: int, seed: int):
+                 trials: int, seed: int) -> tuple:
     """Seeded randomized identity checks.
 
     Base values, the base point, the coordinate set and every layered
     entry are drawn from one splitmix counter stream in that order, so a
     (family, pool, n, depth, trials, seed) tuple pins the whole run.
-    Yields the per-polynomial check tuple of each trial.  This is a
-    generator function: its ValueError checks (pool and family from
-    different rings, side below 1, negative trial count) run at the
-    first next(), not at the call.
+    Returns the per-polynomial check tuple of each trial, in a tuple.
+    Pool and family from different rings, a side below 1 and a negative
+    trial count raise ValueError.
     """
     if pool.spec != family.spec:
         raise ValueError("pool window and family from different rings")
@@ -369,6 +366,7 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
         counter += 1
         return v
 
+    out = []
     for _ in range(trials):
         ys = tuple(pool.elements[draw(size)] for _ in range(n))
         r0 = pool.elements[draw(size)]
@@ -380,4 +378,5 @@ def sigma_trials(family: PolyFamily, pool, n: int, depth: Optional[int],
         )
         u = SigmaPoint(family.spec, n, layers)
         y_assign = multiplicative_assignment(ys, d)
-        yield verify_sigma_line_identity(family, y_assign, gamma, u, r0)
+        out.append(verify_sigma_line_identity(family, y_assign, gamma, u, r0))
+    return tuple(out)

@@ -33,14 +33,6 @@ from .rings import RingElement, Window, exact_divide
 GROW_CAP = 20
 
 
-class PoolExhaustedError(RuntimeError):
-    """Every pool candidate is excluded (or trivial)."""
-
-    def __init__(self, message: str, step: Optional[int] = None):
-        super().__init__(message)
-        self.step = step
-
-
 class UfpSequence:
     """Ordered finite sequence with its subset products, built lazily as
     raw values in bitmask order: entry m-1 is the product over the
@@ -164,11 +156,12 @@ def _fp_precondition(seq: UfpSequence) -> set:
     return seq._base
 
 
-def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
+def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> Optional[UfpSequence]:
     """Append the first pool element that is neither 0, 1, nor excluded
     by the current product set; the result provably keeps UFP and a
-    {0,1}-free product set, and is re-verified as a guard.  The pool is
-    read up to the pick, and each candidate is tested on raw values."""
+    {0,1}-free product set, and is re-verified as a guard.  None when
+    no pool element is admissible.  The pool is read up to the pick, and
+    each candidate is tested on raw values."""
     spec = seq.spec
     one, trivial, mul = spec.one, {spec.zero.val, spec.one.val}, spec.mul
     base = _fp_precondition(seq) | {one.val}
@@ -188,12 +181,13 @@ def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> UfpSequence:
         if not trivial.isdisjoint(child._base):
             raise InternalError("extension guard tripped: product set touches {0, 1}")
         return child
-    raise PoolExhaustedError("every pool element is excluded or trivial")
+    return None
 
 
 def grow_ufp(start: RingElement, pool_window: Window, m: int) -> UfpSequence:
-    """Length-m sequence from m-1 extension steps over the window's
-    canonical order."""
+    """The sequence of m-1 extension steps over the window's canonical
+    order: length m, or shorter when the pool runs out, the first step
+    that found no admissible element being its length + 1."""
     if not 1 <= m <= GROW_CAP:
         raise ValueError(f"target length must lie in 1..{GROW_CAP}")
     spec = start.spec
@@ -206,9 +200,9 @@ def grow_ufp(start: RingElement, pool_window: Window, m: int) -> UfpSequence:
     # excluded at one step stays so (the product set only grows and takes
     # in each pick), so each step resumes after the last pick.
     pool = map(partial(RingElement, pool_window.spec), pool_window.raw_index)
-    for step in range(2, m + 1):
-        try:
-            seq = extend_ufp(seq, pool)
-        except PoolExhaustedError:
-            raise PoolExhaustedError(f"pool exhausted at step {step}", step=step) from None
+    for _ in range(m - 1):
+        child = extend_ufp(seq, pool)
+        if child is None:
+            break
+        seq = child
     return seq

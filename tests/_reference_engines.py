@@ -17,11 +17,11 @@ import re
 from typing import Optional, Sequence
 
 from monochrome.colorings import Coloring
-from monochrome.halesjewett import DEFAULT_WORK_CAP, WorkCapExceeded, _line_cells
+from monochrome.halesjewett import DEFAULT_WORK_CAP, _line_cells
 from monochrome.patterns import pattern_elements
 from monochrome.rings import format_element
 from monochrome.search import AvoidanceResult, AvoidanceStatus, CnfDocument, _first_monochromatic, cnf_var
-from monochrome.ufp import GROW_CAP, PoolExhaustedError, UfpSequence, has_ufp
+from monochrome.ufp import GROW_CAP, UfpSequence, has_ufp
 
 
 def reference_backtrack(inst, budget: Optional[int] = None) -> AvoidanceResult:
@@ -164,15 +164,16 @@ def reference_dpll(num_vars: int, clauses: Sequence[tuple]) -> Optional[list]:
     return [v if assign.get(v, True) else -v for v in range(1, num_vars + 1)]
 
 
-def reference_find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> Optional[tuple]:
-    """An r-coloring of [t]^n (flat tuple, colors 1..r) in which no line
-    is monochromatic, or None when every coloring contains one.
+def reference_find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = None) -> tuple:
+    """(status, colors): FOUND with an r-coloring of [t]^n (flat tuple,
+    colors 1..r) in which no line is monochromatic, FORCED with None when
+    every coloring contains one, TIMEOUT with None past the work cap.
 
     Walks the coloring space as a base-r counter over the t^n cells,
     pruning a prefix as soon as some fully-colored line goes
     monochromatic; exhaustion therefore covers all r^(t^n) colorings.
-    Every color given to a cell counts one unit of work; passing
-    work_cap (default DEFAULT_WORK_CAP) raises WorkCapExceeded.
+    Every color given to a cell counts one unit of work against work_cap
+    (default DEFAULT_WORK_CAP).
     """
     if r < 1 or t < 1 or n < 1:
         raise ValueError("colors, alphabet size and length must be >= 1")
@@ -201,18 +202,15 @@ def reference_find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[
             colors[k] = 0
             k -= 1
             if k < 0:
-                return None
+                return AvoidanceStatus.FORCED, None
             colors[k] += 1
             continue
         work += 1
         if work > cap:
-            raise WorkCapExceeded(
-                f"search for t^n={cells}, r={r} passed the work cap {cap} "
-                f"after {work} cell assignments"
-            )
+            return AvoidanceStatus.TIMEOUT, None
         if ok(k):
             if k == cells - 1:
-                return tuple(colors)
+                return AvoidanceStatus.FOUND, tuple(colors)
             k += 1
             colors[k] = 1
         else:
@@ -310,11 +308,12 @@ def reference_parse_dimacs(text: str) -> CnfDocument:
     return CnfDocument(num_vars, tuple(clauses), tuple(mapping))
 
 
-def reference_extend(seq: UfpSequence, pool) -> UfpSequence:
+def reference_extend(seq: UfpSequence, pool) -> Optional[UfpSequence]:
     """The first pool element that is neither 0, 1 nor excluded by the
-    product set B, appended: x is excluded when x*alpha lies in B u {1}
-    for some alpha there, all in RingElement arithmetic (a pool element
-    of another ring raises its ring-mismatch ValueError there)."""
+    product set B, appended, or None when there is none: x is excluded
+    when x*alpha lies in B u {1} for some alpha there, all in RingElement
+    arithmetic (a pool element of another ring raises its ring-mismatch
+    ValueError there)."""
     violation = has_ufp(seq)
     if violation is not None:
         raise ValueError(f"sequence lacks UFP: {violation!r}")
@@ -330,11 +329,12 @@ def reference_extend(seq: UfpSequence, pool) -> UfpSequence:
         if any(x * alpha in base for alpha in base):
             continue
         return UfpSequence(seq.elements + (x,))
-    raise PoolExhaustedError("every pool element is excluded or trivial")
+    return None
 
 
 def reference_grow(start, pool_window, m: int) -> UfpSequence:
-    """m-1 reference_extend steps, each over the whole window in order."""
+    """m-1 reference_extend steps, each over the whole window in order;
+    the sequence stops short at the first step that extends nothing."""
     if not 1 <= m <= GROW_CAP:
         raise ValueError(f"target length must lie in 1..{GROW_CAP}")
     spec = start.spec
@@ -343,9 +343,9 @@ def reference_grow(start, pool_window, m: int) -> UfpSequence:
     if pool_window.spec != spec:
         raise ValueError("window and start element from different rings")
     seq = UfpSequence((start,))
-    for step in range(2, m + 1):
-        try:
-            seq = reference_extend(seq, pool_window.elements)
-        except PoolExhaustedError:
-            raise PoolExhaustedError(f"pool exhausted at step {step}", step=step) from None
+    while len(seq) < m:
+        child = reference_extend(seq, pool_window.elements)
+        if child is None:
+            return seq
+        seq = child
     return seq

@@ -10,6 +10,7 @@ import random
 import time
 
 from monochrome import (
+    AvoidanceStatus,
     PSWitness,
     WindowParams,
     abundance_profile,
@@ -103,8 +104,8 @@ def test_02_exhaustive_threshold_desk_scale():
     res = hj_number_exhaustive(2, 2, 3)
     assert res.status == "found" and res.n == 2
 
-    avoider = find_avoiding_coloring(2, 2, 1)
-    assert avoider == (1, 2)
+    status, avoider = find_avoiding_coloring(2, 2, 1)
+    assert status is AvoidanceStatus.FOUND and avoider == (1, 2)
 
     # oracle: every 2-coloring of the 16-point space meets a one-color line
     def cells(n):  # oracle cell order: itertools' lexicographic enumeration of [2]^n

@@ -412,6 +412,19 @@ def test_transport_not_divisible(capsys):
     assert report["status"] == "not_divisible"
 
 
+def test_transport_target_not_divisible(capsys):
+    # the witness divides by 3, but not every even number does
+    code, report = run_json(
+        capsys,
+        "largeness", "transport", "--ring", "Z", "--window", "N=30",
+        "--mode", "divide", "--gaps", "{0,3}", "--block", "{3,6}",
+        "--anchor", "3", "--by", "3", "--target", "evens",
+    )
+    assert code == 0
+    assert report["payload"] == {"mode": "divide", "by": "3", "valid_before": True, "gaps": ["0", "1"],
+                                 "block": ["1", "2"], "anchor": "1", "valid_after": None}
+
+
 # ---------------------------------------------------------------------------
 # hj / sigma
 
@@ -439,6 +452,8 @@ def test_hj_work_cap(capsys):
     )
     assert code == 1
     assert report["status"] == "work_cap_exceeded"
+    # side 1 needs one decision, side 2 more: N is the side that hit the cap
+    assert report["payload"] == {"r": 2, "t": 2, "N": 2, "status": "work_cap_exceeded"}
 
 
 def test_hj_default_cap_searches_the_3_cube(capsys):
@@ -568,6 +583,20 @@ def test_search_moreira_crosscheck_keeps_the_least_zi_box(capsys):
     assert (below["backtrack"], below["vars"], below["agree"]) == ("avoidance_found", 1, True)
     assert (at["backtrack"], at["agree"]) == ("forced", True)
 
+
+def test_search_moreira_csv_holds_the_answer(capsys):
+    """search moreira prints under --format csv one row of the report's
+    scalars, the least forced N and the payload's status among them."""
+    argv = ["search", "moreira", "--colors", "2", "--F", "t", "--maxN", "20"]
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    cells = dict(zip(header, row))
+    assert (cells["status"], cells["payload.status"], cells["N"]) == ("found", "found", "8")
+    assert header == ["command", "timestamp", "status", "ring", "colors", "family", "maxN",
+                      "payload.status", "N"]
+
+
 def test_search_moreira_not_found(capsys):
     code, report = run_json(
         capsys, "search", "moreira", "--colors", "2", "--F", "t", "--maxN", "5",
@@ -610,6 +639,17 @@ def test_cnf_export_destinations(capsys, tmp_path):
     assert path.read_text() == dimacs
     assert out.startswith("# cnf export\nstatus: ok\n")
     assert f"path: {path}\n" in out
+
+
+def test_cnf_export_takes_format_only_with_output(capsys):
+    """Without -o there is no report, so --format is a usage error, not
+    a flag that is read and then ignored."""
+    argv = ["cnf", "export", "--ring", "Z", "--window", "N=44", "--colors", "2", "--F", "0;3t"]
+    for fmt in ("json", "text", "csv"):
+        assert dispatch([*argv, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --format sets the report's form, and cnf export writes a report only with -o\n"
 
 
 def test_cnf_decode_model_file(capsys, tmp_path):
@@ -732,7 +772,8 @@ def test_ufp_grow_pool_exhausted(capsys):
     )
     assert code == 1
     assert report["status"] == "pool_exhausted"
-    assert report["payload"]["step"] == 3
+    # the sequence reached, and the first step with no admissible element
+    assert report["payload"] == {"length": 2, "sequence": ["2", "3"], "products": 3, "step": 3}
 
 
 # ---------------------------------------------------------------------------

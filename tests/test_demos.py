@@ -1,7 +1,7 @@
 """Every script in demos/ runs to completion against the package as it
-stands and prints its recorded output (tests/demo_output/<demo>.txt)
-under two hash seeds, so neither an API change nor a changed result
-can pass a demo unseen."""
+stands, with warnings as errors, and prints its recorded output
+(tests/demo_output/<demo>.txt) under two hash seeds, so neither an API
+change, a new warning nor a changed result can pass a demo unseen."""
 
 import os
 import subprocess
@@ -25,7 +25,7 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     for hash_seed in ("0", "1"):
         env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+        proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected, f"{demo.name} output differs (PYTHONHASHSEED={hash_seed})"

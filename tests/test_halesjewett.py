@@ -8,10 +8,10 @@ import pytest
 
 from monochrome import (
     WILDCARD,
+    AvoidanceStatus,
     SigmaPoint,
     VariableWord,
     Word,
-    WorkCapExceeded,
     coefficient_alphabet,
     find_avoiding_coloring,
     flat_index,
@@ -148,30 +148,33 @@ def test_two_colors_alphabet_two_threshold():
     assert not forced1 and avoider is not None
 
 
+FOUND, FORCED, TIMEOUT = AvoidanceStatus.FOUND, AvoidanceStatus.FORCED, AvoidanceStatus.TIMEOUT
+
+
 def test_avoiding_coloring_at_length_one():
-    got = find_avoiding_coloring(2, 2, 1)
-    assert got == (1, 2)
-    assert find_avoiding_coloring(2, 2, 2) is None
+    assert find_avoiding_coloring(2, 2, 1) == (FOUND, (1, 2))
+    assert find_avoiding_coloring(2, 2, 2) == (FORCED, None)
 
 
 def test_forced_propagates_upward():
     # once every coloring is hit at n, longer cubes stay hit
-    assert find_avoiding_coloring(2, 2, 2) is None
-    assert find_avoiding_coloring(2, 2, 3) is None
+    assert find_avoiding_coloring(2, 2, 2) == (FORCED, None)
+    assert find_avoiding_coloring(2, 2, 3) == (FORCED, None)
 
 
 def test_avoiding_colorings_verify_against_oracle():
-    got = find_avoiding_coloring(2, 3, 1)
-    assert got is not None
+    status, got = find_avoiding_coloring(2, 3, 1)
+    assert status is FOUND
     for idx in oracle_lines(3, 1):
         assert len({got[i] for i in idx}) > 1
 
 
 def test_work_cap_guard():
-    with pytest.raises(WorkCapExceeded):
-        hj_number_exhaustive(2, 2, 3, work_cap=1)
+    # [2]^1 needs one decision, so a cap of 1 stops at side 2
+    res = hj_number_exhaustive(2, 2, 3, work_cap=1)
+    assert (res.status, res.n, res.avoiding) == ("work_cap_exceeded", 2, None)
     res = hj_number_exhaustive(2, 2, 3, work_cap=10**7)
-    assert res.n == 2
+    assert (res.status, res.n) == ("found", 2)
 
 
 def test_negative_work_cap_rejected():
@@ -180,9 +183,10 @@ def test_negative_work_cap_rejected():
         with pytest.raises(ValueError):
             call()
     # a cap of 0 stays valid: [1]^1 is forced without a decision, [2]^1 needs one
-    assert find_avoiding_coloring(2, 1, 1, work_cap=0) is None
-    with pytest.raises(WorkCapExceeded):
-        find_avoiding_coloring(2, 2, 1, work_cap=0)
+    assert find_avoiding_coloring(2, 1, 1, work_cap=0) == (FORCED, None)
+    assert find_avoiding_coloring(2, 2, 1, work_cap=0) == (TIMEOUT, None)
+    res = hj_number_exhaustive(2, 2, 3, work_cap=0)
+    assert (res.status, res.n) == ("work_cap_exceeded", 1)
 
 
 # r >= 2 with t >= 3 and n >= 4 is left out: there the reference passes
@@ -206,7 +210,7 @@ def test_cube_search_matches_the_brute_force_oracle():
     assert len(cases) == 28
     for r, t, n in cases:
         forced, avoider = mono_line_in_every_coloring(t, n, r)
-        assert find_avoiding_coloring(r, t, n) == avoider, (r, t, n)
+        assert find_avoiding_coloring(r, t, n) == (FORCED if forced else FOUND, avoider), (r, t, n)
         assert forced == (avoider is None)
 
 
@@ -441,3 +445,16 @@ def test_trials_are_seed_deterministic():
     a = [tuple(chk.lhs for chk in t) for t in sigma_trials(fam, pool, 2, None, 20, 3)]
     b = [tuple(chk.lhs for chk in t) for t in sigma_trials(fam, pool, 2, None, 20, 3)]
     assert a == b
+
+
+@pytest.mark.parametrize("ring, n, trials, message", [
+    ("GF(2)[x]", 2, 5, "pool window and family from different rings"),
+    ("Z", 0, 5, "side must be >= 1"),
+    ("Z", 2, -1, "trial count must be >= 0, got -1"),
+], ids=["ring-mismatch", "side-below-one", "negative-trials"])
+def test_trials_check_their_arguments_at_the_call(ring, n, trials, message):
+    # the call itself raises: no trial result has to be read first
+    spec = parse_ring_spec(ring)
+    pool = enumerate_window(spec, WindowParams(3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sigma_trials(parse_family(Z, "t^2"), pool, n, None, trials, 0)

@@ -187,3 +187,21 @@ def test_every_optional_parameter_has_a_caller():
     only_tests = sorted(unpassed - set(_UNPASSED_KEPT))
     assert not only_tests, f"no caller passes {', '.join(only_tests)}"
     assert set(_UNPASSED_KEPT) <= unpassed, "an allowlisted parameter has a caller now: drop it"
+
+
+def test_exceptions_are_input_errors_or_internal_errors():
+    """An expected dead end of a search is a returned status, never an
+    exception: every exception class the package defines is a ValueError
+    (bad input, exit 2 in the CLI) or InternalError (a bug, exit 3)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    defined = set()
+    for info in pkgutil.iter_modules(monochrome.__path__):
+        module = importlib.import_module(f"monochrome.{info.name}")
+        defined.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                       if issubclass(cls, BaseException) and cls.__module__.startswith("monochrome"))
+    assert monochrome.InternalError in defined and monochrome.ColoringFormatError in defined
+    assert sorted(cls.__name__ for cls in defined
+                  if not (issubclass(cls, ValueError) or cls is monochrome.InternalError)) == []

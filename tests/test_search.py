@@ -584,6 +584,12 @@ def test_threshold_not_reached():
 def test_threshold_timeout_is_inconclusive():
     res = moreira_number(2, LINEAR, 30, budget=0)
     assert res.status == "inconclusive"
+    # a timeout in the binary search, after the doubling bracketed 8..16
+    res = moreira_number(2, parse_family(Z, "t^2"), 200, budget=2)
+    assert (res.status, res.n) == ("inconclusive", 12)
+    assert [(n, st.value) for n, st in res.trace] == [
+        (1, "avoidance_found"), (2, "avoidance_found"), (4, "avoidance_found"),
+        (8, "avoidance_found"), (16, "forced"), (12, "timeout")]
 
 
 def test_threshold_trace_records_probes():

@@ -8,7 +8,6 @@ import pytest
 from monochrome import (
     FS_LENGTH_CAP,
     GROW_CAP,
-    PoolExhaustedError,
     UfpSequence,
     WindowParams,
     enumerate_window,
@@ -207,8 +206,7 @@ def test_extension_picks_first_admissible():
 
 
 def test_extension_pool_exhausted():
-    with pytest.raises(PoolExhaustedError):
-        extend_ufp(UfpSequence(zints(2)), zints(0, 1, 2))
+    assert extend_ufp(UfpSequence(zints(2)), zints(0, 1, 2)) is None
 
 
 def test_extension_over_poly_pool():
@@ -310,9 +308,8 @@ def test_grow_length_bounds():
 
 def test_grow_reports_exhaustion_step():
     w = enumerate_window(Z, WindowParams(3))
-    with pytest.raises(PoolExhaustedError) as info:
-        grow_ufp(Z.integer(2), w, 4)
-    assert info.value.step == 3  # <2,3> exists; step 3 has no admissible element
+    seq = grow_ufp(Z.integer(2), w, 4)
+    assert [e.val for e in seq.elements] == [2, 3]  # step 3 has no admissible element
 
 
 def test_grow_preserves_distinct_products_randomized():
@@ -322,11 +319,7 @@ def test_grow_preserves_distinct_products_randomized():
         cases.append((Z, WindowParams(rng.randint(20, 80)), Z.integer(rng.randint(2, 6))))
     for spec, params, start in cases:
         w = enumerate_window(spec, params)
-        m = 4
-        try:
-            seq = grow_ufp(start, w, m)
-        except PoolExhaustedError:
-            continue
+        seq = grow_ufp(start, w, 4)
         assert has_ufp(seq) is None
         fp = seq.fp_set()
         assert spec.zero not in fp and spec.one not in fp
@@ -338,10 +331,7 @@ def test_grow_preserves_distinct_products_other_rings():
         w = enumerate_window(ZI, WindowParams(rng.randint(2, 3)))
         pool = [e for e in w.elements if not (e.is_zero() or e.is_one())]
         start = pool[rng.randrange(len(pool))]
-        try:
-            seq = grow_ufp(start, w, 3)
-        except PoolExhaustedError:
-            continue
+        seq = grow_ufp(start, w, 3)
         assert has_ufp(seq) is None
     for _ in range(250):
         q, d = rng.choice(((2, 5), (3, 3)))
@@ -349,10 +339,7 @@ def test_grow_preserves_distinct_products_other_rings():
         w = enumerate_window(spec, WindowParams(d))
         pool = [e for e in w.elements if not (e.is_zero() or e.is_one())]
         start = pool[rng.randrange(len(pool))]
-        try:
-            seq = grow_ufp(start, w, 4)
-        except PoolExhaustedError:
-            continue
+        seq = grow_ufp(start, w, 4)
         assert has_ufp(seq) is None
 
 
@@ -375,11 +362,12 @@ def test_grown_elements_avoid_exclusion_chain():
 
 
 def _outcome(fn, *args):
-    """The picks of a call, or its exception's type, text and step."""
+    """The picks of a call, None when it extends nothing, or its exception's type and text."""
     try:
-        return [format_element(e) for e in fn(*args).elements]
+        seq = fn(*args)
     except (ValueError, TypeError, RuntimeError) as exc:
-        return type(exc), str(exc), getattr(exc, "step", None)
+        return type(exc), str(exc)
+    return None if seq is None else [format_element(e) for e in seq.elements]
 
 
 DIFF_WINDOWS = (
@@ -400,7 +388,7 @@ def test_grow_matches_the_element_reference():
             for m in (1, 2, 4, 7, 11):
                 got = _outcome(grow_ufp, start, w, m)
                 assert got == _outcome(reference_grow, start, w, m), (spec, params, start, m)
-                exhausted += got[0] is PoolExhaustedError
+                exhausted += isinstance(got, list) and len(got) < m
         other = enumerate_window(ZI if spec != ZI else Z, WindowParams(2))
         assert _outcome(grow_ufp, w.elements[-1], other, 3) == _outcome(reference_grow, w.elements[-1], other, 3)
     assert exhausted
@@ -408,7 +396,7 @@ def test_grow_matches_the_element_reference():
 
 def test_extend_matches_the_element_reference():
     """Pools holding 0 and 1, and a foreign-ring element placed before
-    and after the pick: same pick, same exception and text."""
+    and after the pick: same pick or None, same exception and text."""
     rng = random.Random(31)
     seen = set()
     for spec, params in DIFF_WINDOWS:
@@ -423,11 +411,13 @@ def test_extend_matches_the_element_reference():
                                          rng.randint(1, 3)))
             got = _outcome(extend_ufp, seq, pool)
             assert got == _outcome(reference_extend, seq, pool), (spec, pool, seq)
-            if isinstance(got, tuple):
+            if got is None:
+                seen.add("pool exhausted")
+            elif isinstance(got, tuple):
                 seen.add(got[1].partition(":")[0])
             elif any(e is foreign for e in pool):
                 pick = parse_element(spec, got[-1])
                 seen.add("foreign after the pick")
                 assert [e for e in pool if e is foreign or e == pick][0] == pick
     assert {"ring mismatch", "foreign after the pick", "sequence lacks UFP",
-            "every pool element is excluded or trivial"} <= seen, seen
+            "pool exhausted"} <= seen, seen
