@@ -7,13 +7,15 @@ takes no --format).  ``dispatch`` alone turns an outcome into a report
 with the fixed shape {command, timestamp, status, payload} as JSON
 (default), flat text, or CSV; the command is the subcommand's words.
 A JSON report is one compact line (no spaces between tokens, keys in
-that order, non-ASCII escaped), so the C encoder writes it, without a
-cycle check (a cyclic report is an internal error, exit 3); pipe it
-through ``python3 -m json.tool`` to read it.  Text, CSV and ``report`` flatten a report one way, _cells:
+that order, non-ASCII escaped; no cycle check, a cyclic report is an
+internal error, exit 3); pipe it through ``python3 -m json.tool`` to
+read it.  Text, CSV and ``report`` flatten a report one way, _cells:
 command, timestamp, status, then the payload fields, a payload key that
-repeats an earlier column headed payload.<key>.  A command whose
-payload holds a table declares its key and columns in _COMMANDS: its
-CSV is that header and the rows, and text lists the rows.  Exit codes:
+repeats an earlier column headed payload.<key>.  A payload may end with
+a table, a list of row tuples whose key and columns _COMMANDS declares:
+JSON writes each row as an object spliced from fragments of its cells,
+each distinct fragment encoded once, CSV writes that header and the
+rows, and text lists the rows.  Exit codes:
 0 for the positive statuses in POSITIVE_STATUSES (ok, found, holds,
 counterexample, avoidance_found), 1 for every other status (a definite
 negative: nothing found, refuted, timeout, work cap exceeded, pool
@@ -50,6 +52,7 @@ import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from functools import cache
 from itertools import islice
 
 from .colorings import (
@@ -58,6 +61,7 @@ from .colorings import (
     random_coloring,
     store_coloring,
 )
+from .errors import InternalError
 from .halesjewett import hj_number_exhaustive, sigma_trials
 from .largeness import (
     PSWitness,
@@ -458,7 +462,7 @@ def _render_text(cells: dict, table) -> str:
     for column, value in cells.items():
         if table is not None and column == table[0] and value:
             lines.append(f"{column}:")
-            lines.extend("  " + "  ".join(f"{k}={_plain(row[k])}" for k in table[1]) for row in value)
+            lines.extend("  " + "  ".join(f"{k}={v}" for k, v in zip(table[1], row)) for row in value)
         else:
             lines.append(f"{column}: {_plain(value)}")
     return "\n".join(lines) + "\n"
@@ -470,6 +474,19 @@ def _json(value) -> str:
     return json.dumps(value, separators=(",", ":"), check_circular=False)
 
 
+def _json_table(report: dict, key: str, columns: tuple) -> str:
+    """_json(report) whose payload ends with the table key of row tuples:
+    _json of the report with the table emptied, each row spliced in before
+    the closing ]}} as the fragment of its first cell, {"x":"17", and of
+    its other cells, ,"y":"2","color":1}, each distinct one encoded once
+    (cells are str or int, so no two distinct cells share a cache key)."""
+    payload = report["payload"]
+    head = _json({**report, "payload": {**payload, key: []}})[:-3]
+    first = cache(lambda cell: _json({columns[0]: cell})[:-1])
+    rest = cache(lambda *cells: "," + _json(dict(zip(columns[1:], cells)))[1:])
+    return head + ",".join([first(row[0]) + rest(*row[1:]) for row in payload[key]]) + "]}}"
+
+
 def _plain(value) -> str:
     if isinstance(value, (dict, list)):
         return _json(value)
@@ -477,11 +494,12 @@ def _plain(value) -> str:
 
 
 def _csv(columns, rows) -> str:
-    """A CSV table: the header, then each row's cells under it (blank where it has none)."""
+    """A CSV table: the header, then each row, a sequence of str or int
+    cells in the order of columns."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_plain(row.get(c, "")) for c in columns] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -493,17 +511,20 @@ def _emit(args, status: str, payload: dict) -> int:
     """Write the report of a handler's outcome and return its exit code."""
     words = tuple(filter(None, (args.cmd, getattr(args, "sub", None))))
     report = {"command": " ".join(words), "timestamp": _now(), "status": status, "payload": payload}
-    fmt = getattr(args, "format", None) or "json"
+    fmt, table = getattr(args, "format", None) or "json", _COMMANDS[words][2]
+    if table is not None and next(reversed(payload), None) != table[0]:
+        raise InternalError(f"{report['command']}: table {table[0]!r} is not the payload's last field")
     if fmt == "json":
-        text = _json(report) + "\n"
+        text = (_json(report) if table is None else _json_table(report, *table)) + "\n"
     else:
-        cells, table = _cells(report), _COMMANDS[words][2]
+        cells = _cells(report)
         if fmt == "text":
             text = _render_text(cells, table)
         elif table is not None:
             text = _csv(table[1], payload[table[0]])
         else:
-            text = _csv(_scalar_columns(cells), [cells])
+            columns = _scalar_columns(cells)
+            text = _csv(columns, [[_plain(cells[c]) for c in columns]])
     _write(getattr(args, "output", None), text)
     return 0 if status in POSITIVE_STATUSES else 1
 
@@ -534,7 +555,7 @@ def _cmd_scan(args) -> tuple:
         x_name = names[pos]
         if x_name is None:
             x_name = names[pos] = spec.text(values[pos])
-        witnesses.append({"x": x_name, "y": y_name, "color": color})
+        witnesses.append((x_name, y_name, color))
     return "ok", {**_header(spec, window, r, family), "seed": args.seed,
                   "count": len(witnesses), "witnesses": witnesses}
 
@@ -549,8 +570,7 @@ def _cmd_abundance(args) -> tuple:
     else:
         ys = [y for y in window.elements if constraints.admits_y(y)]
     counts = Counter((y.val, color) for y, _, color in _witness_triples(coloring, family, constraints, ys))
-    rows = [{"y": format_element(y), "color": c, "count": counts[y.val, c]}
-            for y in ys for c in range(1, r + 1)]
+    rows = [(format_element(y), c, counts[y.val, c]) for y in ys for c in range(1, r + 1)]
     return "ok", {**_header(spec, window, r, family), "rows": rows}
 
 
@@ -732,7 +752,7 @@ def _cmd_ufp(args) -> tuple:
     payload = {
         "length": len(seq),
         "sequence": [format_element(e) for e in seq.elements],
-        "products": len(set(seq._raw_products())),
+        "products": 2 ** len(seq) - 1,  # distinct, as a grown sequence has UFP
     }
     if len(seq) < args.length:
         payload["step"] = len(seq) + 1  # the first step with no admissible element
@@ -765,7 +785,8 @@ def _cmd_report(args) -> None:
     # the payload columns, in the order of the payload keys they head
     payload_columns = sorted({c for cells in rows for c in _scalar_columns(cells)}.difference(fixed),
                              key=lambda c: renamed.get(c, c))
-    _write(args.output, _csv([*fixed, *payload_columns], rows))
+    columns = [*fixed, *payload_columns]
+    _write(args.output, _csv(columns, [[_plain(cells.get(c, "")) for c in columns] for cells in rows]))
 
 
 _HANDLERS = {

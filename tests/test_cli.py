@@ -4,8 +4,12 @@ the 0/1/2 contract, config files merge under flags."""
 import argparse
 import ast
 import csv
+import functools
 import gzip
+import io
+import itertools
 import json
+import operator
 import os
 import pathlib
 import re
@@ -23,6 +27,8 @@ from monochrome import (
     dual_engine_check,
     enumerate_window,
     format_element,
+    format_family,
+    format_ring_spec,
     format_window_params,
     grow_ufp,
     hj_number_exhaustive,
@@ -32,6 +38,7 @@ from monochrome import (
     parse_ring_spec,
     parse_window_params,
     random_coloring,
+    store_coloring,
     to_dimacs,
     witness_scan,
 )
@@ -298,6 +305,141 @@ def test_scan_partial_golden_report(tmp_path):
     got = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes(), count=1)
     golden = pathlib.Path(__file__).parent / "golden" / "scan_partial_seed7.json.gz"
     assert got == gzip.decompress(golden.read_bytes())
+
+
+def _plain(value) -> str:
+    return json.dumps(value, separators=(",", ":")) if isinstance(value, (dict, list)) else str(value)
+
+
+def _dict_row_csv(columns, rows) -> str:
+    """The CSV of a table of one dict per row: an oracle for the tuple-row writer."""
+    lines = [columns, *([_plain(row.get(c, "")) for c in columns] for row in rows)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(lines)
+    return buf.getvalue()
+
+
+def _dict_row_text(report, table) -> str:
+    """The text of a report whose table has one dict per row: an oracle
+    for the tuple-row writer."""
+    cells = {key: value for key, value in report.items() if key != "payload"}
+    for key, value in report["payload"].items():
+        cells[f"payload.{key}" if key in cells else key] = value
+    lines = [f"# {cells.pop('command')}"]
+    del cells["timestamp"]
+    for column, value in cells.items():
+        if column == table[0] and value:
+            lines.append(f"{column}:")
+            lines.extend("  " + "  ".join(f"{k}={_plain(row[k])}" for k in table[1]) for row in value)
+        else:
+            lines.append(f"{column}: {_plain(value)}")
+    return "\n".join(lines) + "\n"
+
+
+# (command, ring, window, colors, family, options): every scan mode (whole,
+# --partial, --coloring), an empty and a cut table, and abundance at every
+# admitted y and at one --y, on Z, signed Z, Zi, GF(2)[x] and GF(3)[x]
+_TABLE_CASES = [
+    ("scan", "Z", "N=50", 2, "t", {}),
+    ("scan", "Z", "N=50", 2, "t", {"limit": 0}),
+    ("scan", "Z", "N=50", 2, "t", {"limit": 5}),
+    ("scan", "Z", "N=40", 3, "0;t", {"partial": True}),
+    ("scan", "Z", "N=40", 3, "0;t", {"coloring": True}),
+    ("scan", "Z", "N=15,signed", 2, "0;t", {"partial": True}),
+    ("scan", "Zi", "B=3", 2, "(1+1i)t", {}),
+    ("scan", "Zi", "B=3", 2, "0;t", {"coloring": True, "partial": True}),
+    ("scan", "GF(2)[x]", "d=5", 2, "0;t", {}),
+    ("scan", "GF(3)[x]", "d=3", 3, "0;t", {"partial": True, "limit": 5}),
+    ("abundance", "Z", "N=50", 2, "t", {}),
+    ("abundance", "Z", "N=50", 2, "t", {"y": "2"}),
+    ("abundance", "Z", "N=15,signed", 2, "0;t", {"y": "-3", "partial": True}),
+    ("abundance", "Zi", "B=3", 2, "t", {"y": "-1i"}),
+    ("abundance", "Zi", "B=3", 2, "t", {"y": "1+1i", "coloring": True}),
+    ("abundance", "GF(2)[x]", "d=4", 2, "0;t", {}),
+    ("abundance", "GF(3)[x]", "d=3", 3, "t", {"partial": True}),
+]
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES, ids=lambda case: " ".join(map(str, case[:5])) + str(case[5]))
+def test_table_reports_are_the_dict_row_encoding(capsys, tmp_path, case):
+    """scan's and abundance's JSON, CSV and text reports, the timestamp
+    masked, are byte for byte those of the report with one dict per table
+    row, built from witness_scan and abundance_profile, under json.dumps
+    and the CSV and text rendering of such rows."""
+    command, ring, window_text, r, family_text, options = case
+    spec = parse_ring_spec(ring)
+    window = enumerate_window(spec, parse_window_params(spec, window_text))
+    family = parse_family(spec, family_text)
+    base = ScanConstraints.defaults_for(spec)
+    constraints = ScanConstraints(base.exclude_y, base.exclude_x,
+                                  require_in_window=not options.get("partial"))
+    argv = [command, "--ring", ring, "--window", window_text, "--colors", str(r), "--F", family_text,
+            *["--partial"] * bool(options.get("partial"))]
+    if options.get("coloring"):
+        seed, coloring = None, random_coloring(window, r, 5)
+        store_coloring(coloring, tmp_path / "c.txt")
+        argv += ["--coloring", str(tmp_path / "c.txt")]
+    else:
+        seed, coloring = 7, random_coloring(window, r, 7)
+        argv += ["--seed", "7"]
+    header = {"ring": format_ring_spec(spec), "window": format_window_params(spec, window.params),
+              "colors": r, "family": format_family(family)}
+    if command == "scan":
+        limit = options.get("limit")
+        argv += [] if limit is None else ["--limit", str(limit)]
+        rows = [{"x": format_element(w.x), "y": format_element(w.y), "color": w.color}
+                for w in witness_scan(coloring, family, constraints, limit)]
+        payload = {**header, "seed": seed, "count": len(rows), "witnesses": rows}
+    else:
+        if "y" in options:
+            argv.append(f"--y={options['y']}")
+            ys = [parse_element(spec, options["y"])]
+        else:
+            ys = [y for y in window.elements if constraints.admits_y(y)]
+        rows = [{"y": format_element(y), "color": c, "count": len(profile[c])}
+                for y in ys for profile in [abundance_profile(coloring, family, y, constraints)]
+                for c in range(1, r + 1)]
+        payload = {**header, "rows": rows}
+    assert bool(rows) is (options.get("limit") != 0)
+    table = cli._COMMANDS[(command,)][2]
+    report = {"command": command, "timestamp": "", "status": "ok", "payload": payload}
+    want = {"json": json.dumps(report, separators=(",", ":")) + "\n",
+            "csv": _dict_row_csv(table[1], rows),
+            "text": _dict_row_text(report, table)}
+    for fmt, text in want.items():
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == 0, fmt
+        assert re.sub(r'"timestamp":"[^"]*"', '"timestamp":""', out, count=1) == text, fmt
+
+
+def test_tables_are_last_and_hold_only_str_and_int(tmp_path):
+    """Each command that declares a table returns it as its payload's last
+    field, a list of tuples of the declared width whose cells are exactly
+    str or int: the JSON writer splices the rows in at the report's end,
+    and caches cell fragments by value, where 1, True and 1.0 would be one
+    key."""
+    zi = parse_ring_spec("Zi")
+    zi_window = enumerate_window(zi, parse_window_params(zi, "B=3"))
+    store_coloring(random_coloring(zi_window, 3, 4), tmp_path / "c.txt")
+    runs = {
+        ("scan",): [["--ring", "Z", "--window", "N=30", "--colors", "2", "--seed", "3", "--F", "0;t"],
+                    ["--ring", "Zi", "--window", "B=3", "--colors", "3", "--coloring", str(tmp_path / "c.txt"),
+                     "--F", "0;t", "--partial"],
+                    ["--ring", "GF(3)[x]", "--window", "d=3", "--colors", "2", "--F", "t", "--limit", "0"]],
+        ("abundance",): [["--ring", "Z", "--window", "N=30", "--colors", "2", "--seed", "3", "--F", "t"],
+                         ["--ring", "Zi", "--window", "B=3", "--colors", "3", "--coloring",
+                          str(tmp_path / "c.txt"), "--F", "0;t", "--y=1+1i"]],
+    }
+    assert set(runs) == {words for words, (_, _, table) in cli._COMMANDS.items() if table is not None}
+    for words, argvs in runs.items():
+        key, columns = cli._COMMANDS[words][2]
+        parser, _ = cli._build_parser(words)
+        for argv in argvs:
+            status, payload = cli._HANDLERS[words[0]](parser.parse_args([*words, *argv]))
+            assert list(payload)[-1] == key, argv
+            assert all(type(row) is tuple and len(row) == len(columns) for row in payload[key]), argv
+            assert {type(cell) for row in payload[key] for cell in row} <= {str, int}, argv
+            assert payload[key] or "--limit" in argv, argv
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +859,7 @@ def test_cyclic_report_exits_three(capsys, monkeypatch, tmp_path):
     def cyclic(args):
         payload = {"count": 1}
         payload["self"] = payload
+        payload["witnesses"] = []  # scan's table ends the payload
         return "ok", payload
 
     monkeypatch.setitem(cli._HANDLERS, "scan", cyclic)
@@ -729,6 +872,23 @@ def test_cyclic_report_exits_three(capsys, monkeypatch, tmp_path):
         assert captured.err.startswith("internal error:")
         assert captured.out == ""
         assert not out.exists()
+
+
+def test_table_not_last_exits_three(capsys, monkeypatch):
+    """A declared table must end its payload, where the JSON writer
+    splices its rows in: a payload with a field after it is a fault of
+    the package, exit 3 with nothing written, in every format."""
+    def misordered(args):
+        return "ok", {"witnesses": [("2", "3", 1)], "count": 1}
+
+    monkeypatch.setitem(cli._HANDLERS, "scan", misordered)
+    for fmt in ("json", "csv", "text"):
+        code = dispatch(["scan", "--ring", "Z", "--window", "N=7", "--colors", "2", "--F", "t",
+                         "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3, fmt
+        assert captured.err == "internal error: scan: table 'witnesses' is not the payload's last field\n"
+        assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +934,25 @@ def test_ufp_grow_pool_exhausted(capsys):
     assert report["status"] == "pool_exhausted"
     # the sequence reached, and the first step with no admissible element
     assert report["payload"] == {"length": 2, "sequence": ["2", "3"], "products": 3, "step": 3}
+
+
+@pytest.mark.parametrize("ring,window,start", [("Z", "N=10", "2"), ("Zi", "B=2", "1+1i"),
+                                               ("GF(2)[x]", "d=3", "x")])
+def test_ufp_grow_products_is_the_recount(capsys, ring, window, start):
+    """products, 2^length - 1, is the number of distinct products over
+    the nonempty subsets of the sequence reported: at length 1, at the
+    full length and where the pool runs out."""
+    spec = parse_ring_spec(ring)
+    statuses = []
+    for length in (1, 4, 18):
+        code, report = run_json(capsys, "ufp", "grow", "--ring", ring, "--window", window,
+                                f"--start={start}", "--length", str(length))
+        statuses.append(report["status"])
+        seq = [parse_element(spec, e) for e in report["payload"]["sequence"]]
+        products = {functools.reduce(operator.mul, subset)
+                    for k in range(1, len(seq) + 1) for subset in itertools.combinations(seq, k)}
+        assert report["payload"]["products"] == len(products), (length, report)
+    assert statuses == ["ok", "ok", "pool_exhausted"]
 
 
 # ---------------------------------------------------------------------------
