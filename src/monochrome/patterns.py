@@ -11,12 +11,15 @@ Scan order is fixed: y runs over the window in canonical order, x runs in
 canonical order inside each y, so "first witness" is reproducible.
 
 Scans run on raw values and build no RingElement: the family is evaluated
-once per y from y's raw powers, and each instance is placed element by
-element, the product first, so a scan that needs whole instances drops
-one at its first element outside the window.  A partial scan visits
-every pair but computes the product only for the x of product_run(y),
-and decides each y over whole color columns.  Witnesses leave the kernel
-as (y, x position, color) triples; only the public API builds elements.
+once per y from y's raw powers, and the product x*y is computed only for
+the x of product_run(y).  A scan that needs whole instances places each
+pair's elements cheapest first, x's own color, then each distinct
+x + f(y), then x*y, and drops the pair at its first element outside the
+window or of another color.  A partial scan visits every pair and
+decides each y over whole color columns.  Witnesses leave the kernel as
+(y, x position, color) triples; only the public API builds elements.
+build_instance, which needs every instance's positions whatever their
+colors, places them with _instances, the product first.
 """
 
 from __future__ import annotations
@@ -228,15 +231,6 @@ class PatternVerdict(enum.Enum):
     NOT_MONOCHROMATIC = "not-monochromatic"
 
 
-def _common_color(positions: list, colors: tuple) -> Optional[int]:
-    """The one color of the positions, or None at a color clash."""
-    color = colors[positions[0]]
-    for pos in positions:
-        if colors[pos] != color:
-            return None
-    return color
-
-
 def pattern_color(
     coloring: Coloring, x: RingElement, y: RingElement, family: PolyFamily
 ) -> Union[int, PatternVerdict]:
@@ -246,8 +240,8 @@ def pattern_color(
     positions = list(map(index.get, pattern_elements(x, y, family).elements))
     if None in positions:
         return PatternVerdict.OUT_OF_WINDOW
-    color = _common_color(positions, coloring.colors)
-    return PatternVerdict.NOT_MONOCHROMATIC if color is None else color
+    colors = {coloring.colors[pos] for pos in positions}
+    return colors.pop() if len(colors) == 1 else PatternVerdict.NOT_MONOCHROMATIC
 
 
 class Witness(NamedTuple):
@@ -256,10 +250,8 @@ class Witness(NamedTuple):
     color: int
 
 
-def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
-               ys=None) -> Iterator[tuple]:
-    """The whole-window kernel of build_instance and whole-mode scans: for
-    each y of ys (default: the admitted y in canonical order) it
+def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints) -> Iterator[tuple]:
+    """build_instance's kernel: for each admitted y in canonical order it
     evaluates every f(y) once, from y's raw powers (_raw_evaluator), and
     yields (y, x position, positions) for the admitted x of
     window.product_run(y) in canonical order; _raw_instance drops an
@@ -272,9 +264,9 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
     f_values = _raw_evaluator(family)
     skip = {position[x.val] for x in constraints.exclude_x if x in window}
     forbid_degenerate = constraints.forbid_degenerate
-    if ys is None:
-        ys = (y for y in window.elements if constraints.admits_y(y))
-    for y in ys:
+    for y in window.elements:
+        if not constraints.admits_y(y):
+            continue
         yv = y.val
         fvs = f_values(yv)
         lo, hi = window.product_run(y)
@@ -290,45 +282,66 @@ def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints,
 def _witness_triples(coloring: Coloring, family: PolyFamily, constraints: ScanConstraints,
                      ys=None) -> Iterator[tuple]:
     """witness_scan's witnesses as (y, x position, color) triples, in scan
-    order, for each y of ys (default: the admitted y); partial mode is
-    decided here.  Whole mode keeps _instances' one-color instances.
-    Partial mode folds whole color columns over the admitted x (0 for an
-    element outside the window): x*y's, computed only in product_run(y),
-    and x + f(y)'s per distinct f(y) (x's own where f(y) is zero), into
-    each x's common color, 0 with none visible and -1 at a clash.  A row
-    is degenerate when its visible product equals every x + f(y), so
-    only where every f(y) is one value are positions compared."""
+    order, for each y of ys (default: the admitted y).  Per y both modes
+    take the distinct f(y), a zero f(y) standing for x itself, and compute
+    x*y only for the admitted x of product_run(y).  A pair is degenerate
+    when its product equals every x + f(y), so only where every f(y) is
+    one value are positions compared.
+    Whole mode places each pair's elements cheapest first, x's own color
+    where some f(y) is zero, then each distinct nonzero x + f(y), then
+    x*y, and drops the pair at its first element outside the window or of
+    another color.  Partial mode folds whole color columns over the
+    admitted x (0 for an element outside the window), x*y's and each
+    x + f(y)'s, into each x's common color, 0 with none visible and -1 at
+    a clash."""
     window, colors = coloring.window, coloring.colors
-    if constraints.require_in_window:
-        for y, pos, positions in _instances(window, family, constraints, ys):
-            color = _common_color(positions, colors)
-            if color is not None:
-                yield y, pos, color
-        return
     position, n, spec = window.raw_index, len(window), window.spec
     get, ext, zero = position.get, colors + (0,), spec.zero.val
     add, mul, f_values = spec.add, spec.mul, _raw_evaluator(family)
+    whole, forbid_degenerate = constraints.require_in_window, constraints.forbid_degenerate
     skip = {position[x.val] for x in constraints.exclude_x if x in window}
-    span = [pos for pos in range(n) if pos not in skip]
-    xvs = [xv for pos, xv in enumerate(position) if pos not in skip]
-    own = [colors[pos] for pos in span]
+    values = list(position)
+    if not whole:
+        span = [pos for pos in range(n) if pos not in skip]
+        xvs = [values[pos] for pos in span]
+        own_colors = [colors[pos] for pos in span]
     if ys is None:
         ys = (y for y in window.elements if constraints.admits_y(y))
     for y in ys:
         yv = y.val
-        fvs = set(f_values(yv))  # the distinct f(y)
-        a, b = (bisect_left(span, end) for end in window.product_run(y))
+        fvs = dict.fromkeys(f_values(yv))  # the distinct f(y), in family order
+        own, lone = zero in fvs, forbid_degenerate and len(fvs) == 1
+        adds = [fv for fv in fvs if fv != zero]
+        lo, hi = window.product_run(y)
+        if whole:
+            first, rest = (None, adds) if own else (adds[0], adds[1:])
+            for pos, xv in enumerate(values[lo:hi], lo):
+                if pos in skip:
+                    continue
+                q = pos if own else get(add(xv, first), n)  # x, or its first x + f(y)
+                color = ext[q]
+                if not color:  # outside the window
+                    continue
+                for fv in rest:
+                    if ext[get(add(xv, fv), n)] != color:
+                        break
+                else:
+                    p = get(mul(xv, yv), n)
+                    if ext[p] == color and not (lone and p == q):
+                        yield y, pos, color
+            continue
+        a, b = bisect_left(span, lo), bisect_left(span, hi)
         run = xvs[a:b]
         products = [get(mul(xv, yv), n) for xv in run]
         # a common color m meets a color c: m where c equals it or is 0, c where m is 0, else -1
-        common = own if zero in fvs else [0] * len(span)
+        common = own_colors if own else [0] * len(span)
         head = [m if (c := ext[p]) == m or c == 0 else c if m == 0 else -1
                 for m, p in zip(common[a:b], products)]
-        if constraints.forbid_degenerate and len(fvs) == 1:
+        if lone:
             fv, = fvs
             head = [-1 if p < n and p == get(add(xv, fv)) else m for p, m, xv in zip(products, head, run)]
         common = common[:a] + head + common[b:]
-        for fv in fvs - {zero}:  # in any order: the fold is commutative
+        for fv in adds:  # in any order: the fold is commutative
             common = [m if (c := ext[get(add(xv, fv), n)]) == m or c == 0 else c if m == 0 else -1
                       for m, xv in zip(common, xvs)]
         yield from [(y, pos, color) for pos, color in zip(span, common) if color > 0]
@@ -351,7 +364,8 @@ def witness_scan(
     the window are ignored and monochromaticity is judged on the visible
     part (instances with no visible element are skipped); that visits
     every pair, but computes the product x*y only for the x in
-    Window.product_run(y).
+    Window.product_run(y).  A whole-window scan tests each element's color
+    as it computes it, x*y last, and leaves a pair at its first clash.
 
     It wraps _witness_triples.  This is a generator function: its
     ValueError checks (family ring against the coloring's ring, negative

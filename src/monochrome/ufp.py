@@ -50,7 +50,7 @@ class UfpSequence:
                 raise ValueError("mixed rings in sequence")
         self.elements = elements
         self._products = None
-        self._base = None  # the raw product set, once checked by _fp_precondition
+        self._base = None  # the raw product set, once has_ufp found it collision-free
 
     @property
     def spec(self):
@@ -109,7 +109,9 @@ def has_ufp(seq: Union[UfpSequence, Sequence[RingElement]]) -> Optional[UfpViola
     if not isinstance(seq, UfpSequence):
         seq = UfpSequence(seq)
     products = seq._raw_products()
-    if len(set(products)) == len(products):  # no collision to locate
+    fp = set(products)
+    if len(fp) == len(products):  # no collision to locate
+        seq._base = fp  # kept for _fp_precondition and extend_ufp's guard
         return None
     first: dict = {}
     for mask, prod in enumerate(products, start=1):
@@ -143,17 +145,17 @@ def exclusion_set(b) -> frozenset:
 
 
 def _fp_precondition(seq: UfpSequence) -> set:
-    """has_ufp holds and no product is 0 or 1; returns the raw product set,
-    checked once per sequence (extend_ufp's guard checks a child)."""
+    """has_ufp holds and no product is 0 or 1; returns the raw product set.
+    has_ufp runs once per sequence (extend_ufp's guard runs it on a child),
+    leaving the set it verified in seq._base."""
     if seq._base is None:
         violation = has_ufp(seq)
         if violation is not None:
             raise ValueError(f"sequence lacks UFP: {violation!r}")
-        fp = set(seq._raw_products())
-        if seq.spec.zero.val in fp or seq.spec.one.val in fp:
-            raise ValueError("product set touches {0, 1}")
-        seq._base = fp
-    return seq._base
+    fp = seq._base
+    if seq.spec.zero.val in fp or seq.spec.one.val in fp:
+        raise ValueError("product set touches {0, 1}")
+    return fp
 
 
 def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> Optional[UfpSequence]:
@@ -177,7 +179,6 @@ def extend_ufp(seq: UfpSequence, pool: Iterable[RingElement]) -> Optional[UfpSeq
         child = seq.extended(x)
         if has_ufp(child) is not None:
             raise InternalError("extension guard tripped: UFP lost after an admissible pick")
-        child._base = set(child._raw_products())  # the next extension starts from it
         if not trivial.isdisjoint(child._base):
             raise InternalError("extension guard tripped: product set touches {0, 1}")
         return child

@@ -307,6 +307,23 @@ def test_scan_partial_golden_report(tmp_path):
     assert got == gzip.decompress(golden.read_bytes())
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("scan_whole_gf2_seed7.json.gz", ["scan", "--ring", "GF(2)[x]", "--window", "d=8", "--F", "0;t"]),
+    ("scan_whole_zi_seed7.json.gz", ["scan", "--ring", "Zi", "--window", "B=8", "--F", "2t^2+t"]),
+    ("abundance_gf3_seed7.csv.gz", ["abundance", "--ring", "GF(3)[x]", "--window", "d=5",
+                                    "--F", "2t^2+t", "--format", "csv"]),
+])
+def test_whole_scan_golden_reports(tmp_path, golden, argv):
+    """Whole-window scan and abundance reports (two colors, seed 7) are byte
+    for byte the committed ones, their timestamps blanked: 427 witnesses
+    over GF(2)[x] d=8, 798 over Zi B=8, and the per-y counts of GF(3)[x]
+    d=5."""
+    out = tmp_path / "report"
+    assert dispatch([*argv, "--colors", "2", "--seed", "7", "-o", str(out)]) == 0
+    got = re.sub(rb'"timestamp":"[^"]*"', b'"timestamp":""', out.read_bytes(), count=1)
+    assert got == gzip.decompress((pathlib.Path(__file__).parent / "golden" / golden).read_bytes())
+
+
 def _plain(value) -> str:
     return json.dumps(value, separators=(",", ":")) if isinstance(value, (dict, list)) else str(value)
 

@@ -518,13 +518,16 @@ def full_window_loop(window, colors, family, constraints, ys=None):
 
 
 # ring, window, families, a y outside the window (N+1, B+1, degree d)
-# (t^3 and t;t^2;t^3 leave the window at small y: the kernel's early exit)
+# (t^3 and t;t^2;t^3 leave the window at small y: the kernel's early exit;
+# 0 is x's own color alone; t;t^2 and 0;t;t^2 have equal members at y = 1,
+# and t;2t at y = 0, which open_y admits)
 KERNEL_RINGS = [
-    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2", "t^3", "t;t^2;t^3"), "41"),
+    (Z, WindowParams(40), ("t", "0;t", "2t^2+t", "t^2", "t^3", "t;t^2;t^3", "0", "t;t^2", "0;t;t^2"),
+     "41"),
     (Z, WindowParams(15, signed=True), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3"), "16"),
     (ZI, WindowParams(3), ("0;t", "2t^2+t", "(1+1i)t", "t^3", "t;t^2;t^3"), "4"),
     (GF2, WindowParams(5), ("0;t", "t^2+t", "t^3", "t;t^2;t^3"), "x^5+x"),
-    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3"), "2x^3+1"),
+    (GF3, WindowParams(3), ("t", "0;t", "2t^2+t", "t^3", "t;t^2;t^3", "0", "t;2t"), "2x^3+1"),
     # at (x, y) = (4, 2) every element of t^2's instance is 8: degenerate and
     # wholly outside the window, so partial mode must yield no witness there
     (Z, WindowParams(7), ("t^2", "0;t^2"), "8"),
@@ -633,6 +636,42 @@ def test_kernel_matches_full_window_loop(ring_case):
         inst = build_instance(window, r, family, constraints)
         assert [(c.x, c.y, c.elements) for c in inst.candidates] == cands, label
         assert list(inst.index_sets) == index_sets, label
+
+
+@pytest.mark.parametrize("ring_text, params", [
+    ("Z", WindowParams(150, signed=True)), ("GF(2)[x]", WindowParams(8))])
+def test_whole_scan_multiplies_only_after_the_sums_agree(monkeypatch, ring_text, params):
+    """A whole-window scan with F = 0;t takes x's own color for x + 0,
+    adds x + y once per admitted pair of product_run(y), and computes
+    x*y only where x and x + y lie in the window in one color."""
+    spec = parse_ring_spec(ring_text)
+    window = enumerate_window(spec, params)
+    coloring = random_coloring(window, 3, 17)
+    want = list(witness_scan(coloring, parse_family(spec, "0;t")))
+    colors, pairs, agreeing = coloring.colors, 0, 0
+    for y in window.elements:
+        if y == spec.zero or y == spec.one:
+            continue
+        lo, hi = window.product_run(y)
+        for x in window.elements[lo:hi]:
+            if x != spec.zero:
+                pairs += 1
+                agreeing += x + y in window and colors[window.index[x]] == colors[window.index[x + y]]
+
+    seen = {"add": [], "mul": []}  # the second operand of each call
+    for name, args in seen.items():
+        op = getattr(spec, name)
+        monkeypatch.setattr(type(spec), name, staticmethod(lambda a, b, op=op, args=args: args.append(b) or op(a, b)))
+    counted = parse_ring_spec(ring_text)  # binds the counting ops
+    family = parse_family(counted, "0;t")
+    counted_coloring = Coloring(enumerate_window(counted, params), 3, colors)
+    for args in seen.values():
+        args.clear()
+    got = list(witness_scan(counted_coloring, family))
+    monkeypatch.undo()
+    assert got == want and 0 < len(got) < agreeing < pairs
+    assert len(seen["mul"]) == agreeing
+    assert len(seen["add"]) == pairs and spec.zero.val not in seen["add"]
 
 
 def test_scans_leave_window_index_unbuilt(monkeypatch):

@@ -226,8 +226,9 @@ def test_extension_rejects_product_touching_one():
     i = ZI.gaussian(0, 1)
     seq = UfpSequence((i, ZI.gaussian(0, -1)))  # i * (-i) = 1
     assert has_ufp(seq) is None
-    with pytest.raises(ValueError):
-        extend_ufp(seq, [ZI.gaussian(2, 0)])
+    for _ in range(2):  # has_ufp's verdict is kept, and the {0, 1} test still runs each time
+        with pytest.raises(ValueError, match=r"^product set touches \{0, 1\}$"):
+            extend_ufp(seq, [ZI.gaussian(2, 0)])
 
 
 def test_extension_skips_trivial_pool_entries():
@@ -264,6 +265,18 @@ def test_grow_checks_each_sequence_once(monkeypatch):
     assert [e.val for e in extend_ufp(fresh, w).elements] == [2, 3, 4, 5, 7, 9]
     assert [e.val for e in extend_ufp(fresh, w).elements] == [2, 3, 4, 5, 7, 9]
     assert calls == [5, 6, 6]
+
+
+def test_grow_builds_each_product_set_once(monkeypatch):
+    """Each step's product set is built once, by has_ufp in extend_ufp's
+    guard, and the next step starts from that same set."""
+    import monochrome.ufp as ufp
+
+    sizes = []
+    monkeypatch.setattr(ufp, "set", lambda items=(): sizes.append(len(items)) or set(items), raising=False)
+    seq = grow_ufp(Z.integer(2), enumerate_window(Z, WindowParams(10000)), 12)
+    assert sizes == [2 ** k - 1 for k in range(1, 13)]
+    assert seq._base == set(seq._raw_products())
 
 
 def test_grow_poly_sequence_frozen():
