@@ -26,20 +26,21 @@ errors (a tripped guard, a recursion overflow or any other
 RuntimeError: a bug in the package, not in the input).
 
 argparse alone checks flags: their values, and the required ones,
-which --help shows without brackets.  Each command is declared once, in
-the ordered table _COMMANDS of its words, help text, flags and table, and
-``dispatch`` builds only the parser path that argv names: the top
-parser, the group parser if any, and the one leaf.  It builds the full
-tree only for argv that names no leaf (top-level or group help, a
-missing or unknown subcommand); every help, usage and error text is the
-same either way.  A config file (--config FILE) of
-`key = value` lines is read before parsing, and each entry becomes the
-subcommand's own flag `--key=value` (a store-true flag `--key` when the
-value is true, nothing when false), placed after the subcommand words
-and before the user's flags: argparse checks its value like any flag,
-it can supply a required flag, and an explicit flag wins.  The
-environment variable MONOCHROME_BUDGET then fills an unset --budget /
---work-cap.
+which --help shows without brackets.  Each flag is declared once, in the
+table _FLAGS of option strings and add_argument keywords, and each
+command once, in the ordered table _COMMANDS of its words, help text,
+the names of its flags and its table.  ``dispatch`` builds only the
+parser path that argv names: the top parser, the group parser if any,
+and the one leaf.  It builds the full tree only for argv that names no
+leaf (top-level or group help, a missing or unknown subcommand); every
+help, usage and error text is the same either way.  A config file
+(--config FILE) of `key = value` lines is read before parsing, and each
+entry becomes the subcommand's own flag `--key=value` (a store-true
+flag `--key` when the value is true, nothing when false), placed after
+the subcommand words and before the user's flags: argparse checks its
+value like any flag, it can supply a required flag, and an explicit
+flag wins.  The environment variable MONOCHROME_BUDGET then fills an
+unset --budget / --work-cap.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .largeness import (
 from .patterns import ScanConstraints, _witness_triples, format_family, parse_family
 from .rings import (
     WHITESPACE,
-    WindowParams,
     enumerate_window,
     format_element,
     format_ring_spec,
@@ -109,140 +109,66 @@ POSITIVE_STATUSES = frozenset({"ok", "found", "holds", "counterexample", "avoida
 # ---------------------------------------------------------------------------
 # Parser
 
-def _add_common(p, *, ring=False, window=False, colors=False, family=False,
-                seed=False, coloring=False, budget=False, constraints=False, output=True):
-    if ring:
-        p.add_argument("--ring", default="Z", help="ring spec: Z, Zi, or GF(q)[x]")
-    if window:
-        p.add_argument("--window", required=True, help="window params: N=50[,signed] / B=3 / d=4")
-    if colors:
-        p.add_argument("--colors", type=integer, required=True, help="number of colors r")
-    if family:
-        p.add_argument("--F", dest="F", required=True,
-                       help='family literal, e.g. "t" or "0; t" or "2t^2+t"')
-    if seed:
-        p.add_argument("--seed", type=integer, help="stream seed (default 0)")
-    if coloring:
-        p.add_argument("--coloring", help="coloring file (instead of --seed)")
-        p.add_argument("--partial", action="store_true", default=None,
-                       help="judge instances only partly inside the window by their visible part")
-    if budget:
-        p.add_argument("--budget", type=integer,
-                       help=f"node budget (default: ${BUDGET_ENV} or unlimited)")
-    if constraints:
-        p.add_argument("--exclude-y", help="element set never used as y (default {0,1})")
-        p.add_argument("--exclude-x", help="element set never used as x (default {0})")
-        p.add_argument("--allow-degenerate", action="store_true", default=None,
-                       help="keep single-element instances")
-    if output:
-        p.add_argument("--format", choices=("json", "text", "csv"), help="report format")
-        p.add_argument("-o", "--output", help="write the report here instead of stdout")
-    p.add_argument("--config", help="file of key = value lines mirroring these flags")
+# flag name -> (option strings, add_argument keywords).  A name stands for
+# one meaning, so an option string with two meanings has two entries.
+_FLAGS = {
+    "ring": (("--ring",), dict(default="Z", help="ring spec: Z, Zi, or GF(q)[x]")),
+    "window": (("--window",), dict(required=True, help="window params: N=50[,signed] / B=3 / d=4")),
+    "colors": (("--colors",), dict(type=integer, required=True, help="number of colors r")),
+    "F": (("--F",), dict(required=True, help='family literal, e.g. "t" or "0; t" or "2t^2+t"')),
+    "seed": (("--seed",), dict(type=integer, help="stream seed (default 0)")),
+    "coloring": (("--coloring",), dict(help="coloring file (instead of --seed)")),
+    "partial": (("--partial",), dict(action="store_true", default=None, help="judge instances only "
+                                     "partly inside the window by their visible part")),
+    "budget": (("--budget",), dict(type=integer,
+                                   help=f"node budget (default: ${BUDGET_ENV} or unlimited)")),
+    "exclude-y": (("--exclude-y",), dict(help="element set never used as y (default {0,1})")),
+    "exclude-x": (("--exclude-x",), dict(help="element set never used as x (default {0})")),
+    "allow-degenerate": (("--allow-degenerate",), dict(action="store_true", default=None,
+                                                       help="keep single-element instances")),
+    "format": (("--format",), dict(choices=("json", "text", "csv"), help="report format")),
+    "output": (("-o", "--output"), dict(help="write the report here instead of stdout")),
+    "config": (("--config",), dict(help="file of key = value lines mirroring these flags")),
+    "limit": (("--limit",), dict(type=integer, help="stop after this many witnesses")),
+    "y": (("--y",), dict(help="restrict to one y (element literal)")),
+    "target": (("--target",), dict(required=True, help="element set A")),
+    "gaps": (("--gaps",), dict(required=True, help="gap set G")),
+    "block": (("--block",), dict(required=True)),
+    "target-window": (("--target-window",),
+                      dict(help="window params for parsing --target (default: --window)")),
+    "len": (("--len",), dict(type=integer, required=True, help="sequence length")),
+    "samples": (("--samples",), dict(type=integer, required=True)),
+    "anchor": (("--anchor",), dict(required=True, help="element literal")),
+    "by": (("--by",), dict(required=True, help="element literal to dilate/divide by")),
+    "mode": (("--mode",), dict(choices=("dilate", "divide"), required=True)),
+    "check-target": (("--target",), dict(help="optional set A for before/after validation")),
+    "alphabet": (("--alphabet",), dict(type=integer, required=True)),
+    "max-side": (("--maxN",), dict(type=integer, required=True)),
+    "work-cap": (("--work-cap",), dict(type=integer, help="stop a side's search after this many "
+                                       "decisions (default 10^8)")),
+    "n": (("--n",), dict(type=integer, default=2, help="side of the layered space (default 2)")),
+    "depth": (("--depth",), dict(type=integer, help="levels d (default: family top degree)")),
+    "trials": (("--trials",), dict(type=integer, default=100, help="default 100")),
+    "save-coloring": (("--save-coloring",), dict(help="write the resulting coloring to this file")),
+    "max-window": (("--maxN",), dict(type=integer, required=True, help="largest window size probed: "
+                                     "N over Z, B over Zi, d over GF(q)[x]")),
+    "crosscheck": (("--crosscheck",), dict(action="store_true", default=None,
+                                           help="confirm the boundary with the reference CNF engine")),
+    "cnf-output": (("-o", "--output"), dict(dest="cnf_file", metavar="OUTPUT",
+                                            help="CNF file path (default: raw DIMACS on stdout)")),
+    "model": (("--model",), dict(required=True, help="model file (v-lines or literals); - for stdin")),
+    "elements": (("--elements",), dict(required=True,
+                                       help="comma-separated element literals, in order")),
+    "start": (("--start",), dict(required=True, help="first element (literal)")),
+    "length": (("--length",), dict(type=integer, required=True, help="target length")),
+    "inputs": (("inputs",), dict(nargs="+", help="report JSON files")),
+    "csv-output": (("-o", "--output"), dict(help="CSV destination (default stdout)")),
+}
 
-
-def _scan_flags(p):
-    _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
-                coloring=True, constraints=True)
-    p.add_argument("--limit", type=integer, help="stop after this many witnesses")
-
-
-def _abundance_flags(p):
-    _add_common(p, ring=True, window=True, colors=True, family=True, seed=True,
-                coloring=True, constraints=True)
-    p.add_argument("--y", help="restrict to one y (element literal)")
-
-
-def _syndetic_flags(p):
-    _add_common(p, ring=True, window=True)
-    p.add_argument("--target", required=True, help="element set A")
-    p.add_argument("--gaps", required=True, help="gap set G")
-
-
-def _ps_witness_flags(p):
-    _add_common(p, ring=True, window=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--gaps", required=True)
-    p.add_argument("--block", required=True)
-
-
-def _ipstar_flags(p):
-    _add_common(p, ring=True, window=True, seed=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--target-window",
-                   help="window params for parsing --target (default: --window)")
-    p.add_argument("--len", type=integer, required=True, help="sequence length")
-    p.add_argument("--samples", type=integer, required=True)
-
-
-def _transport_flags(p):
-    _add_common(p, ring=True, window=True)
-    p.add_argument("--gaps", required=True)
-    p.add_argument("--block", required=True)
-    p.add_argument("--anchor", required=True, help="element literal")
-    p.add_argument("--by", required=True, help="element literal to dilate/divide by")
-    p.add_argument("--mode", choices=("dilate", "divide"), required=True)
-    p.add_argument("--target", help="optional set A for before/after validation")
-
-
-def _hj_flags(p):
-    _add_common(p, colors=True)
-    p.add_argument("--alphabet", type=integer, required=True)
-    p.add_argument("--maxN", dest="maxN", type=integer, required=True)
-    p.add_argument("--work-cap", type=integer,
-                   help="stop a side's search after this many decisions (default 10^8)")
-
-
-def _sigma_flags(p):
-    _add_common(p, ring=True, window=True, family=True, seed=True)
-    p.add_argument("--n", type=integer, default=2, help="side of the layered space (default 2)")
-    p.add_argument("--depth", type=integer, help="levels d (default: family top degree)")
-    p.add_argument("--trials", type=integer, default=100, help="default 100")
-
-
-def _avoid_flags(p):
-    _add_common(p, ring=True, window=True, colors=True, family=True, budget=True,
-                constraints=True)
-    p.add_argument("--save-coloring", help="write a found coloring to this file")
-
-
-def _moreira_flags(p):
-    _add_common(p, ring=True, colors=True, family=True, budget=True)
-    p.add_argument("--maxN", dest="maxN", type=integer, required=True,
-                   help="largest window size probed: N over Z, B over Zi, d over GF(q)[x]")
-    p.add_argument("--crosscheck", action="store_true", default=None,
-                   help="confirm the boundary with the reference CNF engine")
-
-
-def _export_flags(p):
-    _add_common(p, ring=True, window=True, colors=True, family=True, constraints=True,
-                output=False)
-    p.add_argument("--format", choices=("json", "text", "csv"), help="report format")
-    p.add_argument("-o", "--output", dest="cnf_file", metavar="OUTPUT",
-                   help="CNF file path (default: raw DIMACS on stdout)")
-
-
-def _decode_flags(p):
-    _add_common(p, ring=True, window=True, colors=True, family=True, constraints=True)
-    p.add_argument("--model", required=True, help="model file (v-lines or literals); - for stdin")
-    p.add_argument("--save-coloring", help="also write the decoded coloring here")
-
-
-def _verify_flags(p):
-    _add_common(p, ring=True)
-    p.add_argument("--elements", required=True,
-                   help="comma-separated element literals, in order")
-
-
-def _grow_flags(p):
-    _add_common(p, ring=True, window=True)
-    p.add_argument("--start", required=True, help="first element (literal)")
-    p.add_argument("--length", type=integer, required=True, help="target length")
-
-
-def _report_flags(p):
-    p.add_argument("inputs", nargs="+", help="report JSON files")
-    p.add_argument("-o", "--output", help="CSV destination (default stdout)")
-
+# runs of flags that several commands share, in --help order
+_REPORT = ("format", "output", "config")
+_CONSTRAINTS = ("exclude-y", "exclude-x", "allow-degenerate")
+_SCAN = ("ring", "window", "colors", "F", "seed", "coloring", "partial", *_CONSTRAINTS, *_REPORT)
 
 # group word -> (help, metavar of its subcommand)
 _GROUPS = {
@@ -252,28 +178,46 @@ _GROUPS = {
     "ufp": ("uniqueness-of-finite-products tools", "action"),
 }
 
-# leaf words -> (help, flag adder, table), in --help order; a group is
-# listed where its first leaf is.  table is (key, columns) of the payload
-# list whose rows --format csv and text print, or None
+# leaf words -> (help, flags, table), in --help order; a group is listed
+# where its first leaf is.  flags names the leaf's _FLAGS entries in
+# --help order.  table is (key, columns) of the payload list whose rows
+# --format csv and text print, or None
 _COMMANDS = {
-    ("scan",): ("list monochromatic instances of a coloring", _scan_flags,
+    ("scan",): ("list monochromatic instances of a coloring", (*_SCAN, "limit"),
                 ("witnesses", ("x", "y", "color"))),
-    ("abundance",): ("per-y color profile of admissible x values", _abundance_flags,
+    ("abundance",): ("per-y color profile of admissible x values", (*_SCAN, "y"),
                      ("rows", ("y", "color", "count"))),
-    ("largeness", "syndetic"): ("do the gap translates of a set cover the window?", _syndetic_flags, None),
-    ("largeness", "ps-witness"): ("least anchor making (gaps, block) a witness", _ps_witness_flags, None),
-    ("largeness", "ipstar"): ("search seeded sequences whose finite sums miss a set", _ipstar_flags, None),
-    ("largeness", "transport"): ("dilate or divide a witness exactly", _transport_flags, None),
-    ("hj",): ("exhaustive cube-coloring search for forced lines", _hj_flags, None),
-    ("sigma",): ("randomized exact checks of the embedding identity", _sigma_flags, None),
-    ("search", "avoid"): ("search one window for an avoidance coloring", _avoid_flags, None),
+    ("largeness", "syndetic"): ("do the gap translates of a set cover the window?",
+                                ("ring", "window", *_REPORT, "target", "gaps"), None),
+    ("largeness", "ps-witness"): ("least anchor making (gaps, block) a witness",
+                                  ("ring", "window", *_REPORT, "target", "gaps", "block"), None),
+    ("largeness", "ipstar"): ("search seeded sequences whose finite sums miss a set",
+                              ("ring", "window", "seed", *_REPORT, "target", "target-window", "len",
+                               "samples"), None),
+    ("largeness", "transport"): ("dilate or divide a witness exactly",
+                                 ("ring", "window", *_REPORT, "gaps", "block", "anchor", "by", "mode",
+                                  "check-target"), None),
+    ("hj",): ("exhaustive cube-coloring search for forced lines",
+              ("colors", *_REPORT, "alphabet", "max-side", "work-cap"), None),
+    ("sigma",): ("randomized exact checks of the embedding identity",
+                 ("ring", "window", "F", "seed", *_REPORT, "n", "depth", "trials"), None),
+    ("search", "avoid"): ("search one window for an avoidance coloring",
+                          ("ring", "window", "colors", "F", "budget", *_CONSTRAINTS, *_REPORT,
+                           "save-coloring"), None),
     ("search", "moreira"): ("least window size at which avoidance becomes impossible",
-                            _moreira_flags, None),
-    ("cnf", "export"): ("write the avoidance instance as DIMACS CNF", _export_flags, None),
-    ("cnf", "decode"): ("turn a satisfying model back into a coloring", _decode_flags, None),
-    ("ufp", "verify"): ("check pairwise distinctness of subset products", _verify_flags, None),
-    ("ufp", "grow"): ("extend a sequence over a window pool", _grow_flags, None),
-    ("report",): ("merge report JSON files into one CSV table", _report_flags, None),
+                            ("ring", "colors", "F", "budget", *_REPORT, "max-window", "crosscheck"),
+                            None),
+    ("cnf", "export"): ("write the avoidance instance as DIMACS CNF",
+                        ("ring", "window", "colors", "F", *_CONSTRAINTS, "config", "format",
+                         "cnf-output"), None),
+    ("cnf", "decode"): ("turn a satisfying model back into a coloring",
+                        ("ring", "window", "colors", "F", *_CONSTRAINTS, *_REPORT, "model",
+                         "save-coloring"), None),
+    ("ufp", "verify"): ("check pairwise distinctness of subset products",
+                        ("ring", *_REPORT, "elements"), None),
+    ("ufp", "grow"): ("extend a sequence over a window pool",
+                      ("ring", "window", *_REPORT, "start", "length"), None),
+    ("report",): ("merge report JSON files into one CSV table", ("inputs", "csv-output"), None),
 }
 
 
@@ -288,7 +232,7 @@ def _build_parser(words: tuple | None = None) -> tuple:
     sub = parser.add_subparsers(dest="cmd", metavar="subcommand", required=True)
     groups = {}
     leaves = {}
-    for path, (help_text, add_flags, _) in _COMMANDS.items():
+    for path, (help_text, flags, _) in _COMMANDS.items():
         if words not in (None, path):
             continue
         if len(path) == 2 and path[0] not in groups:
@@ -296,8 +240,10 @@ def _build_parser(words: tuple | None = None) -> tuple:
             groups[path[0]] = sub.add_parser(path[0], help=group_help).add_subparsers(
                 dest="sub", metavar=metavar, required=True)
         parent = groups[path[0]] if len(path) == 2 else sub
-        leaves[path] = parent.add_parser(path[-1], help=help_text)
-        add_flags(leaves[path])
+        leaves[path] = leaf = parent.add_parser(path[-1], help=help_text)
+        for name in flags:
+            options, keywords = _FLAGS[name]
+            leaf.add_argument(*options, **keywords)
     return parser, leaves
 
 

@@ -52,10 +52,10 @@ class Coloring:
             raise ValueError(f"color count must be >= 1, got {r}")
         colors = tuple(colors)
         if len(colors) != len(window):
-            raise ValueError(f"expected {len(window)} colors, got {len(colors)}")
+            raise ValueError(f"window has {len(window)} elements but {len(colors)} colors are given")
         bad = next((c for c in colors if not 1 <= c <= r), None)
         if bad is not None:
-            raise ValueError(f"color {bad} out of range 1..{r}")
+            raise ValueError(f"color {bad} out of range 1..{r} (colors are 1-based)")
         self.window = window
         self.r = r
         self.colors = colors
@@ -98,21 +98,14 @@ def loads_coloring(text: str) -> Coloring:
     spec = _header(lines[0], "ring", parse_ring_spec)
     params = _header(lines[1], "window", lambda s: parse_window_params(spec, s))
     r = _header(lines[2], "colors", integer)
-    if r < 1:
-        raise ColoringFormatError(f"color count must be >= 1, got {r}")
-    window = enumerate_window(spec, params)
     try:
         values = integers(" ".join(lines[3:]))
     except ValueError as exc:
         raise ColoringFormatError(f"bad color entry: {exc}") from None
-    if len(values) != len(window):
-        raise ColoringFormatError(
-            f"window has {len(window)} elements but file lists {len(values)} colors"
-        )
-    bad = next((c for c in values if not 1 <= c <= r), None)
-    if bad is not None:
-        raise ColoringFormatError(f"color {bad} out of range 1..{r} (colors are 1-based)")
-    return Coloring(window, r, values)
+    try:
+        return Coloring(enumerate_window(spec, params), r, values)
+    except ValueError as exc:
+        raise ColoringFormatError(str(exc)) from None
 
 
 def _header(line: str, key: str, parse):

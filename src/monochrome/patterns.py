@@ -18,8 +18,6 @@ x + f(y), then x*y, and drops the pair at its first element outside the
 window or of another color.  A partial scan visits every pair and
 decides each y over whole color columns.  Witnesses leave the kernel as
 (y, x position, color) triples; only the public API builds elements.
-build_instance, which needs every instance's positions whatever their
-colors, places them with _instances, the product first.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
 from .rings import (
-    WHITESPACE, RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element,
+    WHITESPACE, RingElement, RingSpec, format_element, format_ring_spec, parse_element,
 )
 
 
@@ -175,26 +173,6 @@ def pattern_elements(x: RingElement, y: RingElement, family: PolyFamily) -> Patt
     return PatternInstance(x, y, tuple(RingElement(spec, v) for v in dict.fromkeys(vals)))
 
 
-def _raw_instance(xv, yv, f_values: list, add, mul, position: dict):
-    """The positions in position of the instance at raw x and y, whose
-    raw values are [x*y] ++ [x + f(y) for f(y) in f_values], deduplicated
-    keeping first occurrence (position is one-to-one, so equal values are
-    equal positions), or None when some value lies outside position.
-    Each value is looked up as soon as it is computed, the product first,
-    and the rest are never computed after the first miss."""
-    p = position.get(mul(xv, yv))
-    if p is None:
-        return None
-    positions = [p]
-    for fv in f_values:
-        p = position.get(add(xv, fv))
-        if p is None:
-            return None
-        if p not in positions:
-            positions.append(p)
-    return positions
-
-
 @dataclass(frozen=True)
 class ScanConstraints:
     """Filters applied while scanning (x, y) pairs.
@@ -248,35 +226,6 @@ class Witness(NamedTuple):
     x: RingElement
     y: RingElement
     color: int
-
-
-def _instances(window: Window, family: PolyFamily, constraints: ScanConstraints) -> Iterator[tuple]:
-    """build_instance's kernel: for each admitted y in canonical order it
-    evaluates every f(y) once, from y's raw powers (_raw_evaluator), and
-    yields (y, x position, positions) for the admitted x of
-    window.product_run(y) in canonical order; _raw_instance drops an
-    instance at its first element outside the window, and degenerate
-    instances are dropped unless allowed.  It works on raw values and
-    builds no RingElement."""
-    position = window.raw_index
-    values = list(position)
-    add, mul = window.spec.add, window.spec.mul
-    f_values = _raw_evaluator(family)
-    skip = {position[x.val] for x in constraints.exclude_x if x in window}
-    forbid_degenerate = constraints.forbid_degenerate
-    for y in window.elements:
-        if not constraints.admits_y(y):
-            continue
-        yv = y.val
-        fvs = f_values(yv)
-        lo, hi = window.product_run(y)
-        for pos, xv in enumerate(values[lo:hi], lo):
-            if pos in skip:
-                continue
-            positions = _raw_instance(xv, yv, fvs, add, mul, position)
-            if positions is None or forbid_degenerate and len(positions) == 1:
-                continue
-            yield y, pos, positions
 
 
 def _witness_triples(coloring: Coloring, family: PolyFamily, constraints: ScanConstraints,

@@ -296,9 +296,7 @@ class _Poly(RingSpec):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] = (out[i + j] + ca * cb) % q
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return tuple(out)  # GF(q) is a field: the leading ca * cb is nonzero
 
     def raw_int(self, n: int) -> tuple:
         return self.normalize((n,))

@@ -1,6 +1,11 @@
 """Avoidance-coloring search: can an r-coloring of a window keep every
 pattern instance non-monochromatic?
 
+build_instance lists the candidates, the instances that lie wholly in
+the window, as window positions: per admitted y, the admitted x of
+Window.product_run(y), each pair's x*y first and then its distinct
+x + f(y), one candidate per element set.
+
 The backtracker assigns colors only to elements that occur in at least
 one candidate (anything else is unconstrained and gets color 1 in a
 found coloring).  It decides the most-constrained element first, least
@@ -28,7 +33,7 @@ fresh build, instead of rebuilding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
@@ -36,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .colorings import Coloring
 from .errors import InternalError
-from .patterns import PatternInstance, PolyFamily, ScanConstraints, _instances
+from .patterns import PatternInstance, PolyFamily, ScanConstraints, _raw_evaluator
 from .rings import (
     WHITESPACE, Window, WindowParams, enumerate_window, format_element, integer, integers, tokens,
 )
@@ -46,12 +51,11 @@ class AvoidanceInstance:
     """A window, a color count and the deduplicated candidates: every
     pattern instance fully inside the window that passes the constraints,
     in canonical scan order (y outer, x inner), one per element set.  As
-    candidates lie inside the window, x runs only over Window.product_run(y)
-    (Z {1..N}: x <= N//y; signed Z: |x| <= N//|y|; Zi: N(x) <= 2B^2//N(y);
-    GF(q)[x]: deg x < d - deg y; y = 0: all), even in partial mode.
-    It holds window positions: index_sets (sorted) and picks (x, y and the
-    elements in first-occurrence order); candidates, the PatternInstance
-    tuple that no search or CNF step reads, is built on first read."""
+    candidates lie inside the window, x runs only over
+    Window.product_run(y), even in partial mode.  It holds window
+    positions: index_sets (sorted) and picks (x, y and the elements in
+    first-occurrence order); candidates, the PatternInstance tuple that
+    no search or CNF step reads, is built on first read."""
 
     def __init__(self, window: Window, r: int, index_sets: tuple, picks: tuple):
         self.window = window
@@ -107,7 +111,13 @@ def build_instance(window: Window, r: int, family: PolyFamily,
 
     Candidates must lie fully inside the window regardless of the
     constraint flags: monochromaticity of a partially visible instance
-    is not decidable from window data.
+    is not decidable from window data.  So for each admitted y, whose
+    f(y) are evaluated once from its raw powers, only the admitted x of
+    window.product_run(y) are visited.  Each pair places its elements
+    as raw values, x*y first, then each distinct x + f(y) in family
+    order, keeps each new position once, and is dropped at its first
+    element outside the window; a degenerate pair is dropped unless
+    allowed.  No RingElement is built.
     """
     if r < 1:
         raise ValueError(f"color count must be >= 1, got {r}")
@@ -115,18 +125,39 @@ def build_instance(window: Window, r: int, family: PolyFamily,
         raise ValueError("window and family from different rings")
     if constraints is None:
         constraints = ScanConstraints.defaults_for(window.spec)
+    position = window.raw_index
+    get, values = position.get, list(position)
+    add, mul, f_values = window.spec.add, window.spec.mul, _raw_evaluator(family)
+    skip = {position[x.val] for x in constraints.exclude_x if x in window}
+    least = 2 if constraints.forbid_degenerate else 1
     seen = set()
     index_sets = []
     picks = []
-    whole = replace(constraints, require_in_window=True)
-    position = window.raw_index
-    for y, pos, positions in _instances(window, family, whole):
-        key = frozenset(positions)
-        if key in seen:
+    for y_pos, y in enumerate(window.elements):
+        if not constraints.admits_y(y):
             continue
-        seen.add(key)
-        index_sets.append(tuple(sorted(key)))
-        picks.append((pos, position[y.val], positions))
+        yv = y.val
+        fvs = dict.fromkeys(f_values(yv))  # the distinct f(y), in family order
+        lo, hi = window.product_run(y)
+        for pos, xv in enumerate(values[lo:hi], lo):
+            if pos in skip:
+                continue
+            p = get(mul(xv, yv))
+            if p is None:
+                continue
+            order = [p]
+            for fv in fvs:
+                p = get(add(xv, fv))
+                if p is None:
+                    break
+                if p not in order:
+                    order.append(p)
+            else:
+                key = frozenset(order)
+                if len(order) >= least and key not in seen:
+                    seen.add(key)
+                    index_sets.append(tuple(sorted(key)))
+                    picks.append((pos, y_pos, order))
     return AvoidanceInstance(window, r, tuple(index_sets), tuple(picks))
 
 
@@ -217,11 +248,11 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
     def assign(slot: int, color: int) -> bool:
         """Color slot and propagate; False on a conflict."""
         ok = True
+        # a slot is pushed once, uncolored, when its domain drops to one
+        # color; a further removal there empties it and stops the loop
         pending = [(slot, color)]
         while pending and ok:
             s, c = pending.pop()
-            if colors[s]:
-                continue
             colors[s] = c
             trail.append(s)
             bit = 1 << c

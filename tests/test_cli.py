@@ -1518,3 +1518,107 @@ def test_command_table_is_the_full_tree():
     tree = dict(walk(parser, ()))
     assert list(tree) == list(cli._COMMANDS) == list(leaves) == [tuple(w) for w in LEAF_WORDS]
     assert all(tree[words] is leaves[words] for words in tree)
+
+
+# ---------------------------------------------------------------------------
+# flag table
+
+# the help texts that one _FLAGS entry now shares: (leaf, option) -> help
+HELP_MERGES = {
+    ("largeness ps-witness", "--target"): "element set A",
+    ("largeness ipstar", "--target"): "element set A",
+    ("largeness ps-witness", "--gaps"): "gap set G",
+    ("largeness transport", "--gaps"): "gap set G",
+    ("search avoid", "--save-coloring"): "write the resulting coloring to this file",
+    ("cnf decode", "--save-coloring"): "write the resulting coloring to this file",
+}
+
+
+def _leaf_actions(leaf) -> list:
+    """The leaf's argparse actions in a form that does not depend on the
+    Python version, unlike its --help text."""
+    return json.loads(json.dumps([
+        {"option_strings": a.option_strings, "dest": a.dest, "required": a.required,
+         "default": a.default, "type": getattr(a.type, "__name__", None), "choices": a.choices,
+         "nargs": a.nargs, "metavar": a.metavar, "help": a.help, "action": type(a).__name__}
+        for a in leaf._actions]))
+
+
+def test_flag_table_builds_the_golden_actions():
+    """tests/golden/cli_actions.json holds every leaf's actions as they were
+    when each command added its own flags; the table builds the same,
+    apart from the help texts of HELP_MERGES."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_actions.json").read_text())
+    for (leaf, option), text in HELP_MERGES.items():
+        action, = (a for a in golden[leaf] if option in a["option_strings"])
+        assert action["help"] != text, (leaf, option)
+        action["help"] = text
+    _, leaves = cli._build_parser()
+    assert {" ".join(words): _leaf_actions(p) for words, p in leaves.items()} == golden
+
+
+def test_every_flag_is_declared_once_and_used():
+    used = {name for _, flags, _ in cli._COMMANDS.values() for name in flags}
+    assert used == set(cli._FLAGS)
+    declared = [repr(entry) for entry in cli._FLAGS.values()]
+    assert len(set(declared)) == len(declared)
+
+
+# ---------------------------------------------------------------------------
+# input paths
+
+
+def test_coloring_file_must_match_the_flags(capsys, tmp_path):
+    path = tmp_path / "c.txt"
+    store_coloring(random_coloring(enumerate_window(Z, WindowParams(10)), 2, 1), path)
+    problem = ["--F", "t", "--coloring", str(path)]
+    for flags, message in (
+            (["--ring", "GF(2)[x]", "--window", "d=3", "--colors", "2"], "ring differs from --ring"),
+            (["--window", "N=9", "--colors", "2"], "window differs from --window"),
+            (["--window", "N=10", "--colors", "3"], "colors differ from --colors")):
+        assert dispatch(["scan", *flags, *problem]) == 2, flags
+        assert capsys.readouterr().err == f"error: coloring file {message}\n"
+
+
+def test_cnf_decode_model_paths(capsys, monkeypatch, tmp_path):
+    problem = ["cnf", "decode", "--ring", "Z", "--window", "N=3", "--colors", "2", "--F", "t"]
+    assert dispatch([*problem, "--model", str(tmp_path / "missing.txt")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read model {tmp_path / 'missing.txt'}: ")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("v 1 -2 -3 4 5 -6 0\n"))
+    code, report = run_json(capsys, *problem, "--model", "-")
+    assert code == 0
+    assert report["payload"] == {"colors": [1, 2, 1], "valid": True}
+
+
+def test_ufp_verify_needs_a_literal(capsys):
+    assert dispatch(["ufp", "verify", "--elements", " , "]) == 2
+    assert capsys.readouterr().err == "error: --elements needs at least one literal\n"
+
+
+def test_report_of_unreadable_files(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    assert dispatch(["report", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+    text = tmp_path / "notes.txt"
+    text.write_text("not json\n")
+    assert dispatch(["report", str(text)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}: not valid JSON (")
+
+
+def test_config_lines(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# a scan\n\nring = Z  # the integers\nwindow = N=50\n\ncolors = 2\nseed = 7\nF = t\n")
+    code, report = run_json(capsys, "scan", "--config", str(cfg))
+    assert code == 0
+    assert report["payload"]["count"] == 83
+    cfg.write_text("ring = Z\nseed 7\n")
+    assert dispatch(["scan", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key = value, got 'seed 7'\n"
+
+
+def test_module_entry_point():
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "monochrome.cli", "hj", "--colors", "2", "--alphabet", "2", "--maxN", "3"]
+    out = subprocess.run(argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["payload"] == {"r": 2, "t": 2, "N": 2, "status": "found"}

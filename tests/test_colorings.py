@@ -134,8 +134,15 @@ def test_load_wrong_value_count():
 def test_load_color_out_of_range():
     with pytest.raises(ColoringFormatError):
         loads_coloring("ring Z\nwindow N=3\ncolors 2\n0 1 2\n")
-    with pytest.raises(ColoringFormatError):
+    with pytest.raises(ColoringFormatError, match=r"^color 3 out of range 1\.\.2 \(colors are 1-based\)$"):
         loads_coloring("ring Z\nwindow N=3\ncolors 2\n1 2 3\n")
+
+
+def test_load_checks_the_color_count_as_coloring_does():
+    with pytest.raises(ColoringFormatError, match="^color count must be >= 1, got 0$"):
+        loads_coloring("ring Z\nwindow N=3\ncolors 0\n1 1 1\n")
+    with pytest.raises(ColoringFormatError, match="^window has 5 elements but 3 colors are given$"):
+        loads_coloring("ring Z\nwindow N=5\ncolors 2\n1 2 1\n")
 
 
 def test_load_malformed_headers():

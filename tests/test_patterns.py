@@ -805,3 +805,18 @@ def test_scan_builds_elements_per_y_not_per_pair(monkeypatch):
         build_instance(window, 2, family)
         monkeypatch.undo()
         assert witnesses and built[0] == 0, (spec, built[0])
+
+
+def test_poly_literal_sums_repeated_degrees():
+    assert format_poly(parse_poly(Z, "t+t")) == "2t"
+    assert parse_poly(Z, "t-t").terms == ()
+    assert parse_poly(GF3, "t+2t").terms == ()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t+", "dangling sign"), ("(t", "unbalanced parentheses"), ("t)", "unbalanced parentheses"),
+    ("t^", "bad polynomial term"), (";", "empty family literal"),
+])
+def test_family_literal_errors(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_family(Z, text)
