@@ -509,13 +509,9 @@ def _cmd_scan(args) -> tuple:
 def _cmd_abundance(args) -> tuple:
     spec, window, r, family, constraints = _problem(args)
     coloring = _coloring_for(args, spec, window, r)
-    if args.y is not None:
-        ys = [parse_element(spec, args.y)]
-        if not constraints.admits_y(ys[0]):
-            raise ValueError(f"y = {format_element(ys[0])} is excluded by the scan constraints")
-    else:
-        ys = [y for y in window.elements if constraints.admits_y(y)]
+    ys = None if args.y is None else [parse_element(spec, args.y)]
     counts = Counter((y.val, color) for y, _, color in _witness_triples(coloring, family, constraints, ys))
+    ys = ys or [y for y in window.elements if constraints.admits_y(y)]  # the rows' y
     rows = [(format_element(y), c, counts[y.val, c]) for y in ys for c in range(1, r + 1)]
     return "ok", {**_header(spec, window, r, family), "rows": rows}
 

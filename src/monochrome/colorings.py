@@ -114,8 +114,6 @@ def _header(line: str, key: str, parse):
         raise ColoringFormatError(f"expected {key!r} header line, got {line!r}")
     try:
         return parse(line[len(prefix):])
-    except ColoringFormatError:
-        raise
     except ValueError as exc:
         raise ColoringFormatError(f"bad {key} header: {exc}") from None
 

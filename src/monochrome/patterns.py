@@ -16,15 +16,15 @@ the x of product_run(y).  A scan that needs whole instances places each
 pair's elements cheapest first, x's own color, then each distinct
 x + f(y), then x*y, and drops the pair at its first element outside the
 window or of another color.  A partial scan visits every pair and
-decides each y over whole color columns.  Witnesses leave the kernel as
-(y, x position, color) triples; only the public API builds elements.
+decides each y over whole color columns, one entry per window position.
+Witnesses leave the kernel as (y, x position, color) triples; only the
+public API builds elements.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -213,7 +213,10 @@ def pattern_color(
     coloring: Coloring, x: RingElement, y: RingElement, family: PolyFamily
 ) -> Union[int, PatternVerdict]:
     """The color i if the whole instance sits in the window with color i,
-    OUT_OF_WINDOW if any element escapes, NOT_MONOCHROMATIC otherwise."""
+    OUT_OF_WINDOW if any element escapes, NOT_MONOCHROMATIC otherwise; a
+    family of another ring than the coloring's is an error, as in the scans."""
+    if family.spec != coloring.window.spec:
+        raise ValueError("family ring differs from the coloring's ring")
     index = coloring.window.index
     positions = list(map(index.get, pattern_elements(x, y, family).elements))
     if None in positions:
@@ -228,35 +231,43 @@ class Witness(NamedTuple):
     color: int
 
 
-def _witness_triples(coloring: Coloring, family: PolyFamily, constraints: ScanConstraints,
-                     ys=None) -> Iterator[tuple]:
+def _witness_triples(coloring: Coloring, family: PolyFamily,
+                     constraints: Optional[ScanConstraints] = None, ys=None) -> Iterator[tuple]:
     """witness_scan's witnesses as (y, x position, color) triples, in scan
-    order, for each y of ys (default: the admitted y).  Per y both modes
-    take the distinct f(y), a zero f(y) standing for x itself, and compute
-    x*y only for the admitted x of product_run(y).  A pair is degenerate
-    when its product equals every x + f(y), so only where every f(y) is
-    one value are positions compared.
+    order, for each y of ys (default: the admitted y; constraints default
+    to the ring's).  It checks its own arguments: the family's ring at the
+    first next(), each y of ys for its ring and admission at its turn.
+    Per y both modes take the distinct f(y), a zero f(y) standing for x
+    itself, and compute x*y only for the admitted x of product_run(y).  A
+    pair is degenerate when its product equals every x + f(y), so only
+    where every f(y) is one value are positions compared.
     Whole mode places each pair's elements cheapest first, x's own color
     where some f(y) is zero, then each distinct nonzero x + f(y), then
     x*y, and drops the pair at its first element outside the window or of
-    another color.  Partial mode folds whole color columns over the
-    admitted x (0 for an element outside the window), x*y's and each
-    x + f(y)'s, into each x's common color, 0 with none visible and -1 at
-    a clash."""
+    another color.  Partial mode keeps one common color per window
+    position, starting from x's own color (or 0) and -1 at an excluded x,
+    and folds whole color columns into it (0 for an element outside the
+    window), x*y's over product_run(y) and each x + f(y)'s over the
+    window: 0 with no color visible, -1 at a clash, which no fold undoes."""
     window, colors = coloring.window, coloring.colors
     position, n, spec = window.raw_index, len(window), window.spec
+    if family.spec != spec:
+        raise ValueError("family ring differs from the coloring's ring")
+    if constraints is None:
+        constraints = ScanConstraints.defaults_for(spec)
     get, ext, zero = position.get, colors + (0,), spec.zero.val
     add, mul, f_values = spec.add, spec.mul, _raw_evaluator(family)
     whole, forbid_degenerate = constraints.require_in_window, constraints.forbid_degenerate
     skip = {position[x.val] for x in constraints.exclude_x if x in window}
     values = list(position)
-    if not whole:
-        span = [pos for pos in range(n) if pos not in skip]
-        xvs = [values[pos] for pos in span]
-        own_colors = [colors[pos] for pos in span]
-    if ys is None:
-        ys = (y for y in window.elements if constraints.admits_y(y))
-    for y in ys:
+    given = ys is not None
+    for y in ys if given else window.elements:
+        if given:
+            spec.zero._check(y)
+        if not constraints.admits_y(y):
+            if given:
+                raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
+            continue
         yv = y.val
         fvs = dict.fromkeys(f_values(yv))  # the distinct f(y), in family order
         own, lone = zero in fvs, forbid_degenerate and len(fvs) == 1
@@ -279,21 +290,22 @@ def _witness_triples(coloring: Coloring, family: PolyFamily, constraints: ScanCo
                     if ext[p] == color and not (lone and p == q):
                         yield y, pos, color
             continue
-        a, b = bisect_left(span, lo), bisect_left(span, hi)
-        run = xvs[a:b]
+        run = values[lo:hi]
         products = [get(mul(xv, yv), n) for xv in run]
         # a common color m meets a color c: m where c equals it or is 0, c where m is 0, else -1
-        common = own_colors if own else [0] * len(span)
+        common = list(colors) if own else [0] * n
+        for pos in skip:
+            common[pos] = -1
         head = [m if (c := ext[p]) == m or c == 0 else c if m == 0 else -1
-                for m, p in zip(common[a:b], products)]
+                for m, p in zip(common[lo:hi], products)]
         if lone:
             fv, = fvs
             head = [-1 if p < n and p == get(add(xv, fv)) else m for p, m, xv in zip(products, head, run)]
-        common = common[:a] + head + common[b:]
+        common[lo:hi] = head
         for fv in adds:  # in any order: the fold is commutative
             common = [m if (c := ext[get(add(xv, fv), n)]) == m or c == 0 else c if m == 0 else -1
-                      for m, xv in zip(common, xvs)]
-        yield from [(y, pos, color) for pos, color in zip(span, common) if color > 0]
+                      for m, xv in zip(common, values)]
+        yield from [(y, pos, color) for pos, color in enumerate(common) if color > 0]
 
 
 def witness_scan(
@@ -316,19 +328,14 @@ def witness_scan(
     Window.product_run(y).  A whole-window scan tests each element's color
     as it computes it, x*y last, and leaves a pair at its first clash.
 
-    It wraps _witness_triples.  This is a generator function: its
-    ValueError checks (family ring against the coloring's ring, negative
-    limit) run at the first next(), not at the call.
+    It checks the limit and wraps _witness_triples, which checks the rest.
+    This is a generator function: its ValueError checks (negative limit,
+    family ring against the coloring's) run at the first next(), not at
+    the call.
     """
-    window = coloring.window
-    spec = window.spec
-    if family.spec != spec:
-        raise ValueError("family ring differs from the coloring's ring")
-    if constraints is None:
-        constraints = ScanConstraints.defaults_for(spec)
     if limit is not None and limit < 0:
         raise ValueError(f"witness limit must be >= 0, got {limit}")
-    elements, new = window.elements, tuple.__new__  # Witness(x, y, c) without its Python-level __new__
+    elements, new = coloring.window.elements, tuple.__new__  # Witness(x, y, c) without its Python-level __new__
     yield from islice((new(Witness, (elements[pos], y, color))
                        for y, pos, color in _witness_triples(coloring, family, constraints)), limit)
 
@@ -344,15 +351,10 @@ def abundance_profile(
 
     The sets are exactly witness_scan's witnesses at this y grouped by
     color, so with require_in_window=False an instance is judged by its
-    visible part in the same way.
+    visible part in the same way.  The checks are _witness_triples': a
+    family or a y of another ring, or a y the constraints exclude, is an
+    error at the call.
     """
-    spec = coloring.window.spec
-    if family.spec != spec:
-        raise ValueError("family ring differs from the coloring's ring")
-    if constraints is None:
-        constraints = ScanConstraints.defaults_for(spec)
-    if not constraints.admits_y(y):
-        raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
     profile: dict = {i: set() for i in range(1, coloring.r + 1)}
     elements = coloring.window.elements
     for _, pos, color in _witness_triples(coloring, family, constraints, (y,)):

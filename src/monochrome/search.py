@@ -15,8 +15,9 @@ domain, and a member left with one color takes it at once.  Exhausting
 the space is reported as Forced, a completed assignment as
 AvoidanceFound, and hitting the node budget as Timeout — a first-class
 outcome, never a silent truncation.  The search runs over plain index
-sets (_avoid), so halesjewett.find_avoiding_coloring runs the same core
-with the lines of a cube [t]^n in cell order.
+sets and keeps every per-element state by window position (_avoid), so
+halesjewett.find_avoiding_coloring runs the same core with the lines of
+a cube [t]^n in cell order.
 
 The same instance exports to DIMACS CNF (satisfiable exactly when an
 avoidance coloring exists) for external solvers and for the separate
@@ -186,8 +187,8 @@ def _first_monochromatic(colors: Sequence[int], index_sets) -> Optional[int]:
 def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -> AvoidanceResult:
     """Search for an avoidance coloring.
 
-    Slots are the candidates' elements in the static order (-weight,
-    index), where weight counts the candidates an element lies in; the
+    The candidates' positions are decided in the static order (-weight,
+    index), where weight counts the candidates a position lies in; the
     search itself is _avoid.  Each decision costs one node against the
     budget (None = unlimited, negative = ValueError); propagated
     assignments are free.
@@ -207,62 +208,58 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
     when status is FOUND, else None.
 
     order lists every position that lies in some index set, in decision
-    order; a decision gives the first undecided slot its least open
-    color.  Each slot keeps a bitmask of open colors and each index set
-    an open count and per-color counts, so its shared color (none, c or
-    mixed) reads off directly.  When a set is left with one open slot and
-    every other member colored c, c leaves that slot's domain; an empty
-    domain is a conflict, and a singleton domain is assigned at once
-    (cascading).  The pruning is sound and the decision order is fixed,
-    so the result is the lexicographically first avoider in that order,
-    as without propagation.  Each decision costs one node against the
-    budget (None = unlimited); propagated assignments are free.
-    backtracks counts dead ends: conflicts and slots whose colors ran out.
-    With one color or a one-element index set, every coloring fails: that
-    is decided up front (FORCED, no node, one backtrack), so the search
-    loop's exhaustion is the only other FORCED exit.
+    order; a decision gives the first uncolored position of order its
+    least open color.  All state is kept by position: each position has
+    a bitmask of open colors, and each index set an open count and
+    per-color counts, so its shared color (none, c or mixed) reads off
+    directly.  When a set is left with one open member and every other
+    member colored c, c leaves that member's domain; an empty domain is a
+    conflict, and a singleton domain is assigned at once (cascading).
+    The pruning is sound and the decision order is fixed, so the result
+    is the lexicographically first avoider in that order, as without
+    propagation.  Each decision costs one node against the budget (None =
+    unlimited); propagated assignments are free.  backtracks counts dead
+    ends: conflicts and decisions whose colors ran out.  With one color
+    and some index set, or with a one-element index set, every coloring
+    fails: that is decided up front (FORCED, no node, one backtrack), so
+    the search loop's exhaustion is the only other FORCED exit.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    total = len(order)
-    if total == 0:
-        return AvoidanceStatus.FOUND, (1,) * size, 0, 0
-    slot_of = {i: k for k, i in enumerate(order)}
-    cands = [tuple(map(slot_of.__getitem__, idxs)) for idxs in index_sets]
-    if r == 1 or any(len(c) == 1 for c in cands):
+    if r == 1 and index_sets or any(len(idxs) == 1 for idxs in index_sets):
         return AvoidanceStatus.FORCED, None, 0, 1
-    # per slot: (candidate, its slots, the index of its color-0 counter)
+    # per position: (index set, its positions, the index of its color-0 counter)
     stride = r + 1
-    member_cands = [[] for _ in order]
-    for ci, c in enumerate(cands):
-        for s in c:
-            member_cands[s].append((ci, c, ci * stride))
+    member_cands = [[] for _ in range(size)]
+    for ci, idxs in enumerate(index_sets):
+        for i in idxs:
+            member_cands[i].append((ci, idxs, ci * stride))
 
-    colors = [0] * total
-    domain = [(1 << stride) - 2] * total  # bit c set: color c still open
-    open_count = [len(c) for c in cands]
-    counts = [0] * (len(cands) * stride)  # counts[ci*stride + c]: members of ci colored c
-    trail = []  # slots in assignment order
-    removed = []  # (slot, bit) domain removals in order
+    colors = [0] * size
+    domain = [(1 << stride) - 2] * size  # bit c set: color c still open
+    open_count = [len(idxs) for idxs in index_sets]
+    counts = [0] * (len(index_sets) * stride)  # counts[ci*stride + c]: members of ci colored c
+    trail = []  # positions in assignment order
+    removed = []  # (position, bit) domain removals in order
 
-    def assign(slot: int, color: int) -> bool:
-        """Color slot and propagate; False on a conflict."""
+    def assign(i: int, color: int) -> bool:
+        """Color position i and propagate; False on a conflict."""
         ok = True
-        # a slot is pushed once, uncolored, when its domain drops to one
-        # color; a further removal there empties it and stops the loop
-        pending = [(slot, color)]
+        # a position is pushed once, uncolored, when its domain drops to
+        # one color; a further removal there empties it and stops the loop
+        pending = [(i, color)]
         while pending and ok:
             s, c = pending.pop()
             colors[s] = c
             trail.append(s)
             bit = 1 << c
-            for ci, slots, base in member_cands[s]:
+            for ci, members, base in member_cands[s]:
                 o = open_count[ci] - 1
                 open_count[ci] = o
                 m = counts[base + c] + 1
                 counts[base + c] = m
-                if o == 1 and m == len(slots) - 1 and ok:
-                    for t in slots:
+                if o == 1 and m == len(members) - 1 and ok:
+                    for t in members:
                         if not colors[t]:
                             break
                     d = domain[t]
@@ -290,16 +287,18 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
 
     nodes = 0
     backtracks = 0
-    frames = []  # (slot, color, trail length, removed length) per decision
-    k = 0
-    tried = 0  # the color last decided at slot k; 0 when k is fresh
+    frames = []  # (k, color, trail length, removed length) per decision
+    total = len(order)
+    k = 0  # the decision at order[k]
+    tried = 0  # the color last decided at order[k]; 0 when k is fresh
     while True:
         if not tried:
-            while k < total and colors[k]:
+            while k < total and colors[order[k]]:
                 k += 1
             if k == total:
                 break
-        d = domain[k] >> (tried + 1) << (tried + 1)
+        pos = order[k]
+        d = domain[pos] >> (tried + 1) << (tried + 1)
         if not d:
             backtracks += 1
             if not frames:
@@ -312,16 +311,14 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
         nodes += 1
         tried = (d & -d).bit_length() - 1
         trail_len, removed_len = len(trail), len(removed)
-        if assign(k, tried):
+        if assign(pos, tried):
             frames.append((k, tried, trail_len, removed_len))
             tried = 0
         else:
             backtracks += 1
             undo(trail_len, removed_len)
 
-    full = [1] * size
-    for i, slot in slot_of.items():
-        full[i] = colors[slot]
+    full = [c or 1 for c in colors]
     if _first_monochromatic(full, index_sets) is not None:
         raise InternalError("backtracker guard tripped: completed coloring not avoiding")
     return AvoidanceStatus.FOUND, tuple(full), nodes, backtracks
@@ -378,29 +375,21 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
         return res.status
 
     lo = family.spec.least - 1  # largest N known avoidable (none yet: below the least window)
-    n = 1
     hi = None  # smallest N known forced
+    n = 1
     while True:
         st = status_at(n)
         if st is AvoidanceStatus.TIMEOUT:
             return MoreiraResult("inconclusive", n, tuple(trace), builds, instance_at)
         if st is AvoidanceStatus.FORCED:
             hi = n
-            break
-        lo = n
-        if n == max_n:
-            return MoreiraResult("not_found_within", max_n, tuple(trace), builds, instance_at)
-        n = min(2 * n, max_n)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        st = status_at(mid)
-        if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", mid, tuple(trace), builds, instance_at)
-        if st is AvoidanceStatus.FORCED:
-            hi = mid
         else:
-            lo = mid
-    return MoreiraResult("found", hi, tuple(trace), builds, instance_at)
+            lo = n
+        if hi is None and n == max_n:
+            return MoreiraResult("not_found_within", max_n, tuple(trace), builds, instance_at)
+        if lo + 1 == hi:
+            return MoreiraResult("found", hi, tuple(trace), builds, instance_at)
+        n = min(2 * n, max_n) if hi is None else (lo + hi) // 2  # doubling, then bisection
 
 
 # ---------------------------------------------------------------------------

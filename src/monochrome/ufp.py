@@ -113,12 +113,11 @@ def has_ufp(seq: Union[UfpSequence, Sequence[RingElement]]) -> Optional[UfpViola
     if len(fp) == len(products):  # no collision to locate
         seq._base = fp  # kept for _fp_precondition and extend_ufp's guard
         return None
-    first: dict = {}
+    first: dict = {}  # some product repeats, so the loop returns
     for mask, prod in enumerate(products, start=1):
         prev = first.setdefault(prod, mask)
         if prev != mask:
             return UfpViolation(_index_set(prev), _index_set(mask), RingElement(seq.spec, prod))
-    return None
 
 
 def exclusion_set(b) -> frozenset:

@@ -248,6 +248,22 @@ def test_wildcard_set_validation():
     g.check_range(2)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Word(0, (1,)), "alphabet size must be >= 1"),
+    (lambda: Word(2, ()), "words are nonempty"),
+    (lambda: flat_index((3,), 2), "index entry 3 out of range 1..2"),
+    (lambda: wildcard_set([0]), "coordinates are integers >= 1"),
+    (lambda: SigmaPoint(Z, 0, ((),)), "side must be >= 1"),
+    (lambda: coefficient_alphabet(parse_family(Z, "t^2"), 1),
+     "padding degree 1 below the family's top degree 2"),
+    (lambda: multiplicative_assignment([], 1), "need at least one base value"),
+    (lambda: multiplicative_assignment([Z.integer(2)], 0), "depth must be >= 1"),
+], ids=["alphabet", "empty-word", "flat-index", "wildcard", "side", "padding", "no-base", "depth"])
+def test_word_and_layered_space_arguments_checked(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Additive embedding
 
@@ -333,6 +349,20 @@ def test_non_multiplicative_assignment_rejected():
     u = SigmaPoint(Z, 2, ((Z.zero, Z.zero), (Z.zero,) * 4))
     with pytest.raises(ValueError):
         verify_sigma_line_identity(fam, ya, wildcard_set({1}), u, Z.zero)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda u, ya: sigma_embed(u, ya, ZI.zero), "base point and layered point from different rings"),
+    (lambda u, ya: verify_sigma_line_identity(parse_family(ZI, "t"), ya, wildcard_set({1}), u, Z.zero),
+     "family and layered point from different rings"),
+    (lambda u, ya: verify_sigma_line_identity(parse_family(Z, "t^2"), ya, wildcard_set({1}), u, Z.zero),
+     "layered point too shallow for the family's top degree"),
+], ids=["base-point-ring", "family-ring", "too-shallow"])
+def test_sigma_checks_rings_and_depth(check, message):
+    u = SigmaPoint(Z, 2, ((Z.one, Z.zero),))  # one level over Z
+    ya = multiplicative_assignment((Z.integer(2), Z.integer(3)), 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(u, ya)
 
 
 def test_coefficient_alphabet_contents():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -420,6 +421,42 @@ def test_abundance_rejects_excluded_y():
         abundance_profile(c, fam, Z.one)
 
 
+@pytest.mark.parametrize("ring, y, error, message", [
+    ("Zi", parse_element(GF3, "x"), ValueError, "ring mismatch: Zi vs GF(3)[x]"),  # raw value of i
+    ("Z", ZI.gaussian(0, 1), ValueError, "ring mismatch: Z vs Zi"),
+    ("Z", 2, TypeError, "expected RingElement, got int"),
+], ids=["gf3-y-on-zi", "zi-y-on-z", "int-y"])
+def test_abundance_rejects_a_y_of_another_ring(ring, y, error, message):
+    spec = parse_ring_spec(ring)
+    coloring = random_coloring(enumerate_window(spec, WindowParams(3)), 2, 1)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        abundance_profile(coloring, parse_family(spec, "t"), y)
+
+
+def test_family_of_another_ring_rejected_by_every_judge():
+    coloring = random_coloring(enumerate_window(Z, WindowParams(10)), 2, 1)
+    fam, y = parse_family(ZI, "t"), ZI.from_int(2)
+    message = "^family ring differs from the coloring's ring$"
+    with pytest.raises(ValueError, match=message):
+        abundance_profile(coloring, fam, y)
+    with pytest.raises(ValueError, match=message):
+        next(witness_scan(coloring, fam))
+    with pytest.raises(ValueError, match=message):
+        pattern_color(coloring, ZI.one, y, fam)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: make_family(Z, [parse_poly(ZI, "t")]), ValueError, "family member from a different ring"),
+    (lambda: zero_const_poly(Z, {1: 3}), TypeError, "coefficients must be RingElements"),
+    (lambda: zero_const_poly(Z, {1: ZI.one}), ValueError, "coefficient from a different ring"),
+    (lambda: eval_poly(parse_poly(Z, "t"), ZI.one), ValueError,
+     "polynomial and argument from different rings"),
+], ids=["family-member", "coefficient-type", "coefficient-ring", "eval-argument"])
+def test_polynomial_arguments_checked(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Literals
 
@@ -552,6 +589,7 @@ def kernel_cases(spec, window, seed):
         "degenerate": ScanConstraints(defaults.exclude_y, frozenset(), forbid_degenerate=False),
         "partial": ScanConstraints(defaults.exclude_y, defaults.exclude_x, require_in_window=False),
         "partial_open": ScanConstraints(frozenset(), frozenset(), False, False),
+        "partial_exclude_x": ScanConstraints(defaults.exclude_y, every_third, require_in_window=False),
     }
     if spec in COLLIDING:
         # excludes the window's zero, never its element of the same raw value
@@ -816,6 +854,7 @@ def test_poly_literal_sums_repeated_degrees():
 @pytest.mark.parametrize("text,message", [
     ("t+", "dangling sign"), ("(t", "unbalanced parentheses"), ("t)", "unbalanced parentheses"),
     ("t^", "bad polynomial term"), (";", "empty family literal"),
+    ("()", r"bad polynomial term '\(\)' in '\(\)'"),
 ])
 def test_family_literal_errors(text, message):
     with pytest.raises(ValueError, match=message):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from monochrome.prng import mix64, stream_below, stream_value
 
 # Reference outputs of the standard splitmix64 generator seeded with 0
@@ -62,3 +64,5 @@ def test_stream_below_is_value_mod_n():
 def test_stream_below_range():
     for k in range(100):
         assert 0 <= stream_below(42, k, 7) < 7
+    with pytest.raises(ValueError, match="^bound must be positive$"):
+        stream_below(1, 0, 0)

@@ -184,6 +184,9 @@ def test_mixed_ring_arithmetic_rejected():
         Z.integer(1) + ZI.gaussian(1, 0)
     with pytest.raises(ValueError):
         GF2.poly((1,)) * GF3.poly((1,))
+    with pytest.raises(TypeError, match="^expected RingElement, got int$"):
+        Z.integer(1) + 1
+    assert (Z.integer(1) == 1) is False
 
 
 def test_powers():
@@ -453,8 +456,12 @@ def test_bad_element_literals():
     for spec, text in ((Z, "\u30005"), (Z, "5\u3000"), (ZI, "\u3000i"), (GF2, "x\u3000")):
         with pytest.raises(ValueError):
             parse_element(spec, text)
+    with pytest.raises(ValueError, match="^empty element literal$"):
+        parse_element(Z, "  ")
     w = enumerate_window(Z, WindowParams(10))
     assert parse_element_set(Z, "\t{1, 2 } ", w) == frozenset({Z.integer(1), Z.integer(2)})
+    with pytest.raises(ValueError, match=r"^ideal\(m\) needs m != 0$"):
+        parse_element_set(Z, "ideal(0)", w)
     for text in ("{1,\u30002}", "\u3000{1}", "{\u3000}"):
         with pytest.raises(ValueError):
             parse_element_set(Z, text, w)

@@ -69,6 +69,11 @@ def test_dpll_empty_clause_unsat():
     assert dpll_sat(2, [(1, 2), ()]) is None
 
 
+def test_dpll_negative_variable_count_rejected():
+    with pytest.raises(ValueError, match="^variable count must be >= 0$"):
+        dpll_sat(-1, [])
+
+
 def test_dpll_no_clauses_sat():
     model = dpll_sat(3, [])
     assert model is not None and len(model) == 3
@@ -267,6 +272,13 @@ def test_negative_budget_rejected():
             avoidance_backtrack(build_instance(zwindow(n), 2, LINEAR), budget=-1)
     with pytest.raises(ValueError):
         moreira_number(2, LINEAR, 30, budget=-1)
+
+
+def test_build_instance_checks_its_arguments():
+    with pytest.raises(ValueError, match="^color count must be >= 1, got 0$"):
+        build_instance(zwindow(10), 0, LINEAR)
+    with pytest.raises(ValueError, match="^window and family from different rings$"):
+        build_instance(zwindow(10), 2, parse_family(ZI, "t"))
 
 
 def test_empty_instance_single_color_found():
@@ -733,6 +745,46 @@ def test_instance_at_slices_like_the_probes(monkeypatch, ring, fam_text, max_n, 
         assert inst.window.raw_index == fresh.window.raw_index and inst.r == 2
         assert (inst.candidates, inst.index_sets) == (fresh.candidates, fresh.index_sets), n
     assert len(built) == builds
+
+
+# (ring, family, r, N, budget) -> status, nodes, backtracks and the first 16
+# hex digits of the sha256 of the avoider's color bytes, frozen: a change to
+# how the search keeps its state must leave every number as it is
+ENGINE_ROWS = [
+    ("Z", "t^2", 3, 183, None, "avoidance_found", 187, 130, "a55b10d0d9a0b546"),
+    ("Z", "t^2", 3, 184, None, "forced", 1479, 1480, None),
+    ("Z", "0;3t", 2, 44, None, "avoidance_found", 20, 12, "07c79ba24d2a3f3b"),
+    ("Z", "0;3t", 2, 45, None, "forced", 54, 55, None),
+    ("Z", "t;t^2", 2, 79, None, "avoidance_found", 18, 1, "68a1af4968b4abb0"),
+    ("Z", "t;t^2", 2, 80, None, "forced", 70, 71, None),
+    ("GF(2)[x]", "0;t", 3, 9, 300, "timeout", 300, 284, None),
+]
+
+
+def _digest(colors):
+    return None if colors is None else hashlib.sha256(bytes(colors)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("ring, fam_text, r, n, budget, status, nodes, backtracks, avoider", ENGINE_ROWS)
+def test_engine_rows_frozen(ring, fam_text, r, n, budget, status, nodes, backtracks, avoider):
+    spec = parse_ring_spec(ring)
+    inst = build_instance(enumerate_window(spec, WindowParams(n)), r, parse_family(spec, fam_text))
+    res = avoidance_backtrack(inst, budget)
+    colors = None if res.coloring is None else res.coloring.colors
+    assert (res.status.value, res.nodes, res.backtracks, _digest(colors)) == (
+        status, nodes, backtracks, avoider)
+
+
+@pytest.mark.parametrize("t, n, r, status, nodes, backtracks, avoider", [
+    (3, 3, 2, "avoidance_found", 18, 3, "0535a2f331ee3e1f"),
+    (2, 3, 3, "forced", 9, 10, None),
+])
+def test_cube_engine_rows_frozen(t, n, r, status, nodes, backtracks, avoider):
+    # the cube's lines as index sets, cells in order, as find_avoiding_coloring runs them
+    from monochrome.halesjewett import _line_cells
+
+    st, colors, got_nodes, got_backtracks = search._avoid(_line_cells(t, n), range(t**n), t**n, r, None)
+    assert (st.value, got_nodes, got_backtracks, _digest(colors)) == (status, nodes, backtracks, avoider)
 
 
 # ---------------------------------------------------------------------------

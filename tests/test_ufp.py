@@ -123,6 +123,11 @@ def test_empty_sequence_rejected():
         UfpSequence(())
 
 
+def test_mixed_ring_sequence_rejected():
+    with pytest.raises(ValueError, match="^mixed rings in sequence$"):
+        UfpSequence((Z.integer(2), ZI.gaussian(1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # Exclusion sets
 
