@@ -100,11 +100,11 @@ def find_avoiding_coloring(r: int, t: int, n: int, work_cap: Optional[int] = Non
     more than work_cap decisions.
 
     Runs the avoidance search of search.py with the lines as index sets
-    and the cells in canonical order 0..t^n-1, so a found coloring is the
-    lexicographically first avoider.  Every decision (a color tried at a
-    cell; colors forced by propagation are free) counts one unit of
-    work against work_cap (default DEFAULT_WORK_CAP); a negative work_cap
-    raises ValueError.
+    and the cells in order 0..t^n-1 (a found coloring is the first
+    avoider in that order; cell 0 takes color 1 only, so a forced cube
+    costs 1/r of the work).  Every decision (a color tried at a cell;
+    propagated colors are free) counts one unit of work against work_cap
+    (default DEFAULT_WORK_CAP); a negative work_cap raises ValueError.
     """
     if r < 1 or t < 1 or n < 1:
         raise ValueError("colors, alphabet size and length must be >= 1")

@@ -8,16 +8,16 @@ x + f(y), one candidate per element set.
 
 The backtracker assigns colors only to elements that occur in at least
 one candidate (anything else is unconstrained and gets color 1 in a
-found coloring).  It decides the most-constrained element first, least
-color first, and propagates: once a candidate has one uncolored member
-and all the others share a color, that color leaves the member's
-domain, and a member left with one color takes it at once.  Exhausting
-the space is reported as Forced, a completed assignment as
-AvoidanceFound, and hitting the node budget as Timeout — a first-class
-outcome, never a silent truncation.  The search runs over plain index
-sets and keeps every per-element state by window position (_avoid), so
-halesjewett.find_avoiding_coloring runs the same core with the lines of
-a cube [t]^n in cell order.
+found coloring).  It decides the most-constrained element first (color 1
+only: the colors are interchangeable), least color first, and
+propagates: once a candidate has one uncolored member and the others
+share a color, that color leaves the member's domain, and a member left
+with one color takes it at once.  Exhausting the space is reported as
+Forced, a completed assignment as AvoidanceFound, and hitting the node
+budget as Timeout — a first-class outcome, never a silent truncation.
+The search runs over plain index sets and keeps every per-element state
+by window position (_avoid), so halesjewett.find_avoiding_coloring runs
+the same core with the lines of a cube [t]^n in cell order.
 
 The same instance exports to DIMACS CNF (satisfiable exactly when an
 avoidance coloring exists) for external solvers and for the separate
@@ -188,10 +188,10 @@ def avoidance_backtrack(inst: AvoidanceInstance, budget: Optional[int] = None) -
     """Search for an avoidance coloring.
 
     The candidates' positions are decided in the static order (-weight,
-    index), where weight counts the candidates a position lies in; the
-    search itself is _avoid.  Each decision costs one node against the
-    budget (None = unlimited, negative = ValueError); propagated
-    assignments are free.
+    index), where weight counts the candidates a position lies in, and
+    the heaviest takes color 1; the search itself is _avoid.  Each
+    decision costs one node against the budget (None = unlimited,
+    negative = ValueError); propagated assignments are free.
     """
     weight = Counter(chain.from_iterable(inst.index_sets))
     order = sorted(sorted(weight), key=weight.__getitem__, reverse=True)  # stable: (-weight, index)
@@ -209,20 +209,23 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
 
     order lists every position that lies in some index set, in decision
     order; a decision gives the first uncolored position of order its
-    least open color.  All state is kept by position: each position has
-    a bitmask of open colors, and each index set an open count and
-    per-color counts, so its shared color (none, c or mixed) reads off
-    directly.  When a set is left with one open member and every other
-    member colored c, c leaves that member's domain; an empty domain is a
-    conflict, and a singleton domain is assigned at once (cascading).
-    The pruning is sound and the decision order is fixed, so the result
-    is the lexicographically first avoider in that order, as without
-    propagation.  Each decision costs one node against the budget (None =
-    unlimited); propagated assignments are free.  backtracks counts dead
-    ends: conflicts and decisions whose colors ran out.  With one color
-    and some index set, or with a one-element index set, every coloring
-    fails: that is decided up front (FORCED, no node, one backtrack), so
-    the search loop's exhaustion is the only other FORCED exit.
+    least open color, but order[0] takes color 1 only: nothing is colored
+    at the root and the colors are interchangeable.  So a forced search
+    refutes one of r isomorphic root subtrees (nodes / r, and
+    (backtracks - 1) / r + 1, of trying every root color), and a search
+    ending inside the color-1 one (every found one does) is unchanged.
+    State is kept by position (a bitmask of open colors) and by index set
+    (open and per-color counts).  A set left with one open member and
+    every other member colored c takes c from that member's domain; an
+    empty domain is a conflict, a singleton one is assigned at once
+    (cascading).  The pruning is sound and the order fixed, so the result
+    is the lexicographically first avoider in that order.  Each decision
+    costs one node against the budget (None = unlimited); propagated
+    assignments are free.  backtracks counts dead ends: conflicts and
+    decisions whose colors ran out.  With one color and some index set,
+    or a one-element index set, every coloring fails: decided up front
+    (FORCED, no node, one backtrack), so the loop's only FORCED exit is
+    color 1 at order[0] refuted.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -237,6 +240,8 @@ def _avoid(index_sets, order, size: int, r: int, budget: Optional[int]) -> tuple
 
     colors = [0] * size
     domain = [(1 << stride) - 2] * size  # bit c set: color c still open
+    if order:  # colors are interchangeable: the first decision takes color 1
+        domain[order[0]] = 2
     open_count = [len(idxs) for idxs in index_sets]
     counts = [0] * (len(index_sets) * stride)  # counts[ci*stride + c]: members of ci colored c
     trail = []  # positions in assignment order

@@ -606,13 +606,20 @@ def test_hj_not_found_reports_avoider(capsys):
 
 def test_hj_work_cap(capsys):
     code, report = run_json(
-        capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "3",
-        "--work-cap", "1",
+        capsys, "hj", "--colors", "2", "--alphabet", "3", "--maxN", "3",
+        "--work-cap", "2",
     )
     assert code == 1
     assert report["status"] == "work_cap_exceeded"
-    # side 1 needs one decision, side 2 more: N is the side that hit the cap
-    assert report["payload"] == {"r": 2, "t": 2, "N": 2, "status": "work_cap_exceeded"}
+    # side 1 needs two decisions, side 2 eight: N is the side that hit the cap
+    assert report["payload"] == {"r": 2, "t": 3, "N": 2, "status": "work_cap_exceeded"}
+    # [2]^1 and the forced [2]^2 need one decision each
+    code, report = run_json(
+        capsys, "hj", "--colors", "2", "--alphabet", "2", "--maxN", "3",
+        "--work-cap", "1",
+    )
+    assert code == 0
+    assert report["payload"] == {"r": 2, "t": 2, "N": 2, "status": "found"}
 
 
 def test_hj_default_cap_searches_the_3_cube(capsys):

@@ -170,9 +170,13 @@ def test_avoiding_colorings_verify_against_oracle():
 
 
 def test_work_cap_guard():
-    # [2]^1 needs one decision, so a cap of 1 stops at side 2
-    res = hj_number_exhaustive(2, 2, 3, work_cap=1)
+    # [3]^1 needs two decisions and [3]^2 eight, so a cap of 2 stops at side 2
+    res = hj_number_exhaustive(2, 3, 3, work_cap=2)
     assert (res.status, res.n, res.avoiding) == ("work_cap_exceeded", 2, None)
+    # [2]^1 needs one decision, and so does the forced [2]^2: color 1 at its
+    # first cell is refuted and no other color is tried there
+    res = hj_number_exhaustive(2, 2, 3, work_cap=1)
+    assert (res.status, res.n) == ("found", 2)
     res = hj_number_exhaustive(2, 2, 3, work_cap=10**7)
     assert (res.status, res.n) == ("found", 2)
 

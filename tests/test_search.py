@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -749,7 +750,10 @@ def test_instance_at_slices_like_the_probes(monkeypatch, ring, fam_text, max_n, 
 
 # (ring, family, r, N, budget) -> status, nodes, backtracks and the first 16
 # hex digits of the sha256 of the avoider's color bytes, frozen: a change to
-# how the search keeps its state must leave every number as it is
+# how the search keeps its state must leave every number as it is.  A forced
+# row's counts were measured with all r colors tried at the first decision,
+# before that decision took color 1 only; the engine's are _one_root_color
+# of them.  Found and timeout rows are the engine's own.
 ENGINE_ROWS = [
     ("Z", "t^2", 3, 183, None, "avoidance_found", 187, 130, "a55b10d0d9a0b546"),
     ("Z", "t^2", 3, 184, None, "forced", 1479, 1480, None),
@@ -757,6 +761,7 @@ ENGINE_ROWS = [
     ("Z", "0;3t", 2, 45, None, "forced", 54, 55, None),
     ("Z", "t;t^2", 2, 79, None, "avoidance_found", 18, 1, "68a1af4968b4abb0"),
     ("Z", "t;t^2", 2, 80, None, "forced", 70, 71, None),
+    ("Z", "0;t;2t", 2, 150, None, "forced", 25906, 25907, None),
     ("GF(2)[x]", "0;t", 3, 9, 300, "timeout", 300, 284, None),
 ]
 
@@ -765,26 +770,48 @@ def _digest(colors):
     return None if colors is None else hashlib.sha256(bytes(colors)).hexdigest()[:16]
 
 
+def _one_root_color(r, nodes, backtracks):
+    """A forced search's (nodes, backtracks) once its first decision takes
+    color 1 only, from its counts with all r colors tried there: each root
+    color opened an isomorphic subtree, and the root's exhaustion was one
+    more backtrack, so one subtree is left."""
+    assert nodes % r == 0 and (backtracks - 1) % r == 0
+    return nodes // r, (backtracks - 1) // r + 1
+
+
 @pytest.mark.parametrize("ring, fam_text, r, n, budget, status, nodes, backtracks, avoider", ENGINE_ROWS)
 def test_engine_rows_frozen(ring, fam_text, r, n, budget, status, nodes, backtracks, avoider):
     spec = parse_ring_spec(ring)
     inst = build_instance(enumerate_window(spec, WindowParams(n)), r, parse_family(spec, fam_text))
     res = avoidance_backtrack(inst, budget)
     colors = None if res.coloring is None else res.coloring.colors
+    if status == "forced":
+        nodes, backtracks = _one_root_color(r, nodes, backtracks)
     assert (res.status.value, res.nodes, res.backtracks, _digest(colors)) == (
         status, nodes, backtracks, avoider)
 
 
 @pytest.mark.parametrize("t, n, r, status, nodes, backtracks, avoider", [
     (3, 3, 2, "avoidance_found", 18, 3, "0535a2f331ee3e1f"),
-    (2, 3, 3, "forced", 9, 10, None),
+    (2, 3, 3, "forced", 9, 10, None),  # all r colors at the root, as in ENGINE_ROWS
 ])
 def test_cube_engine_rows_frozen(t, n, r, status, nodes, backtracks, avoider):
     # the cube's lines as index sets, cells in order, as find_avoiding_coloring runs them
     from monochrome.halesjewett import _line_cells
 
     st, colors, got_nodes, got_backtracks = search._avoid(_line_cells(t, n), range(t**n), t**n, r, None)
+    if status == "forced":
+        nodes, backtracks = _one_root_color(r, nodes, backtracks)
     assert (st.value, got_nodes, got_backtracks, _digest(colors)) == (status, nodes, backtracks, avoider)
+
+
+def test_a_budget_decides_the_forced_search_in_one_root_subtree():
+    # 0;3t at N=45 is forced once color 1 at the first decision is refuted,
+    # in 27 nodes; color 2 there is never tried
+    inst = build_instance(zwindow(45), 2, parse_family(Z, "0;3t"))
+    res = avoidance_backtrack(inst, 27)
+    assert (res.status, res.nodes) == (AvoidanceStatus.FORCED, 27)
+    assert avoidance_backtrack(inst, 26).status is AvoidanceStatus.TIMEOUT
 
 
 # ---------------------------------------------------------------------------
@@ -874,10 +901,24 @@ def test_dpll_matches_the_rescanning_dpll_on_random_cnfs():
 
 
 def test_propagation_cuts_the_forced_search():
-    # t;t^2 at N=80 took 219,154 nodes without propagation
+    # t;t^2 at N=80 took 219,154 nodes without propagation, and 70 (71
+    # backtracks) with propagation and both colors tried at the root
     res = avoidance_backtrack(build_instance(zwindow(80), 2, parse_family(Z, "t;t^2")))
     assert res.status is AvoidanceStatus.FORCED
-    assert res.nodes == 70
+    assert (res.nodes, res.backtracks) == _one_root_color(2, 70, 71)
+
+
+def test_found_colorings_give_the_heaviest_position_color_1():
+    # the first decision is the heaviest position, (-weight, index) first
+    found = 0
+    for label, inst in _diff_instances():
+        res = avoidance_backtrack(inst)
+        if res.status is AvoidanceStatus.FOUND and inst.index_sets:
+            weight = Counter(itertools.chain.from_iterable(inst.index_sets))
+            heaviest = min(weight, key=lambda i: (-weight[i], i))
+            assert res.coloring.colors[heaviest] == 1, label
+            found += 1
+    assert found >= 440
 
 
 def test_one_element_candidate_forces_at_the_root():
