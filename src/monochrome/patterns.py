@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .colorings import Coloring
 from .rings import (
-    WHITESPACE, RingElement, RingSpec, format_element, format_ring_spec, parse_element,
+    WHITESPACE, RingElement, RingSpec, Window, format_element, format_ring_spec, parse_element,
 )
 
 
@@ -200,6 +200,11 @@ class ScanConstraints:
     def admits_x(self, x: RingElement) -> bool:
         return x not in self.exclude_x
 
+    def skipped(self, window: Window) -> tuple:
+        """The window positions of exclude_x and of exclude_y, as two sets."""
+        return tuple({window.raw_index[e.val] for e in excluded if e in window}
+                     for excluded in (self.exclude_x, self.exclude_y))
+
 
 class PatternVerdict(enum.Enum):
     """Non-color outcomes of pattern_color, kept distinct on purpose:
@@ -236,7 +241,8 @@ def _witness_triples(coloring: Coloring, family: PolyFamily,
     """witness_scan's witnesses as (y, x position, color) triples, in scan
     order, for each y of ys (default: the admitted y; constraints default
     to the ring's).  It checks its own arguments: the family's ring at the
-    first next(), each y of ys for its ring and admission at its turn.
+    first next(), each y of ys for its ring and admission at its turn; the
+    default y, like every x, are admitted by window position.
     Per y both modes take the distinct f(y), a zero f(y) standing for x
     itself, and compute x*y only for the admitted x of product_run(y).  A
     pair is degenerate when its product equals every x + f(y), so only
@@ -258,21 +264,22 @@ def _witness_triples(coloring: Coloring, family: PolyFamily,
     get, ext, zero = position.get, colors + (0,), spec.zero.val
     add, mul, f_values = spec.add, spec.mul, _raw_evaluator(family)
     whole, forbid_degenerate = constraints.require_in_window, constraints.forbid_degenerate
-    skip = {position[x.val] for x in constraints.exclude_x if x in window}
+    skip, skip_y = constraints.skipped(window)
     values = list(position)
     given = ys is not None
-    for y in ys if given else window.elements:
+    for y_pos, y in enumerate(ys if given else window.elements):
         if given:
-            spec.zero._check(y)
-        if not constraints.admits_y(y):
-            if given:
+            lo, hi = window.product_run(y)  # checks y's ring
+            if not constraints.admits_y(y):
                 raise ValueError(f"y = {format_element(y)} is excluded by the scan constraints")
+        elif y_pos in skip_y:
             continue
+        else:
+            lo, hi = window.raw_run(y.val)
         yv = y.val
         fvs = dict.fromkeys(f_values(yv))  # the distinct f(y), in family order
         own, lone = zero in fvs, forbid_degenerate and len(fvs) == 1
         adds = [fv for fv in fvs if fv != zero]
-        lo, hi = window.product_run(y)
         if whole:
             first, rest = (None, adds) if own else (adds[0], adds[1:])
             for pos, xv in enumerate(values[lo:hi], lo):

@@ -16,7 +16,10 @@ instance of one :class:`RingSpec` subclass per ring kind (``_Integers``,
 ``_Gaussian``, ``_Poly``), which holds that raw format.
 ``RingElement``'s operators, the subset folds and walks of ``largeness``
 and the candidate kernel of ``patterns`` run on the spec's raw ``add``,
-``neg`` and ``mul``, treating raw values as opaque.
+``neg`` and ``mul``, treating raw values as opaque.  A ``GF(q)[x]``
+product whose shorter factor has at most ``255 // (q-1)^2`` terms is one
+integer multiply of the coefficient bytes, each byte then taken mod q (no
+sum carries); any other takes the schoolbook loop.
 
 A :class:`Window` is a canonically ordered finite slice of a ring:
 
@@ -33,7 +36,8 @@ positions, :meth:`Window.product_run` (a superset where inexact): the
 prefix ``x <= N // y`` of ``Z {1..N}``, the middle ``|x| <= N // |y|``
 of signed ``Z``, the norm prefix ``N(x) <= 2B^2 // N(y)`` of ``Zi``, the
 first ``q^(d - deg y)`` elements of ``GF(q)[x]``, and for ``y = 0`` the
-whole window.  Scans that need whole configurations visit only these
+whole window; a Zi run is one bisect of the cached sort keys
+(``Window.keys``).  Scans that need whole configurations visit only these
 runs: about ``|W| log |W|`` pairs over ``Z`` instead of ``|W|^2``.
 A window holds raw values, and builds its RingElements on the first
 read of ``elements``: readers that need only raw values, such as
@@ -223,7 +227,7 @@ class _Gaussian(RingSpec):
         size = window.params.size
         # sort keys are (norm, re, im); none of norm limit exceeds (limit, B, B)
         limit = 2 * size * size // (v[0] * v[0] + v[1] * v[1])
-        return 0, bisect_right(window.elements, (limit, size, size), key=RingElement.sort_key)
+        return 0, bisect_right(window.keys, (limit, size, size))
 
     def text(self, v: tuple) -> str:
         a, b = v
@@ -261,6 +265,8 @@ class _Poly(RingSpec):
             raise ValueError(f"GF(q)[x] needs a prime modulus, got q={q}")
         self.q = q
         self.name = f"GF({q})[x]"
+        # mul's one-multiply path: the longest shorter factor whose sums fit a byte; byte mod q
+        self.short, self.residues = 255 // (q - 1) ** 2, bytes(c % q for c in range(256))
         super().__init__()
 
     def poly(self, coeffs) -> "RingElement":
@@ -290,6 +296,9 @@ class _Poly(RingSpec):
     def mul(self, a: tuple, b: tuple) -> tuple:
         if not a or not b:
             return ()
+        if min(len(a), len(b)) <= self.short:  # each byte is a whole convolution sum
+            prod = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return tuple(prod.to_bytes(len(a) + len(b) - 1, "little").translate(self.residues))
         q = self.q
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -473,13 +482,14 @@ class Window:
     derived deterministically from those.  ``raw_index`` maps raw values
     to positions, in window order; ``len``, ``in``, the scan kernel and
     the raw-value walks read it, checking the ring.  ``elements`` (the
-    RingElements in order) and ``index`` (elements to positions) are
-    built on first read.
+    RingElements in order), ``index`` (elements to positions) and ``keys``
+    (the sort keys in order) are built on first read.
     """
 
-    __slots__ = ("spec", "params", "raw_index", "__dict__")  # __dict__ caches elements and index
+    __slots__ = ("spec", "params", "raw_index", "__dict__")  # __dict__ caches elements, index and keys
     elements = cached_property(lambda self: tuple([RingElement(self.spec, v) for v in self.raw_index]))
     index = cached_property(lambda self: {e: k for k, e in enumerate(self.elements)})
+    keys = cached_property(lambda self: list(map(self.spec.key, self.raw_index)))
 
     def __init__(self, spec: RingSpec, params: WindowParams):
         spec.check_signed(params.signed)
@@ -514,10 +524,13 @@ class Window:
     def product_run(self, y: RingElement) -> tuple:
         """Positions ``(lo, hi)`` of the window slice holding every x with
         x*y in the window, by the per-ring rule in the module docstring;
-        y may lie outside the window."""
-        if y.is_zero():
-            return 0, len(self.raw_index)
-        return self.spec.run(y.val, self)
+        y may lie outside the window, but not in another ring."""
+        self.spec.zero._check(y)
+        return self.raw_run(y.val)
+
+    def raw_run(self, v) -> tuple:
+        """product_run of the raw value v of this window's ring, unchecked."""
+        return (0, len(self.raw_index)) if v == self.spec.zero.val else self.spec.run(v, self)
 
 
 def enumerate_window(spec: RingSpec, params: WindowParams) -> Window:

@@ -112,13 +112,13 @@ def build_instance(window: Window, r: int, family: PolyFamily,
 
     Candidates must lie fully inside the window regardless of the
     constraint flags: monochromaticity of a partially visible instance
-    is not decidable from window data.  So for each admitted y, whose
-    f(y) are evaluated once from its raw powers, only the admitted x of
-    window.product_run(y) are visited.  Each pair places its elements
-    as raw values, x*y first, then each distinct x + f(y) in family
-    order, keeps each new position once, and is dropped at its first
-    element outside the window; a degenerate pair is dropped unless
-    allowed.  No RingElement is built.
+    is not decidable from window data.  So for each y admitted by window
+    position, whose f(y) are evaluated once from its raw powers, only the
+    admitted x of window.product_run(y) are visited.  Each pair places
+    its elements as raw values, x*y first, then each distinct x + f(y) in
+    family order, keeps each new position once, and is dropped at its
+    first element outside the window; a degenerate pair is dropped unless
+    allowed.  No RingElement is built, and window.elements is not read.
     """
     if r < 1:
         raise ValueError(f"color count must be >= 1, got {r}")
@@ -129,17 +129,16 @@ def build_instance(window: Window, r: int, family: PolyFamily,
     position = window.raw_index
     get, values = position.get, list(position)
     add, mul, f_values = window.spec.add, window.spec.mul, _raw_evaluator(family)
-    skip = {position[x.val] for x in constraints.exclude_x if x in window}
+    skip, skip_y = constraints.skipped(window)
     least = 2 if constraints.forbid_degenerate else 1
     seen = set()
     index_sets = []
     picks = []
-    for y_pos, y in enumerate(window.elements):
-        if not constraints.admits_y(y):
+    for y_pos, yv in enumerate(values):
+        if y_pos in skip_y:
             continue
-        yv = y.val
         fvs = dict.fromkeys(f_values(yv))  # the distinct f(y), in family order
-        lo, hi = window.product_run(y)
+        lo, hi = window.raw_run(yv)
         for pos, xv in enumerate(values[lo:hi], lo):
             if pos in skip:
                 continue

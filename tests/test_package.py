@@ -33,6 +33,27 @@ def _bench_names(filename: str) -> dict:
             for target in node.targets if isinstance(target, ast.Name)}
 
 
+def test_window_raw_values_are_the_benchmark_oracles():
+    """The benchmark compares raw values (.val) with bench/oracle.py's,
+    which imports nothing from monochrome: each SCAN_CASES window's raw
+    values, in window order, equal the oracle's window, so a change of
+    raw format fails here and not first as a refused benchmark run."""
+    import importlib.util
+
+    from monochrome import enumerate_window, parse_ring_spec, parse_window_params
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    cases = ast.literal_eval(_bench_names("workloads.py")["SCAN_CASES"])
+    assert len(cases) == 5
+    for ring, params, *_ in cases:
+        ring_spec = parse_ring_spec(ring)
+        window = enumerate_window(ring_spec, parse_window_params(ring_spec, params))
+        assert [e.val for e in window.elements] == oracle.Ring(ring).window(params), (ring, params)
+
+
 def test_benchmark_instrumentation_binds():
     """bench/tracer.py wraps only the public functions and CLI handlers it
     finds, so a renamed or removed one would read 0 in a per-layer metric

@@ -742,14 +742,14 @@ def test_scans_leave_window_index_unbuilt(monkeypatch):
 def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
     """Readers that need only raw values read raw_index: grow_ufp,
     syndetic_check, ps_witness_search, ipstar_refute, the ideal presets,
-    len, random colorings and moreira_number's sliced probes leave
-    Window.elements unbuilt (the probes that build an instance read it),
-    and elements is built once read, from raw_index in window order.
+    len, random colorings, build_instance and moreira_number's sliced
+    probes and builds leave Window.elements unbuilt, and elements is
+    built once read, from raw_index in window order.
     ipstar_refute still returns the sequence its documented draw rule
     gives."""
     from monochrome import (
-        Window, grow_ufp, ipstar_refute, moreira_number, parse_element_set, ps_witness_search,
-        syndetic_check, validate_ps_witness,
+        Window, build_instance, grow_ufp, ipstar_refute, moreira_number, parse_element_set,
+        ps_witness_search, syndetic_check, validate_ps_witness,
     )
     from monochrome.prng import stream_below
 
@@ -783,9 +783,12 @@ def test_raw_readers_leave_window_elements_unbuilt(monkeypatch):
     assert built == [] and not any("elements" in vars(w) for w in (window, w))
     for spec, max_n in ((Z, 20), (GF2, 5)):
         res = moreira_number(2, parse_family(spec, "t"), max_n)
-        assert len(res.trace) > res.builds
-        assert len({w.params for w in built}) == res.builds, spec
-        built.clear()
+        assert len(res.trace) > res.builds > 0
+        assert built == [], spec
+    for spec, params in ((Z, WindowParams(40)), (ZI, WindowParams(3)), (GF3, WindowParams(3))):
+        w = enumerate_window(spec, params)
+        assert build_instance(w, 2, parse_family(spec, "0;t")).index_sets
+        assert built == [] and "elements" not in vars(w), spec
     monkeypatch.undo()
     assert any(got is None for *_, got in refuted) and any(got for *_, got in refuted)
     for *call, got in refuted:

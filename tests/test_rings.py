@@ -353,8 +353,64 @@ def test_index_inverts_position():
             assert w.index[e] == k
             assert e in w
         keys = [e.sort_key() for e in w.elements]
-        assert keys == sorted(keys)
+        assert "keys" not in vars(w)  # Window.keys is built on first read
+        assert keys == sorted(set(keys)) == w.keys and vars(w)["keys"] is w.keys
         assert w.product_run(spec.zero) == (0, len(w))
+
+
+def test_gaussian_product_runs_are_norm_prefixes():
+    """A Zi window's product run of y != 0, in the box or outside it, is
+    the prefix of the box elements of norm <= 2B^2 // N(y), counted here
+    from scratch, and it holds every x with x*y in the box."""
+    for size in range(7):
+        w = enumerate_window(ZI, WindowParams(size))
+        box = [(a, b) for a in range(-size, size + 1) for b in range(-size, size + 1)]
+        outside = [(size + 1, 0), (size, -size - 1), (-2 * size - 3, size + 2)]
+        for c, d in [y for y in box if y != (0, 0)] + outside:
+            limit = 2 * size * size // (c * c + d * d)
+            lo, hi = w.product_run(ZI.gaussian(c, d))
+            assert (lo, hi) == (0, sum(a * a + b * b <= limit for a, b in box)), (size, c, d)
+            for a, b in box:
+                if max(abs(a * c - b * d), abs(a * d + b * c)) <= size:
+                    assert w.raw_index[a, b] < hi, (size, c, d, a, b)
+
+
+def test_product_run_checks_its_argument():
+    """product_run refuses an element of another ring and a value that is
+    no element, as the scan kernel does."""
+    with pytest.raises(ValueError, match=r"^ring mismatch: GF\(3\)\[x\] vs Zi$"):
+        enumerate_window(GF3, WindowParams(3)).product_run(ZI.gaussian(1, 1))
+    window = enumerate_window(Z, WindowParams(10))
+    with pytest.raises(ValueError, match=r"^ring mismatch: Z vs GF\(3\)\[x\]$"):
+        window.product_run(parse_element(GF3, "x"))
+    with pytest.raises(TypeError, match="^expected RingElement, got int$"):
+        window.product_run(3)
+    assert window.product_run(Z.integer(3)) == (0, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17])
+def test_poly_products_match_schoolbook_on_both_sides_of_the_byte_bound(q):
+    """GF(q)[x] products, raw and through RingElement's * and **, equal the
+    schoolbook convolution of reference_raw_ops, for shorter operands of
+    1, 2 and 255 // (q-1)^2 terms and one more (the longest whose sums all
+    fit in a byte, and the shortest that may not); operands of all-(q-1)
+    coefficients reach the largest sums."""
+    spec = parse_ring_spec(f"GF({q})[x]")
+    *_, pmul = reference_raw_ops(spec)
+    rng = random.Random(q)
+    bound = 255 // (q - 1) ** 2
+    for m in sorted({1, 2, max(bound, 1), bound + 1}):
+        top = (q - 1,) * m
+        drawn = tuple(rng.randrange(q) for _ in range(m - 1)) + (rng.randrange(1, q),)
+        for a in (top, drawn):
+            ea = RingElement(spec, a)
+            square = pmul(a, a)
+            assert spec.mul(a, a) == (ea * ea).val == (ea ** 2).val == square, (q, m)
+            assert (ea ** 3).val == pmul(square, a), (q, m)
+            for n in (m + 1, m + 3):
+                b = (q - 1,) * n if a is top else tuple(rng.randrange(1, q) for _ in range(n))
+                want, eb = pmul(a, b), RingElement(spec, b)
+                assert spec.mul(a, b) == spec.mul(b, a) == (ea * eb).val == (eb * ea).val == want, (q, m, n)
 
 
 def test_window_identity_is_spec_and_params():
