@@ -39,8 +39,7 @@ entry becomes the subcommand's own flag `--key=value` (a store-true
 flag `--key` when the value is true, nothing when false), placed after
 the subcommand words and before the user's flags: argparse checks its
 value like any flag, it can supply a required flag, and an explicit
-flag wins.  The environment variable MONOCHROME_BUDGET then fills an
-unset --budget / --work-cap.
+flag wins.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -78,6 +76,7 @@ from .largeness import (
 from .patterns import ScanConstraints, _witness_triples, format_family, parse_family
 from .rings import (
     WHITESPACE,
+    WindowParams,
     enumerate_window,
     format_element,
     format_ring_spec,
@@ -100,8 +99,6 @@ from .search import (
 )
 from .ufp import UfpSequence, grow_ufp, has_ufp
 
-BUDGET_ENV = "MONOCHROME_BUDGET"
-
 # report statuses that exit 0; every other status exits 1
 POSITIVE_STATUSES = frozenset({"ok", "found", "holds", "counterexample", "avoidance_found"})
 
@@ -120,8 +117,7 @@ _FLAGS = {
     "coloring": (("--coloring",), dict(help="coloring file (instead of --seed)")),
     "partial": (("--partial",), dict(action="store_true", default=None, help="judge instances only "
                                      "partly inside the window by their visible part")),
-    "budget": (("--budget",), dict(type=integer,
-                                   help=f"node budget (default: ${BUDGET_ENV} or unlimited)")),
+    "budget": (("--budget",), dict(type=integer, help="node budget (default: unlimited)")),
     "exclude-y": (("--exclude-y",), dict(help="element set never used as y (default {0,1})")),
     "exclude-x": (("--exclude-x",), dict(help="element set never used as x (default {0})")),
     "allow-degenerate": (("--allow-degenerate",), dict(action="store_true", default=None,
@@ -307,18 +303,6 @@ def _with_config(leaf: argparse.ArgumentParser, words: tuple, argv: list) -> lis
     return [*words, *flags, *argv[len(words):]]
 
 
-def _apply_env(args: argparse.Namespace) -> None:
-    """Fill an unset --budget or --work-cap from the environment."""
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        for dest in ("budget", "work_cap"):
-            if dest in vars(args) and getattr(args, dest) is None:
-                try:
-                    setattr(args, dest, integer(env))
-                except ValueError:
-                    raise ValueError(f"${BUDGET_ENV} must be an integer, got {env!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # Shared pieces
 
@@ -360,9 +344,14 @@ def _constraints(args, spec, window) -> ScanConstraints:
     )
 
 
+def _seed(args):
+    """The stream seed in effect: --seed, 0 without it, None with --coloring."""
+    return None if getattr(args, "coloring", None) is not None else args.seed or 0
+
+
 def _coloring_for(args, spec, window, r) -> Coloring:
     if args.coloring is None:
-        return random_coloring(window, r, args.seed if args.seed is not None else 0)
+        return random_coloring(window, r, _seed(args))
     if args.seed is not None:
         raise ValueError("--coloring and --seed exclude each other: the file fixes every color")
     coloring = load_coloring(args.coloring)
@@ -502,7 +491,7 @@ def _cmd_scan(args) -> tuple:
         if x_name is None:
             x_name = names[pos] = spec.text(values[pos])
         witnesses.append((x_name, y_name, color))
-    return "ok", {**_header(spec, window, r, family), "seed": args.seed,
+    return "ok", {**_header(spec, window, r, family), "seed": _seed(args),
                   "count": len(witnesses), "witnesses": witnesses}
 
 
@@ -513,7 +502,7 @@ def _cmd_abundance(args) -> tuple:
     counts = Counter((y.val, color) for y, _, color in _witness_triples(coloring, family, constraints, ys))
     ys = ys or [y for y in window.elements if constraints.admits_y(y)]  # the rows' y
     rows = [(format_element(y), c, counts[y.val, c]) for y in ys for c in range(1, r + 1)]
-    return "ok", {**_header(spec, window, r, family), "rows": rows}
+    return "ok", {**_header(spec, window, r, family), "seed": _seed(args), "rows": rows}
 
 
 def _cmd_largeness(args) -> tuple:
@@ -541,10 +530,9 @@ def _cmd_largeness(args) -> tuple:
     if args.sub == "ipstar":
         target_window = _window(spec, args.target_window) if args.target_window is not None else window
         target = parse_element_set(spec, args.target, target_window)
-        seed = args.seed if args.seed is not None else 0
-        seq = ipstar_refute(target, window, args.len, args.samples, seed)
+        seq = ipstar_refute(target, window, args.len, args.samples, _seed(args))
         return "none_found" if seq is None else "counterexample", {
-            "seq_len": args.len, "samples": args.samples, "seed": seed, "found": seq is not None,
+            "seq_len": args.len, "samples": args.samples, "seed": _seed(args), "found": seq is not None,
             "sequence": None if seq is None else [format_element(e) for e in seq]}
     # transport
     gaps = parse_element_set(spec, args.gaps, window)
@@ -586,15 +574,18 @@ def _cmd_sigma(args) -> tuple:
     spec = parse_ring_spec(args.ring)
     pool = _window(spec, args.window)
     family = parse_family(spec, args.F)
-    seed = args.seed if args.seed is not None else 0
-    oks = [check.ok for trial in sigma_trials(family, pool, args.n, args.depth, args.trials, seed)
+    depth = family.max_degree if args.depth is None else args.depth
+    oks = [check.ok for trial in sigma_trials(family, pool, args.n, depth, args.trials, _seed(args))
            for check in trial]
     failures = oks.count(False)
     return "ok" if failures == 0 else "failed", {
         "ring": format_ring_spec(spec),
+        "window": format_window_params(spec, pool.params),
         "family": format_family(family),
         "n": args.n,
+        "depth": depth,
         "trials": args.trials,
+        "seed": _seed(args),
         "checks": len(oks),
         "failures": failures,
         "all_ok": failures == 0,
@@ -632,9 +623,9 @@ def _cmd_search(args) -> tuple:
         "trace": [{"N": n, "status": st.value} for n, st in res.trace],
     }
     if args.crosscheck and res.status == "found":
-        sizes = {"below": res.n - 1, "at": res.n}
         payload["crosscheck"] = {
-            side: dual_engine_check(res.instance_at(n)) for side, n in sizes.items() if n >= spec.least}
+            side: dual_engine_check(build_instance(enumerate_window(spec, WindowParams(n)), r, family))
+            for side, n in (("below", res.n - 1), ("at", res.n)) if n >= spec.least}
     return res.status, payload
 
 
@@ -759,7 +750,6 @@ def dispatch(argv) -> int:
         if words is not None:
             argv = _with_config(leaves[words], words, argv)
         args = parser.parse_args(argv)
-        _apply_env(args)
         outcome = _HANDLERS[args.cmd](args)
         return 0 if outcome is None else _emit(args, *outcome)
     except SystemExit as exc:

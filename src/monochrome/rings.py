@@ -87,7 +87,7 @@ def _decimal(text: str) -> int:
 
 
 def integer(text: str) -> int:
-    """_decimal between WHITESPACE: an integer from a flag, the environment or a file."""
+    """_decimal between WHITESPACE: an integer from a flag, a config entry or a file."""
     return _decimal(text.strip(WHITESPACE))
 
 

@@ -25,20 +25,19 @@ DPLL engine in dpll.py, with a model decoder that rebuilds and validates
 the coloring.  The two engines share no search code, so agreement
 between them (dual_engine_check) is a real cross-check.  moreira_number
 turns the Forced/AvoidanceFound boundary into a least-window-size
-threshold.  Its probes reuse the largest instance built so far whenever
-a probe's window is a prefix of that instance's window: the probe
-searches the prefix slice (AvoidanceInstance.prefix), which equals a
-fresh build, instead of rebuilding.
+threshold, searching where it can a prefix slice of an instance it built
+(AvoidanceInstance.prefix, which equals a fresh build) instead of
+rebuilding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .colorings import Coloring
 from .errors import InternalError
@@ -334,9 +333,6 @@ class MoreiraResult:
     n: int  # least forced N; max probed; or the N whose search timed out
     trace: tuple  # (N, AvoidanceStatus) pairs in evaluation order
     builds: int  # probes that ran build_instance rather than a prefix slice
-    # n -> the instance the search probed at n: sliced from the largest
-    # instance it built when that window is a prefix, else built afresh
-    instance_at: Callable[[int], AvoidanceInstance] = field(repr=False, compare=False)
 
 
 def moreira_number(r: int, family: PolyFamily, max_n: int,
@@ -354,8 +350,7 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     instead of a fresh build_instance.  Over Z and GF(q)[x] every smaller
     window is a prefix of a larger one, so every binary-search probe is
     sliced; a Zi box is a prefix of a larger box only for B <= 2, so Zi
-    probes build afresh.  builds counts the probes that built, and the
-    result's instance_at makes the same choice for any later n."""
+    probes build afresh.  builds counts the probes that built."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     trace = []
@@ -384,15 +379,15 @@ def moreira_number(r: int, family: PolyFamily, max_n: int,
     while True:
         st = status_at(n)
         if st is AvoidanceStatus.TIMEOUT:
-            return MoreiraResult("inconclusive", n, tuple(trace), builds, instance_at)
+            return MoreiraResult("inconclusive", n, tuple(trace), builds)
         if st is AvoidanceStatus.FORCED:
             hi = n
         else:
             lo = n
         if hi is None and n == max_n:
-            return MoreiraResult("not_found_within", max_n, tuple(trace), builds, instance_at)
+            return MoreiraResult("not_found_within", max_n, tuple(trace), builds)
         if lo + 1 == hi:
-            return MoreiraResult("found", hi, tuple(trace), builds, instance_at)
+            return MoreiraResult("found", hi, tuple(trace), builds)
         n = min(2 * n, max_n) if hi is None else (lo + hi) // 2  # doubling, then bisection
 
 

@@ -24,6 +24,20 @@ def test_imports_only_the_standard_library():
     assert not outside
 
 
+def test_reads_no_environment():
+    """A result follows from a command's arguments alone: no module of the
+    package names environ, getenv or putenv, as a name, an attribute or an
+    imported name."""
+    found = set()
+    for path in sorted(pathlib.Path(monochrome.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            found.update((path.name, name) for name in names & {"environ", "getenv", "putenv"})
+    assert not found
+
+
 def _bench_names(filename: str) -> dict:
     """The top-level assignments of a bench/ script, by name, read with ast
     (the script is not imported)."""
@@ -166,7 +180,7 @@ def test_every_public_helper_has_a_caller():
 
 # Optional parameters that nothing in src/, demos/ or bench/ passes, kept on purpose
 _UNPASSED_KEPT = {
-    "moreira_number.constraints": "restricts y to an ideal (ROADMAP direction 6), and "
+    "moreira_number.constraints": "restricts y to an ideal (ROADMAP direction 11), and "
                                   "test_zi_threshold_probes_the_least_box needs it",
 }
 

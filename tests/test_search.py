@@ -218,10 +218,11 @@ def test_searches_and_cnf_build_no_candidate_objects(monkeypatch, capsys, tmp_pa
     real = search.PatternInstance
     monkeypatch.setattr(search, "PatternInstance", lambda *a: made.append(a) or real(*a))
     for spec, fam_text, max_n in ((Z, "0;t", 40), (ZI, "t", 3), (GF3, "t", 3)):
-        res = moreira_number(2, parse_family(spec, fam_text), max_n)
-        inst = res.instance_at(res.n)
-        below = res.instance_at(res.n - 1) if res.n > spec.least else inst
-        whole = build_instance(inst.window, 3, parse_family(spec, fam_text))
+        fam = parse_family(spec, fam_text)
+        res = moreira_number(2, fam, max_n)
+        inst = build_instance(enumerate_window(spec, WindowParams(res.n)), 2, fam)
+        below = inst.prefix(enumerate_window(spec, WindowParams(res.n - 1))) if res.n > spec.least else inst
+        whole = build_instance(inst.window, 3, fam)
         whole.prefix(below.window)
         avoider = avoidance_backtrack(below).coloring
         cnf_model_decode(coloring_to_model(avoider), below)
@@ -727,25 +728,6 @@ def test_threshold_builds_only_where_no_prefix_is_kept():
     assert (res.status, res.n) == ("found", 69)
     assert [n for n, _ in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 96, 80, 72, 68, 70, 69]
     assert res.builds == 8
-
-
-@pytest.mark.parametrize("ring, fam_text, max_n, builds", [
-    ("Z", "t^3", 128, 0), ("GF(2)[x]", "t", 8, 0), ("Zi", "0;3t", 64, 1)])
-def test_instance_at_slices_like_the_probes(monkeypatch, ring, fam_text, max_n, builds):
-    """After the search, instance_at gives the fresh build's instance at
-    N and N-1, and builds only a window that is no prefix of the kept
-    one (Zi B=3, the kept box being B=4)."""
-    spec = parse_ring_spec(ring)
-    fam = parse_family(spec, fam_text)
-    res = moreira_number(2, fam, max_n)
-    built = []
-    monkeypatch.setattr(search, "build_instance", lambda *a: built.append(a) or build_instance(*a))
-    for n in (res.n - 1, res.n):
-        inst = res.instance_at(n)
-        fresh = build_instance(enumerate_window(spec, WindowParams(n)), 2, fam)
-        assert inst.window.raw_index == fresh.window.raw_index and inst.r == 2
-        assert (inst.candidates, inst.index_sets) == (fresh.candidates, fresh.index_sets), n
-    assert len(built) == builds
 
 
 # (ring, family, r, N, budget) -> status, nodes, backtracks and the first 16
